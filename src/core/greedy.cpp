@@ -62,19 +62,34 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
   while (!gs.candidates.empty()) {
     // Table III step 3: argmax over remaining pairs of Q(c + e) - Q(c).
     // Candidate solves are independent given the shared read-only cache, so
-    // they fan out across the pool; each worker fills only its own slot of
-    // the objective buffer (and uses its own thread-local scratch), and the
-    // argmax below folds the buffer serially in candidate order — the same
-    // first-strict-maximum the sequential scan produced.
+    // they fan out across the pool in scan tasks: the contiguous run of one
+    // FBS's candidates (the list is FBS-major), solved in order under one
+    // water-fill memo scope. Those climbs differ only in that FBS's g, so
+    // they share most resource solves; the scope starts empty, so the work
+    // — and every counter — does not depend on which worker runs the task.
+    // Workers fill only their own slots of the objective buffer (with their
+    // own thread-local scratch), and the argmax below folds the buffer
+    // serially in candidate order — the same first-strict-maximum the
+    // sequential scan produced.
     const std::size_t n_candidates = gs.candidates.size();
     c_cand_evals.add(n_candidates);
     gs.objectives.resize(n_candidates);
-    util::parallel_for(n_candidates, [&](std::size_t k) {
-      const auto [i, a] = gs.candidates[k];
+    gs.tasks.clear();
+    for (std::size_t k = 0; k < n_candidates; ++k) {
+      if (k == 0 || gs.candidates[k].first != gs.candidates[k - 1].first) {
+        gs.tasks.push_back(k);
+      }
+    }
+    gs.tasks.push_back(n_candidates);
+    util::parallel_for(gs.tasks.size() - 1, [&](std::size_t t) {
+      const MemoScope scope;
       std::vector<double>& trial = slot_scratch().greedy.trial;
-      trial.assign(gs.gt.begin(), gs.gt.end());
-      trial[i] += ctx.posterior[a];
-      gs.objectives[k] = waterfill_solve_objective(ctx, cache, trial);
+      for (std::size_t k = gs.tasks[t]; k < gs.tasks[t + 1]; ++k) {
+        const auto [i, a] = gs.candidates[k];
+        trial.assign(gs.gt.begin(), gs.gt.end());
+        trial[i] += ctx.posterior[a];
+        gs.objectives[k] = waterfill_solve_objective(ctx, cache, trial);
+      }
     });
 
     double best_q = -std::numeric_limits<double>::infinity();

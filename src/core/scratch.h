@@ -12,17 +12,24 @@
 // model & scratch-arena rules"):
 //
 //   * Each field group is owned by exactly one routine while that routine
-//     is on the stack: `dual` by solve_dual, `resource` by
-//     waterfill_resource, `assign` by evaluate_assignment /
-//     evaluate_objective, `greedy` by greedy_allocate. The groups are
-//     disjoint, so the natural nesting (greedy -> evaluate -> resource)
-//     never aliases.
+//     is on the stack: `dual` by solve_dual, `resource` by the water-level
+//     solve, `assign` by the water-filling climb and evaluators, `memo` by
+//     the per-resource gather-and-solve, `greedy` by greedy_allocate. The
+//     groups are disjoint, so the natural nesting (greedy -> climb ->
+//     resource) never aliases.
 //   * slot_scratch() is thread-local. Workers inside util::parallel_for
 //     each see their own arena, so parallel candidate evaluation needs no
 //     locking; a coordinator may hand out index-addressed slices of its
 //     own buffers (e.g. GreedyScratch::objectives) for workers to fill.
 //   * Scratch never survives a call as *data* — only as capacity. No
 //     routine may read a field it did not fill in the same invocation.
+//   * The one exception is `memo`, and it is bounded by a scope: the memo
+//     holds data only within one MemoScope and is reset at every scope
+//     start. A greedy scan task (one FBS's candidates in one round) is one
+//     scope; every climb or evaluation outside a task is its own scope.
+//     So an entry never outlives the context it was solved for, and the
+//     memo's hit pattern — hence every counter — is a function of the work
+//     alone, not of which thread ran which task.
 #pragma once
 
 #include <cstddef>
@@ -82,7 +89,7 @@ struct DualScratch {
   std::vector<double> rescale_scale_fbs;  ///< per-FBS projection factors
 };
 
-/// waterfill_resource's working set: the per-member price offsets
+/// The water-level solve's working set: the per-member price offsets
 /// W_j / R_j hoisted out of the level solve, plus the breakpoint event
 /// tables of the analytic solver (core/waterfill.cpp). Each usable member
 /// contributes up to two events — the level where its share leaves the cap
@@ -97,24 +104,61 @@ struct ResourceScratch {
   std::vector<std::uint32_t> ev_order;  ///< sort permutation, level desc
 };
 
-/// evaluate_assignment / evaluate_objective working set: one resource's
-/// member list at a time plus per-user share images of the assignment.
+/// The climb's and the evaluators' working set: one resource's members at
+/// a time, and the per-user objective terms of the accepted and the trial
+/// assignment.
 struct AssignScratch {
-  std::vector<std::size_t> members;
-  std::vector<double> rates;
-  std::vector<double> successes;
-  std::vector<double> rho;      ///< waterfill_resource output buffer
-  std::vector<double> rho_mbs;  ///< per-user shares of the trial assignment
-  std::vector<double> rho_fbs;
-  std::vector<unsigned char> use_mbs;  ///< trial assignment (bit-twiddle-free)
+  std::vector<std::size_t> members;  ///< one resource's members, ascending
+  std::vector<double> successes;     ///< their success probabilities
+  std::vector<double> rho;           ///< their water-filled shares
+  std::vector<double> term;          ///< their objective terms
+  std::vector<double> check_rho;     ///< memo-hit re-solve (DCHECK builds)
+  std::vector<double> check_term;
+  std::vector<double> terms;         ///< per-user terms, accepted assignment
+  std::vector<double> trial_terms;   ///< per-user terms, trial assignment
+  std::vector<unsigned char> use_mbs;  ///< assignment (bit-twiddle-free)
+};
+
+/// The water-fill memo: the members' shares and objective terms of every
+/// resource solved in the current scope (see the file comment), keyed by
+/// the resource index (0 = MBS, i + 1 = FBS i), the bit pattern of g_i
+/// (FBSs only) and the member set as a 64-bit mask. Fixed-capacity open
+/// addressing with linear probing; the values sit in a bump-allocated pool
+/// of (share, term) pairs. When either the table reaches half load or the
+/// pool is full, clear() empties the memo in O(1) by bumping `generation`:
+/// an entry is live iff its generation matches. 64 KB per thread (a 16 KB
+/// table, a 48 KB pool), taken on the first clear; on the city grid's large
+/// components the pool fills first, and a smaller memo re-solves more.
+struct WaterfillMemo {
+  static constexpr std::size_t kSlots = 512;  ///< power of two
+  static constexpr std::size_t kMaxLive = kSlots / 2;
+  static constexpr std::size_t kValues = 6144;  ///< doubles, 2 per member
+  struct Entry {
+    std::uint64_t mask = 0;
+    std::uint64_t g_bits = 0;
+    std::uint32_t resource = 0;
+    std::uint32_t generation = 0;  ///< live iff == WaterfillMemo::generation
+    std::uint32_t offset = 0;      ///< first value of the entry's pairs
+  };
+  std::vector<Entry> entries;
+  std::vector<double> values;
+  std::uint32_t generation = 0;
+  std::size_t live = 0;  ///< entries of the current generation
+  std::size_t used = 0;  ///< values of the current generation
+  bool scoped = false;   ///< a MemoScope is open on this thread
+
+  /// Empties the memo in O(1) (O(kSlots) once per 2^32 clears, when the
+  /// generation wraps).
+  void clear();
 };
 
 /// greedy_allocate's working set: the candidate list, the per-candidate
-/// objective buffer the parallel evaluation fills, and per-thread trial
-/// expected-channel vectors.
+/// objective buffer the parallel evaluation fills, the scan-task bounds,
+/// and per-thread trial expected-channel vectors.
 struct GreedyScratch {
   std::vector<std::pair<std::size_t, std::size_t>> candidates;
   std::vector<double> objectives;  ///< slot k = candidate k's Q, fold serial
+  std::vector<std::size_t> tasks;  ///< first candidate of each task, + end
   std::vector<double> trial;       ///< per-thread trial G vector
   std::vector<double> gt;          ///< accumulated expected channel counts
 };
@@ -124,11 +168,29 @@ struct SlotScratch {
   DualScratch dual;
   ResourceScratch resource;
   AssignScratch assign;
+  WaterfillMemo memo;
   GreedyScratch greedy;
 };
 
 /// The calling thread's scratch arena (thread-local, grown on demand,
 /// never shrunk). See the ownership rules in the file comment.
 SlotScratch& slot_scratch();
+
+/// Opens a memo scope on the calling thread: clears the memo and keeps its
+/// entries until the scope closes. A scope opened while another is open on
+/// the same thread is a no-op, so a climb inside a greedy scan task shares
+/// the task's memo while a climb on its own gets a fresh one. Every
+/// entry point that solves resources opens one.
+class MemoScope {
+ public:
+  MemoScope();
+  ~MemoScope();
+  MemoScope(const MemoScope&) = delete;
+  MemoScope& operator=(const MemoScope&) = delete;
+
+ private:
+  WaterfillMemo& memo_;
+  bool outer_;
+};
 
 }  // namespace femtocr::core

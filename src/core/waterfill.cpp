@@ -4,7 +4,9 @@
 #include "core/waterfill.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "core/objective.h"
@@ -63,9 +65,11 @@ double bisect_level(const double* successes, const double* pr,
 }
 
 /// Analytic water-level core shared by the public entry point and the
-/// cached assignment evaluator. `pr[k]` must equal W_k / rate_k for usable
-/// members and `usable[k]` the rate > 0 && success > 0 gate, both hoisted
-/// out of the solve; `hi` is the max usable S R / W.
+/// per-resource solve. `pr[k]` must equal W_k / rate_k for usable members
+/// and `usable[k]` the rate > 0 && success > 0 gate, both hoisted out of
+/// the solve; `hi` is the max usable S R / W. `count` feeds the
+/// core.waterfill.level_solves / breakpoint.* counters; the DCHECK re-solve
+/// of a memo hit passes false, so checking never moves them.
 ///
 /// The share profile rho_k(λ) = clamp(S_k/λ − pr_k, 0, cap) makes the
 /// budget g(λ) = Σ rho_k(λ) piecewise-hyperbolic in λ with two breakpoints
@@ -81,7 +85,7 @@ double bisect_level(const double* successes, const double* pr,
 /// core.dual.iterations (docs/OBSERVABILITY.md).
 double waterfill_level(const double* successes, const double* pr,
                        const unsigned char* usable, std::size_t n, double hi,
-                       double* rho_out, ResourceScratch& rs) {
+                       double* rho_out, ResourceScratch& rs, bool count) {
   static util::Counter& c_level_solves =
       util::metrics().counter("core.waterfill.level_solves");
   static util::Counter& c_bp_solves =
@@ -95,7 +99,7 @@ double waterfill_level(const double* successes, const double* pr,
 
   std::fill(rho_out, rho_out + n, 0.0);
   if (n == 0) return 0.0;
-  c_level_solves.add();
+  if (count) c_level_solves.add();
 
   if (hi <= 0.0) {  // nobody can use this resource
     shares_at_level(successes, pr, usable, n, 1.0, rho_out);
@@ -111,7 +115,7 @@ double waterfill_level(const double* successes, const double* pr,
   // a turn-on event at S/pr and a cap event at S/(pr + cap); a pr == 0
   // member is active at every finite level, so it folds into the initial
   // prefix state and only adds its cap event.
-  c_bp_solves.add();
+  if (count) c_bp_solves.add();
   rs.ev_lambda.resize(2 * n);
   rs.ev_ds.resize(2 * n);
   rs.ev_dpr.resize(2 * n);
@@ -140,7 +144,7 @@ double waterfill_level(const double* successes, const double* pr,
     rs.ev_dcap[m] = 1.0;
     ++m;
   }
-  c_bp_events.add(m);
+  if (count) c_bp_events.add(m);
   for (std::size_t e = 0; e < m; ++e) {
     rs.ev_order[e] = static_cast<std::uint32_t>(e);
   }
@@ -205,7 +209,7 @@ double waterfill_level(const double* successes, const double* pr,
     if (pa > 0.0 && denom > 0.0) {
       const double polished = pa / denom;
       if (std::isfinite(polished) && polished > 0.0) {
-        if (polished != level) c_bp_polish.add();
+        if (count && polished != level) c_bp_polish.add();
         level = polished;
       }
     }
@@ -215,10 +219,19 @@ double waterfill_level(const double* successes, const double* pr,
                    ? shares_at_level(successes, pr, usable, n, level, rho_out)
                    : 2.0;  // force the fallback
   if (!(sum <= 1.0 + 1e-9)) {
-    // Numerical corner (never hit on the tested distributions): fall back
-    // to the reference bisection, which maintains a feasible bracket side.
-    c_bp_fallback.add();
-    util::trace_note_anomaly("core.waterfill.breakpoint.bisect_fallback");
+    // Numerical corner: when the price offsets W/R dwarf the level, the
+    // share S/λ − W/R cancels catastrophically and the closed-form level
+    // can overspend the budget by more than the guard. It does happen —
+    // a 3-member resource with W/R ≈ 5.4e7 and S ≈ 0.9 (level ≈ 1.8e-8)
+    // overspends by 7.5e-9. An FBS whose expected channel count g is tiny
+    // (its channels are believed busy) has such offsets, and the churn
+    // workload meets them thousands of times per run
+    // (docs/OBSERVABILITY.md). Fall back to the reference bisection, which
+    // keeps a feasible bracket side.
+    if (count) {
+      c_bp_fallback.add();
+      util::trace_note_anomaly("core.waterfill.breakpoint.bisect_fallback");
+    }
     level = bisect_level(successes, pr, usable, n, hi, rho_out);
     sum = shares_at_level(successes, pr, usable, n, level, rho_out);
   }
@@ -230,148 +243,250 @@ double waterfill_level(const double* successes, const double* pr,
   return level;
 }
 
-/// Water-fills every resource of a fixed assignment. Writes the per-user
-/// share images into as.rho_mbs / as.rho_fbs (zero on the unassigned
-/// branch) and optionally the per-resource water levels. Member lists come
-/// from the cache's per-FBS grouping instead of one full K-user scan per
-/// FBS; group order is ascending user index — exactly the order the scan
-/// produced — and every numeric expression matches it, so the shares are
-/// bit-identical.
-void waterfill_shares(const SlotContext& ctx, const SlotCache& cache,
-                      const std::vector<double>& gt_per_fbs,
-                      const unsigned char* use_mbs, AssignScratch& as,
-                      ResourceScratch& rs, std::vector<double>* lambda_out) {
+/// core.waterfill.evaluations: one per assignment whose objective is
+/// evaluated — a climb's start and each of its trials, each exhaustive
+/// mask, each materialised allocation.
+void count_evaluation() {
   static util::Counter& c_evals =
       util::metrics().counter("core.waterfill.evaluations");
   c_evals.add();
+}
 
-  const std::size_t K = cache.num_users;
-  as.rho_mbs.assign(K, 0.0);
-  as.rho_fbs.assign(K, 0.0);
-  if (lambda_out != nullptr) lambda_out->assign(cache.num_fbs + 1, 0.0);
-
-  // MBS resource: price offsets W / R_0 come straight from the cache.
-  as.members.clear();
-  as.successes.clear();
-  rs.pr.clear();
-  rs.usable.clear();
+/// Water-fills the members of resource r (0 = MBS, i + 1 = FBS i) listed in
+/// sc.assign.members and writes their shares to `rho` and their objective
+/// terms to `term`. A term is user j's summand of slot_objective with the
+/// exact operand grouping of mbs_term / fbs_term (fbs_term's log argument
+/// is W + rho * g * R, in that multiplication order), the log collapsed to
+/// the cached log W on zero-share branches (W + 0 * x == W bitwise) and the
+/// loss branch taken from the cache — so a sum of terms in user order is
+/// bit-identical to slot_objective of the materialised allocation (the
+/// equivalence tests pin this).
+void solve_members(const SlotContext& ctx, const SlotCache& cache,
+                   const std::vector<double>& gt_per_fbs, std::size_t r,
+                   SlotScratch& sc, double* rho, double* term, bool count) {
+  AssignScratch& as = sc.assign;
+  ResourceScratch& rs = sc.resource;
+  const std::size_t n = as.members.size();
+  as.successes.resize(n);
+  rs.pr.resize(n);
+  rs.usable.resize(n);
   double hi = 0.0;
-  for (std::size_t j = 0; j < K; ++j) {
-    if (use_mbs[j] == 0) continue;
-    const UserState& u = ctx.users[j];
-    as.members.push_back(j);
-    as.successes.push_back(u.success_mbs);
-    rs.pr.push_back(cache.pr_mbs[j]);
-    rs.usable.push_back(cache.can_mbs[j]);
-    if (u.rate_mbs > 0.0) hi = std::max(hi, cache.hi_mbs[j]);
-  }
-  if (!as.members.empty()) {
-    as.rho.resize(as.members.size());
-    const double lambda0 =
-        waterfill_level(as.successes.data(), rs.pr.data(), rs.usable.data(),
-                        as.members.size(), hi, as.rho.data(), rs);
-    for (std::size_t k = 0; k < as.members.size(); ++k) {
-      as.rho_mbs[as.members[k]] = as.rho[k];
-    }
-    if (lambda_out != nullptr) (*lambda_out)[0] = lambda0;
-  }
-
-  // One resource per FBS. Empty member lists never reached the level
-  // solver before either (it returned ahead of its counters), so skipping
-  // them wholesale keeps core.waterfill.* identical.
-  for (std::size_t i = 0; i < cache.num_fbs; ++i) {
-    const std::vector<std::size_t>& group = cache.users_by_fbs[i];
-    if (group.empty()) continue;
-    as.members.clear();
-    as.successes.clear();
-    rs.pr.clear();
-    rs.usable.clear();
-    double hi_i = 0.0;
-    const double g = gt_per_fbs[i];
-    for (const std::size_t j : group) {
-      if (use_mbs[j] != 0) continue;
+  if (r == 0) {
+    // MBS: price offsets W / R_0 come straight from the cache.
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t j = as.members[k];
       const UserState& u = ctx.users[j];
-      const double rate = u.rate_fbs * g;
-      const bool ok = rate > 0.0 && u.success_fbs > 0.0;
-      as.members.push_back(j);
-      as.successes.push_back(u.success_fbs);
-      rs.usable.push_back(ok ? 1 : 0);
-      rs.pr.push_back(ok ? u.psnr / rate : 0.0);
-      if (rate > 0.0) hi_i = std::max(hi_i, u.success_fbs * rate / u.psnr);
+      as.successes[k] = u.success_mbs;
+      rs.pr[k] = cache.pr_mbs[j];
+      rs.usable[k] = cache.can_mbs[j];
+      if (u.rate_mbs > 0.0) hi = std::max(hi, cache.hi_mbs[j]);
     }
-    if (as.members.empty()) continue;
-    as.rho.resize(as.members.size());
-    const double li =
-        waterfill_level(as.successes.data(), rs.pr.data(), rs.usable.data(),
-                        as.members.size(), hi_i, as.rho.data(), rs);
-    for (std::size_t k = 0; k < as.members.size(); ++k) {
-      as.rho_fbs[as.members[k]] = as.rho[k];
+    waterfill_level(as.successes.data(), rs.pr.data(), rs.usable.data(), n,
+                    hi, rho, rs, count);
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t j = as.members[k];
+      const UserState& u = ctx.users[j];
+      const double a = rho[k] <= 0.0 ? cache.log_psnr[j]
+                                     : std::log(u.psnr + rho[k] * u.rate_mbs);
+      term[k] = u.success_mbs * a + cache.loss_mbs[j];
     }
-    if (lambda_out != nullptr) (*lambda_out)[i + 1] = li;
+    return;
+  }
+  const double g = gt_per_fbs[r - 1];
+  for (std::size_t k = 0; k < n; ++k) {
+    const UserState& u = ctx.users[as.members[k]];
+    const double rate = u.rate_fbs * g;
+    const bool ok = rate > 0.0 && u.success_fbs > 0.0;
+    as.successes[k] = u.success_fbs;
+    rs.usable[k] = ok ? 1 : 0;
+    rs.pr[k] = ok ? u.psnr / rate : 0.0;
+    if (rate > 0.0) hi = std::max(hi, u.success_fbs * rate / u.psnr);
+  }
+  waterfill_level(as.successes.data(), rs.pr.data(), rs.usable.data(), n, hi,
+                  rho, rs, count);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t j = as.members[k];
+    const UserState& u = ctx.users[j];
+    const double a = rho[k] <= 0.0
+                         ? cache.log_psnr[j]
+                         : std::log(u.psnr + rho[k] * g * u.rate_fbs);
+    term[k] = u.success_fbs * a + cache.loss_fbs[j];
   }
 }
 
-/// slot_objective of the trial assignment, computed from the cached
-/// tables: the summation runs in user index order with the exact
-/// mbs_term / fbs_term operand grouping (fbs_term's log argument is
-/// W + rho * g * R, in that multiplication order), collapsing the log to
-/// the cached log W on zero-share branches (W + 0 * x == W bitwise).
-/// Bit-identical to materializing the allocation and calling
-/// slot_objective — the equivalence tests pin this.
-double assignment_objective(const SlotContext& ctx, const SlotCache& cache,
-                            const std::vector<double>& gt_per_fbs,
-                            const unsigned char* use_mbs,
-                            const AssignScratch& as) {
-  double q = 0.0;
-  for (std::size_t j = 0; j < cache.num_users; ++j) {
-    const UserState& u = ctx.users[j];
-    if (use_mbs[j] != 0) {
-      const double rho = as.rho_mbs[j];
-      const double a = rho <= 0.0 ? cache.log_psnr[j]
-                                  : std::log(u.psnr + rho * u.rate_mbs);
-      q += u.success_mbs * a + cache.loss_mbs[j];
-    } else {
-      const double rho = as.rho_fbs[j];
-      const double a =
-          rho <= 0.0 ? cache.log_psnr[j]
-                     : std::log(u.psnr + rho * gt_per_fbs[u.fbs] * u.rate_fbs);
-      q += u.success_fbs * a + cache.loss_fbs[j];
+/// The memo slot holding (resource, g_bits, mask), or the empty slot where
+/// it belongs. The table is never more than half full, so the linear probe
+/// terminates.
+WaterfillMemo::Entry& memo_probe(WaterfillMemo& memo, std::uint32_t resource,
+                                 std::uint64_t g_bits, std::uint64_t mask) {
+  // splitmix64's finalizer over the mixed key fields.
+  std::uint64_t h = mask ^ (g_bits * 0x9E3779B97F4A7C15ULL) ^
+                    (std::uint64_t{resource} * 0xC2B2AE3D27D4EB4FULL);
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+  h ^= h >> 31;
+  constexpr std::size_t kMask = WaterfillMemo::kSlots - 1;
+  for (std::size_t s = h & kMask;; s = (s + 1) & kMask) {
+    WaterfillMemo::Entry& e = memo.entries[s];
+    if (e.generation != memo.generation) return e;
+    if (e.mask == mask && e.g_bits == g_bits && e.resource == resource) {
+      return e;
     }
   }
+}
+
+/// The one gather-and-solve routine behind the climb, evaluate_assignment
+/// and the exhaustive reference. Gathers the members of resource r under
+/// `use_mbs` into sc.assign.members (ascending user index) and fills their
+/// shares (sc.assign.rho) and objective terms (sc.assign.term) — from the
+/// memo when this scope already solved the same (r, g_r, member set),
+/// otherwise by a fresh water-fill that is then memoised. A resource with
+/// more than 64 possible members has no mask and always solves. Returns
+/// the member count.
+std::size_t solve_resource(const SlotContext& ctx, const SlotCache& cache,
+                           const std::vector<double>& gt_per_fbs,
+                           const unsigned char* use_mbs, std::size_t r,
+                           SlotScratch& sc) {
+  AssignScratch& as = sc.assign;
+  as.members.clear();
+  std::uint64_t mask = 0;
+  std::uint64_t g_bits = 0;
+  bool keyed = false;
+  if (r == 0) {
+    keyed = cache.num_users <= 64;
+    for (std::size_t j = 0; j < cache.num_users; ++j) {
+      if (use_mbs[j] == 0) continue;
+      as.members.push_back(j);
+      if (keyed) mask |= std::uint64_t{1} << j;
+    }
+  } else {
+    const std::vector<std::size_t>& group = cache.users_by_fbs[r - 1];
+    keyed = group.size() <= 64;
+    g_bits = std::bit_cast<std::uint64_t>(gt_per_fbs[r - 1]);
+    for (std::size_t p = 0; p < group.size(); ++p) {
+      if (use_mbs[group[p]] != 0) continue;
+      as.members.push_back(group[p]);
+      if (keyed) mask |= std::uint64_t{1} << p;
+    }
+  }
+  const std::size_t n = as.members.size();
+  if (n == 0) return 0;
+  as.rho.resize(n);
+  as.term.resize(n);
+  if (!keyed) {
+    solve_members(ctx, cache, gt_per_fbs, r, sc, as.rho.data(),
+                  as.term.data(), true);
+    return n;
+  }
+
+  WaterfillMemo& memo = sc.memo;
+  FEMTOCR_DCHECK(memo.scoped, "resource solve outside a memo scope");
+  const auto resource = static_cast<std::uint32_t>(r);
+  WaterfillMemo::Entry* entry = &memo_probe(memo, resource, g_bits, mask);
+  if (entry->generation == memo.generation) {
+    const double* v = memo.values.data() + entry->offset;
+    for (std::size_t k = 0; k < n; ++k) {
+      as.rho[k] = v[2 * k];
+      as.term[k] = v[2 * k + 1];
+    }
+#if FEMTOCR_DCHECK_IS_ON()
+    // A hit must be exactly the solve it replaces.
+    as.check_rho.resize(n);
+    as.check_term.resize(n);
+    solve_members(ctx, cache, gt_per_fbs, r, sc, as.check_rho.data(),
+                  as.check_term.data(), false);
+    for (std::size_t k = 0; k < n; ++k) {
+      FEMTOCR_DCHECK(
+          std::bit_cast<std::uint64_t>(as.rho[k]) ==
+                  std::bit_cast<std::uint64_t>(as.check_rho[k]) &&
+              std::bit_cast<std::uint64_t>(as.term[k]) ==
+                  std::bit_cast<std::uint64_t>(as.check_term[k]),
+          "water-fill memo hit differs from a fresh solve");
+    }
+#endif
+    return n;
+  }
+
+  solve_members(ctx, cache, gt_per_fbs, r, sc, as.rho.data(), as.term.data(),
+                true);
+  if (memo.live + 1 > WaterfillMemo::kMaxLive ||
+      memo.used + 2 * n > WaterfillMemo::kValues) {
+    memo.clear();
+    entry = &memo_probe(memo, resource, g_bits, mask);
+  }
+  entry->mask = mask;
+  entry->g_bits = g_bits;
+  entry->resource = resource;
+  entry->generation = memo.generation;
+  entry->offset = static_cast<std::uint32_t>(memo.used);
+  double* v = memo.values.data() + memo.used;
+  for (std::size_t k = 0; k < n; ++k) {
+    v[2 * k] = as.rho[k];
+    v[2 * k + 1] = as.term[k];
+  }
+  memo.used += 2 * n;
+  ++memo.live;
+  return n;
+}
+
+/// Re-solves resource r under `use_mbs` and writes its members' objective
+/// terms into the per-user vector `terms`.
+void refresh_terms(const SlotContext& ctx, const SlotCache& cache,
+                   const std::vector<double>& gt_per_fbs,
+                   const unsigned char* use_mbs, std::size_t r,
+                   SlotScratch& sc, std::vector<double>& terms) {
+  const std::size_t n = solve_resource(ctx, cache, gt_per_fbs, use_mbs, r, sc);
+  for (std::size_t k = 0; k < n; ++k) {
+    terms[sc.assign.members[k]] = sc.assign.term[k];
+  }
+}
+
+/// The objective of an assignment from its per-user terms: summed in user
+/// index order, like slot_objective, hence bitwise equal to it.
+double sum_terms(const std::vector<double>& terms, std::size_t num_users) {
+  double q = 0.0;
+  for (std::size_t j = 0; j < num_users; ++j) q += terms[j];
   FEMTOCR_DCHECK_FINITE(q, "water-filled slot objective must be finite");
   return q;
 }
 
-/// Objective-only evaluation of a trial assignment (the hill climb and the
-/// greedy candidate scan compare Q values and discard everything else).
-double evaluate_objective(const SlotContext& ctx, const SlotCache& cache,
-                          const std::vector<double>& gt_per_fbs,
-                          const unsigned char* use_mbs) {
-  SlotScratch& sc = slot_scratch();
-  waterfill_shares(ctx, cache, gt_per_fbs, use_mbs, sc.assign, sc.resource,
-                   nullptr);
-  return assignment_objective(ctx, cache, gt_per_fbs, use_mbs, sc.assign);
+/// Objective of a whole assignment: every resource solved, every user's
+/// term written to `terms`.
+double full_objective(const SlotContext& ctx, const SlotCache& cache,
+                      const std::vector<double>& gt_per_fbs,
+                      const unsigned char* use_mbs, SlotScratch& sc,
+                      std::vector<double>& terms) {
+  count_evaluation();
+  for (std::size_t r = 0; r <= cache.num_fbs; ++r) {
+    refresh_terms(ctx, cache, gt_per_fbs, use_mbs, r, sc, terms);
+  }
+  return sum_terms(terms, cache.num_users);
 }
 
 /// Water-fills every resource for a fixed assignment and returns the
 /// completed allocation (objective included). The objective goes through
 /// slot_objective — the uncached reference expression — which agrees
-/// bitwise with assignment_objective above.
+/// bitwise with the climb's sum of terms.
 SlotAllocation evaluate_assignment(const SlotContext& ctx,
                                    const SlotCache& cache,
                                    const std::vector<double>& gt_per_fbs,
-                                   const unsigned char* use_mbs,
-                                   std::vector<double>* lambda_out) {
+                                   const unsigned char* use_mbs) {
+  count_evaluation();
+  const MemoScope scope;
   SlotScratch& sc = slot_scratch();
-  waterfill_shares(ctx, cache, gt_per_fbs, use_mbs, sc.assign, sc.resource,
-                   lambda_out);
   SlotAllocation alloc = SlotAllocation::zeros(ctx);
+  for (std::size_t r = 0; r <= cache.num_fbs; ++r) {
+    const std::size_t n =
+        solve_resource(ctx, cache, gt_per_fbs, use_mbs, r, sc);
+    std::vector<double>& rho = r == 0 ? alloc.rho_mbs : alloc.rho_fbs;
+    for (std::size_t k = 0; k < n; ++k) {
+      rho[sc.assign.members[k]] = sc.assign.rho[k];
+    }
+  }
   for (std::size_t j = 0; j < cache.num_users; ++j) {
     alloc.use_mbs[j] = use_mbs[j] != 0;
   }
   alloc.expected_channels = gt_per_fbs;
-  alloc.rho_mbs = sc.assign.rho_mbs;
-  alloc.rho_fbs = sc.assign.rho_fbs;
   alloc.objective = slot_objective(ctx, alloc);
   alloc.upper_bound = alloc.objective;
   FEMTOCR_DCHECK_FINITE(alloc.objective,
@@ -389,9 +504,21 @@ SlotAllocation evaluate_assignment(const SlotContext& ctx,
 /// assignments and miss mixed optima. Agreement with brute-force
 /// assignment enumeration is pinned by tests. Leaves the best assignment
 /// in `um` and returns its objective.
+///
+/// A trial costs only what it changes: the climb keeps the per-user terms
+/// of the accepted assignment, and a move re-solves just the resources it
+/// touches — the MBS and the home FBS of each moved user — before
+/// re-summing the terms in user order, bitwise what a full evaluation
+/// gives. A climb that hits the sweep cap counts
+/// core.waterfill.climb.sweep_cap_exits.
 double hill_climb(const SlotContext& ctx, const SlotCache& cache,
                   const std::vector<double>& gt_per_fbs,
                   std::vector<unsigned char>& um) {
+  static util::Counter& c_sweep_cap =
+      util::metrics().counter("core.waterfill.climb.sweep_cap_exits");
+  const MemoScope scope;
+  SlotScratch& sc = slot_scratch();
+  AssignScratch& as = sc.assign;
   const std::size_t K = cache.num_users;
   // Initial assignment: whole-slot comparison per user.
   um.resize(K);
@@ -400,42 +527,53 @@ double hill_climb(const SlotContext& ctx, const SlotCache& cache,
     const double g = gt_per_fbs[u.fbs];
     um[j] = mbs_term(u, 1.0) > fbs_term(u, 1.0, g) ? 1 : 0;
   }
+  as.terms.resize(K);
+  as.trial_terms.resize(K);
+  double best =
+      full_objective(ctx, cache, gt_per_fbs, um.data(), sc, as.terms);
 
-  double best = evaluate_objective(ctx, cache, gt_per_fbs, um.data());
   constexpr double kMinGain = 1e-12;
   constexpr std::size_t kMaxSweeps = 64;
-  for (std::size_t sweep = 0; sweep < kMaxSweeps; ++sweep) {
+  // Flips user j, and user k too unless k == K; keeps the move iff it
+  // gains more than kMinGain.
+  const auto try_move = [&](std::size_t j, std::size_t k) {
+    count_evaluation();
+    um[j] ^= 1U;
+    if (k < K) um[k] ^= 1U;
+    std::copy(as.terms.begin(), as.terms.end(), as.trial_terms.begin());
+    const std::size_t fj = ctx.users[j].fbs;
+    refresh_terms(ctx, cache, gt_per_fbs, um.data(), 0, sc, as.trial_terms);
+    refresh_terms(ctx, cache, gt_per_fbs, um.data(), fj + 1, sc,
+                  as.trial_terms);
+    if (k < K && ctx.users[k].fbs != fj) {
+      refresh_terms(ctx, cache, gt_per_fbs, um.data(), ctx.users[k].fbs + 1,
+                    sc, as.trial_terms);
+    }
+    const double cand = sum_terms(as.trial_terms, K);
+    if (cand > best + kMinGain) {
+      best = cand;
+      as.terms.swap(as.trial_terms);
+      return true;
+    }
+    um[j] ^= 1U;
+    if (k < K) um[k] ^= 1U;
+    return false;
+  };
+  bool converged = false;
+  for (std::size_t sweep = 0; sweep < kMaxSweeps && !converged; ++sweep) {
     bool improved = false;
-    auto try_move = [&](auto&& apply, auto&& revert) {
-      apply();
-      const double cand = evaluate_objective(ctx, cache, gt_per_fbs, um.data());
-      if (cand > best + kMinGain) {
-        best = cand;
-        improved = true;
-        return true;
-      }
-      revert();
-      return false;
-    };
     for (std::size_t j = 0; j < K; ++j) {
-      try_move([&] { um[j] ^= 1U; }, [&] { um[j] ^= 1U; });
+      if (try_move(j, K)) improved = true;
     }
     for (std::size_t j = 0; j < K; ++j) {
       for (std::size_t k = j + 1; k < K; ++k) {
         if (um[j] == um[k]) continue;  // swap changes nothing new
-        try_move(
-            [&] {
-              um[j] ^= 1U;
-              um[k] ^= 1U;
-            },
-            [&] {
-              um[j] ^= 1U;
-              um[k] ^= 1U;
-            });
+        if (try_move(j, k)) improved = true;
       }
     }
-    if (!improved) break;
+    converged = !improved;
   }
+  if (!converged) c_sweep_cap.add();
   return best;
 }
 
@@ -498,7 +636,7 @@ double waterfill_resource(const SlotContext& ctx,
   const std::size_t n = users.size();
   rho_out.resize(n);
   return waterfill_level(successes.data(), rs.pr.data(), rs.usable.data(), n,
-                         hi, rho_out.data(), rs);
+                         hi, rho_out.data(), rs, true);
 }
 
 double waterfill_resource_reference(const SlotContext& ctx,
@@ -540,7 +678,7 @@ SlotAllocation waterfill_evaluate(const SlotContext& ctx,
   for (std::size_t j = 0; j < use_mbs.size(); ++j) {
     um[j] = use_mbs[j] ? 1 : 0;
   }
-  return evaluate_assignment(ctx, cache, gt_per_fbs, um.data(), nullptr);
+  return evaluate_assignment(ctx, cache, gt_per_fbs, um.data());
 }
 
 SlotAllocation waterfill_evaluate(const SlotContext& ctx,
@@ -562,12 +700,15 @@ SlotAllocation waterfill_solve(const SlotContext& ctx, const SlotCache& cache,
   c_solves.add();
 
   check_cache_matches(ctx, cache, gt_per_fbs);
+  // One memo scope for the climb and the materialisation of its winner,
+  // whose resources the climb has already solved.
+  const MemoScope scope;
   std::vector<unsigned char>& um = slot_scratch().assign.use_mbs;
   hill_climb(ctx, cache, gt_per_fbs, um);
   // Re-waterfilling the winning assignment is deterministic, so the
   // materialized allocation (and its slot_objective) is bit-identical to
   // the best trial the climb kept.
-  return evaluate_assignment(ctx, cache, gt_per_fbs, um.data(), nullptr);
+  return evaluate_assignment(ctx, cache, gt_per_fbs, um.data());
 }
 
 double waterfill_solve_objective(const SlotContext& ctx,
@@ -599,8 +740,11 @@ SlotAllocation waterfill_solve_exhaustive(
   check_cache_matches(ctx, cache, gt_per_fbs);
   const std::size_t K = ctx.users.size();
   FEMTOCR_CHECK(K <= 16, "exhaustive assignment limited to 16 users");
-  std::vector<unsigned char>& um = slot_scratch().assign.use_mbs;
+  const MemoScope scope;
+  SlotScratch& sc = slot_scratch();
+  std::vector<unsigned char>& um = sc.assign.use_mbs;
   um.resize(K);
+  sc.assign.terms.resize(K);
   double best_q = -1e300;
   std::size_t best_mask = 0;
   bool found = false;
@@ -608,7 +752,8 @@ SlotAllocation waterfill_solve_exhaustive(
     for (std::size_t j = 0; j < K; ++j) {
       um[j] = (mask >> j) & 1U;
     }
-    const double q = evaluate_objective(ctx, cache, gt_per_fbs, um.data());
+    const double q = full_objective(ctx, cache, gt_per_fbs, um.data(), sc,
+                                    sc.assign.terms);
     if (q > best_q) {
       best_q = q;
       best_mask = mask;
@@ -623,7 +768,7 @@ SlotAllocation waterfill_solve_exhaustive(
   for (std::size_t j = 0; j < K; ++j) {
     um[j] = (best_mask >> j) & 1U;
   }
-  return evaluate_assignment(ctx, cache, gt_per_fbs, um.data(), nullptr);
+  return evaluate_assignment(ctx, cache, gt_per_fbs, um.data());
 }
 
 SlotAllocation waterfill_solve_exhaustive(

@@ -5,12 +5,14 @@
 // water-filling: shares rho_j = [S_j/lambda - W_j/R_j]^+ with lambda chosen
 // analytically (sorted clamp breakpoints + one closed-form step per
 // interval, Newton-polished) so the slot budget binds. The binary assignment (Theorem 1)
-// is then improved by best-response against the current water levels until
-// it stabilizes. This solves the same convex program as the paper's
+// is then improved by a hill climb over single-user flips and pair swaps
+// until no move gains. This solves the same convex program as the paper's
 // distributed subgradient (Tables I/II) but converges in a handful of
 // rounds, which matters inside the greedy allocator where Q(c) is evaluated
-// hundreds of times per slot. Tests verify it agrees with both the
-// subgradient solver and brute-force assignment enumeration.
+// hundreds of times per slot: a climb trial re-solves only the resources
+// its move touches, and resource solves are memoised within one scope
+// (core/scratch.h). Tests verify it agrees with both the subgradient
+// solver and brute-force assignment enumeration.
 #pragma once
 
 #include <vector>
@@ -60,7 +62,8 @@ SlotAllocation waterfill_solve(const SlotContext& ctx, const SlotCache& cache,
 /// The objective of waterfill_solve without materializing the allocation:
 /// the hill climb over assignments only ever compares Q values, so trial
 /// candidates (greedy's inner loop) skip building the K-sized share
-/// vectors. Bit-identical to waterfill_solve(...).objective.
+/// vectors. Bit-identical to waterfill_solve(...).objective. Inside an
+/// open MemoScope (a greedy scan task) it shares that scope's memo.
 double waterfill_solve_objective(const SlotContext& ctx,
                                  const SlotCache& cache,
                                  const std::vector<double>& gt_per_fbs);

@@ -1,14 +1,20 @@
 // Tests for the exact water-filling solver: KKT conditions per resource,
 // agreement with brute-force assignment enumeration on random instances,
-// feasibility, and the channel-free baseline objective.
+// feasibility, the channel-free baseline objective, and a differential
+// tier against a full-re-evaluation reference climb.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
 
 #include "core/objective.h"
+#include "core/scratch.h"
+#include "core/slot_cache.h"
 #include "core/waterfill.h"
 #include "core/subproblem.h"
 #include "test_helpers.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 namespace femtocr::core {
@@ -155,6 +161,154 @@ TEST(WaterfillSolve, RejectsMismatchedGtVector) {
   auto f = test::random_context(rng, 3, 2, 2);
   EXPECT_THROW(waterfill_solve(f.ctx, {1.0}), std::logic_error);
 }
+
+// ------------------------------------------------- differential tier ----
+//
+// The library climb keeps per-user objective terms, re-solves only the
+// resources a trial touches and memoises resource solves within a scope.
+// The reference below re-evaluates every trial from scratch through the
+// public waterfill_evaluate, with the same initial assignment, the same
+// flip-then-swap order and the same acceptance rule. Objective and
+// assignment must agree bitwise.
+
+struct ReferenceClimb {
+  std::vector<bool> use_mbs;
+  double objective = 0.0;
+};
+
+ReferenceClimb reference_climb(const SlotContext& ctx, const SlotCache& cache,
+                               const std::vector<double>& gt) {
+  constexpr double kMinGain = 1e-12;
+  constexpr int kMaxSweeps = 64;
+  const std::size_t K = ctx.users.size();
+  ReferenceClimb ref;
+  std::vector<bool>& um = ref.use_mbs;
+  for (const UserState& u : ctx.users) {
+    um.push_back(mbs_term(u, 1.0) > fbs_term(u, 1.0, gt[u.fbs]));
+  }
+  const auto evaluate = [&] {
+    return waterfill_evaluate(ctx, cache, gt, um).objective;
+  };
+  ref.objective = evaluate();
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
+    bool improved = false;
+    // Flips j, and k too unless k == K; keeps the move iff it gains.
+    const auto try_move = [&](std::size_t j, std::size_t k) {
+      um[j] = !um[j];
+      if (k < K) um[k] = !um[k];
+      const double q = evaluate();
+      if (q > ref.objective + kMinGain) {
+        ref.objective = q;
+        improved = true;
+        return;
+      }
+      um[j] = !um[j];
+      if (k < K) um[k] = !um[k];
+    };
+    for (std::size_t j = 0; j < K; ++j) try_move(j, K);
+    for (std::size_t j = 0; j < K; ++j) {
+      for (std::size_t k = j + 1; k < K; ++k) {
+        if (um[j] != um[k]) try_move(j, k);
+      }
+    }
+    if (!improved) break;
+  }
+  return ref;
+}
+
+struct DifferentialCase {
+  test::ContextFixture f;
+  std::vector<double> gt;
+};
+
+/// Seeded adversarial context `c`. Cases 0 and 1 exceed 64 users (the MBS,
+/// and in case 1 also the single FBS group, bypass the memo); case 2 is
+/// large enough to fill the memo; the rest are small. Every case mixes in
+/// zero rates, success probabilities of exactly 0 and 1, and duplicated or
+/// zero expected channel counts; FBSs outnumbering users, or every user on
+/// FBS 0, leave groups empty.
+DifferentialCase differential_case(int c) {
+  util::Rng rng(9001 + static_cast<std::uint64_t>(c));
+  std::size_t users = 1 + rng.index(12);
+  std::size_t fbss = 1 + rng.index(4);
+  if (c == 0) {
+    users = 70;
+    fbss = 3;
+  } else if (c == 1) {
+    users = 66;
+    fbss = 1;
+  } else if (c == 2) {
+    users = 60;
+    fbss = 2;
+  }
+  DifferentialCase d{test::random_context(rng, users, fbss, 3), {}};
+  for (UserState& u : d.f.ctx.users) {
+    switch (rng.index(10)) {
+      case 0: u.rate_mbs = 0.0; break;
+      case 1: u.rate_fbs = 0.0; break;
+      case 2: u.success_mbs = 0.0; break;
+      case 3: u.success_fbs = 1.0; break;
+      case 4:
+        u.success_mbs = 1.0;
+        u.success_fbs = 0.0;
+        break;
+      default: break;
+    }
+    if (c % 7 == 3) u.fbs = 0;
+  }
+  const double shared = d.f.ctx.posterior[0];
+  for (std::size_t i = 0; i < fbss; ++i) {
+    switch (c % 3) {
+      case 0: d.gt.push_back(shared); break;  // one posterior everywhere
+      case 1: d.gt.push_back(i % 2 == 0 ? shared : 0.0); break;
+      default: d.gt.push_back(rng.uniform(0.0, 3.0)); break;
+    }
+  }
+  return d;
+}
+
+TEST(WaterfillDifferential, ClimbMatchesFullReevaluationBitwise) {
+  for (int c = 0; c < 50; ++c) {
+    const DifferentialCase d = differential_case(c);
+    SlotCache cache;
+    cache.build(d.f.ctx);
+    const ReferenceClimb ref = reference_climb(d.f.ctx, cache, d.gt);
+
+    const std::uint32_t gen_before = slot_scratch().memo.generation;
+    const SlotAllocation a = waterfill_solve(d.f.ctx, cache, d.gt);
+    const std::uint32_t gen_after = slot_scratch().memo.generation;
+    EXPECT_EQ(a.use_mbs, ref.use_mbs) << "case " << c;
+    EXPECT_EQ(a.objective, ref.objective) << "case " << c;  // same bits
+    EXPECT_EQ(waterfill_solve_objective(d.f.ctx, cache, d.gt), ref.objective)
+        << "case " << c;
+    EXPECT_TRUE(a.feasible(d.f.ctx)) << "case " << c;
+    if (c == 2) {
+      // One generation for the solve's own scope; any more are clears
+      // forced by a full memo.
+      EXPECT_GT(gen_after - gen_before, 1u) << "the memo never filled";
+    }
+  }
+}
+
+#if FEMTOCR_DCHECK_IS_ON()
+TEST(WaterfillDifferential, DcheckCatchesAMemoHitFromAnotherContext) {
+  // Scope discipline is what keeps a memo entry inside its context. Hold
+  // one scope across two same-shaped contexts (a misuse no library path
+  // makes): the second solve hits entries of the first, and the DCHECK
+  // re-solve of every hit must refuse them.
+  util::Rng rng(9101);
+  const auto a = test::random_context(rng, 6, 2, 3);
+  const auto b = test::random_context(rng, 6, 2, 3);
+  const std::vector<double> gt = {1.0, 2.0};
+  SlotCache cache_a;
+  cache_a.build(a.ctx);
+  SlotCache cache_b;
+  cache_b.build(b.ctx);
+  const MemoScope scope;
+  (void)waterfill_solve(a.ctx, cache_a, gt);
+  EXPECT_THROW((void)waterfill_solve(b.ctx, cache_b, gt), std::logic_error);
+}
+#endif
 
 }  // namespace
 }  // namespace femtocr::core

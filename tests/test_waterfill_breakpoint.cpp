@@ -160,6 +160,53 @@ TEST(WaterfillBreakpoint, CappedNeighborInterval) {
   expect_equivalent(f.ctx, mbs_lists(f));
 }
 
+TEST(WaterfillBreakpoint, FallbackFiresWhenPriceOffsetsDwarfTheLevel) {
+  // Three members with W/R ≈ 5.3e7 and S ≈ 0.90–0.96: the binding level is
+  // ≈ 1.7e-8, so each share S/λ − W/R is a difference of two numbers near
+  // 5.3e7, and the closed-form level overspends the budget past the 1e-9
+  // guard. Such offsets come from an FBS whose expected channel count is
+  // tiny, which the churn workload meets thousands of times per run. The
+  // fallback must fire, keep the shares inside the budget, and land on
+  // the reference level.
+  const bool prev_enabled = util::metrics_enabled();
+  util::set_metrics_enabled(true);
+  SlotContext ctx;
+  ResourceLists r;
+  const double psnr[] = {0x1.ee66f55d1c72dp+4, 0x1.0f165a0ac46bp+5,
+                         0x1.0dfdc1c92a0ffp+5};
+  r.rates = {0x1.3a02fa0b64ee1p-21, 0x1.4ff58e05cbe12p-21,
+             0x1.53675e4313a22p-21};
+  r.successes = {0x1.cd44591eacf96p-1, 0x1.ecdf649767056p-1,
+                 0x1.cdc20a016381dp-1};
+  for (std::size_t k = 0; k < 3; ++k) {
+    UserState u;
+    u.psnr = psnr[k];
+    ctx.users.push_back(u);
+    r.users.push_back(k);
+  }
+  util::Counter& c_fallback =
+      util::metrics().counter("core.waterfill.breakpoint.bisect_fallback");
+  const std::uint64_t before = c_fallback.total();
+  std::vector<double> rho, rho_ref;
+  const double lvl =
+      waterfill_resource(ctx, r.users, r.rates, r.successes, rho);
+  const std::uint64_t fired = c_fallback.total() - before;
+  util::set_metrics_enabled(prev_enabled);
+  EXPECT_EQ(fired, 1u);
+
+  const double lvl_ref =
+      waterfill_resource_reference(ctx, r.users, r.rates, r.successes, rho_ref);
+  EXPECT_GT(lvl, 1e-8);
+  EXPECT_NEAR(lvl, lvl_ref, kLevelTol * lvl_ref);
+  double sum = 0.0;
+  for (const double share : rho) {
+    EXPECT_GE(share, 0.0);
+    EXPECT_LE(share, kRhoCap);
+    sum += share;
+  }
+  EXPECT_LE(sum, 1.0 + 1e-9);
+}
+
 TEST(WaterfillBreakpoint, NoBisectionFallbackOnRandomCells) {
   // The analytic path must stand on its own over the tested distributions:
   // the bisection fallback is insurance, not a crutch.

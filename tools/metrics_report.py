@@ -195,26 +195,31 @@ def fmt_ns(ns: int) -> str:
     return f"{ns} ns"
 
 
-def bucket_percentile(buckets: list[dict], q: float) -> int | None:
-    """Percentile estimate from log-spaced duration buckets.
+def bucket_percentile(buckets: list[dict], q: float) -> str | None:
+    """Percentile estimate from log-spaced duration buckets, formatted.
 
     Walks the cumulative counts to the bucket holding the q-quantile and
     returns that bucket's geometric midpoint — the natural representative
-    of a log-spaced bin. Returns None for empty bucket lists.
+    of a log-spaced bin. The overflow bucket has no upper edge
+    (`"hi": null`), so a quantile landing there reads `>= lo`. Returns None
+    for empty bucket lists.
     """
     total = sum(b["count"] for b in buckets)
     if total == 0:
         return None
     target = q * total
+    ordered = sorted(buckets, key=lambda b: b["lo"])
     seen = 0
-    for b in sorted(buckets, key=lambda b: b["lo"]):
+    for b in ordered:
         seen += b["count"]
         if seen >= target:
-            lo, hi = b["lo"], b["hi"]
-            if lo > 0 and hi > 0:
-                return int((lo * hi) ** 0.5)
-            return int(hi / 2)
-    return int(buckets[-1]["hi"])
+            break
+    lo, hi = b["lo"], b["hi"]
+    if hi is None:
+        return ">= " + fmt_ns(int(lo))
+    if lo > 0 and hi > 0:
+        return fmt_ns(int((lo * hi) ** 0.5))
+    return fmt_ns(int(hi / 2))
 
 
 def top_timers(doc: dict, limit: int) -> str:
@@ -226,7 +231,7 @@ def top_timers(doc: dict, limit: int) -> str:
         pcts = []
         for q in (0.50, 0.90, 0.99):
             p = bucket_percentile(t.get("buckets") or [], q)
-            pcts.append("-" if p is None else fmt_ns(p))
+            pcts.append("-" if p is None else p)
         rows.append([name, str(t["count"]), fmt_ns(t["total_ns"]),
                      fmt_ns(int(mean))] + pcts + [fmt_ns(t["max_ns"])])
     return render_table(
