@@ -12,7 +12,7 @@
 # CI leg and thread count.
 #
 # Regenerating after an intended output change:
-#   ./build/bench/<name> <ARGS> 2>/dev/null > tests/goldens/<name>.txt
+#   ./build/bench/<name> <ARGS> 2>/dev/null > tests/goldens/<stem>.txt
 if(NOT DEFINED BIN OR NOT DEFINED GOLDEN OR NOT DEFINED OUT)
   message(FATAL_ERROR "RunGolden.cmake needs -DBIN=, -DGOLDEN=, -DOUT=")
 endif()

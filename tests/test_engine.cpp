@@ -1,12 +1,17 @@
 // Online allocation engine (sim/engine.h): determinism across thread
 // counts, churn accounting, both admission-rejection paths, graph
-// verification, and survival of zero-session stretches.
+// verification, survival of zero-session stretches, and equivalence with
+// the batch Simulator when churn is off. Every run also checks session
+// conservation.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
+#include <vector>
 
 #include "sim/engine.h"
 #include "sim/scenario.h"
+#include "sim/simulator.h"
 #include "util/parallel.h"
 
 namespace femtocr::sim {
@@ -47,6 +52,20 @@ void expect_reports_identical(const EngineReport& a, const EngineReport& b) {
   EXPECT_EQ(a.graph_cross_checks, b.graph_cross_checks);
 }
 
+/// Runs one engine and checks session conservation: every offered arrival
+/// is admitted or rejected exactly once, and the live population is the
+/// initial one plus admissions minus departures.
+EngineReport run_engine(const Scenario& s, const EngineConfig& cfg,
+                        std::size_t run_index) {
+  Engine engine(s, cfg, run_index);
+  const EngineReport rep = engine.run();
+  EXPECT_EQ(rep.arrivals,
+            rep.admitted + rep.rejected_capacity + rep.rejected_qos);
+  EXPECT_EQ(engine.topology().num_users(),
+            s.users.size() + rep.admitted - rep.departures);
+  return rep;
+}
+
 struct ThreadDefaultGuard {
   ~ThreadDefaultGuard() { util::set_default_threads(0); }
 };
@@ -57,7 +76,7 @@ TEST(Engine, ChurnRunIsDeterministicAcrossThreadCounts) {
   const EngineConfig cfg = churn_config();
 
   util::set_default_threads(1);
-  const EngineReport reference = Engine(s, cfg, /*run_index=*/0).run();
+  const EngineReport reference = run_engine(s, cfg, /*run_index=*/0);
   // The run must actually exercise the churn machinery, or determinism
   // over it is vacuous.
   EXPECT_GT(reference.arrivals, 0u);
@@ -68,7 +87,7 @@ TEST(Engine, ChurnRunIsDeterministicAcrossThreadCounts) {
 
   for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
     util::set_default_threads(threads);
-    const EngineReport rep = Engine(s, cfg, /*run_index=*/0).run();
+    const EngineReport rep = run_engine(s, cfg, /*run_index=*/0);
     expect_reports_identical(reference, rep);
   }
 }
@@ -76,13 +95,13 @@ TEST(Engine, ChurnRunIsDeterministicAcrossThreadCounts) {
 TEST(Engine, RunIndexSelectsIndependentSubstreams) {
   const Scenario s = churn_scenario();
   const EngineConfig cfg = churn_config();
-  const EngineReport r0 = Engine(s, cfg, 0).run();
-  const EngineReport r1 = Engine(s, cfg, 1).run();
+  const EngineReport r0 = run_engine(s, cfg, 0);
+  const EngineReport r1 = run_engine(s, cfg, 1);
   // Different runs see different churn and fading; an identical delivered
   // quality would mean the run split is dead.
   EXPECT_NE(r0.mean_psnr, r1.mean_psnr);
   // And the same run index replays exactly.
-  expect_reports_identical(r0, Engine(s, cfg, 0).run());
+  expect_reports_identical(r0, run_engine(s, cfg, 0));
 }
 
 TEST(Engine, CapacityCapRejectsArrivals) {
@@ -92,7 +111,7 @@ TEST(Engine, CapacityCapRejectsArrivals) {
   cfg.churn.mean_lifetime_slots = 200.0;  // nobody leaves: cells fill up
   cfg.churn.max_sessions_per_fbs = 2;     // fig1 starts at 2 per cell
   cfg.churn.admission_min_psnr = 0.0;     // isolate the capacity path
-  const EngineReport rep = Engine(s, cfg, 0).run();
+  const EngineReport rep = run_engine(s, cfg, 0);
   EXPECT_GT(rep.rejected_capacity, 0u);
   EXPECT_EQ(rep.rejected_qos, 0u);
   EXPECT_EQ(rep.arrivals,
@@ -105,7 +124,7 @@ TEST(Engine, QosFloorRejectsArrivals) {
   cfg.churn.arrival_rate = 0.5;
   cfg.churn.max_sessions_per_fbs = 100;  // capacity never binds
   cfg.churn.admission_min_psnr = 60.0;   // above any sequence's ceiling
-  const EngineReport rep = Engine(s, cfg, 0).run();
+  const EngineReport rep = run_engine(s, cfg, 0);
   EXPECT_GT(rep.arrivals, 0u);
   EXPECT_EQ(rep.rejected_capacity, 0u);
   EXPECT_EQ(rep.rejected_qos, rep.arrivals);
@@ -121,8 +140,8 @@ TEST(Engine, AdmissionPolicyDoesNotDesyncTheChurnStream) {
   open.churn.max_sessions_per_fbs = 100;
   EngineConfig closed = open;
   closed.churn.admission_min_psnr = 60.0;  // rejects everyone
-  const EngineReport a = Engine(s, open, 0).run();
-  const EngineReport b = Engine(s, closed, 0).run();
+  const EngineReport a = run_engine(s, open, 0);
+  const EngineReport b = run_engine(s, closed, 0);
   EXPECT_EQ(a.arrivals, b.arrivals);
 }
 
@@ -130,7 +149,7 @@ TEST(Engine, VerifyGraphCrossChecksEveryChurnAndMobilityEvent) {
   const Scenario s = churn_scenario();
   EngineConfig cfg = churn_config();
   cfg.verify_graph = true;
-  const EngineReport rep = Engine(s, cfg, 0).run();
+  const EngineReport rep = run_engine(s, cfg, 0);
   // One check per churn slot plus one per mobility boundary; a divergence
   // would have aborted (FEMTOCR_CHECK), so arriving here IS the assertion.
   EXPECT_GE(rep.graph_cross_checks, rep.slots);
@@ -143,7 +162,7 @@ TEST(Engine, SurvivesZeroSessionStretches) {
   cfg.churn.arrival_rate = 0.02;        // trickle in…
   cfg.churn.mean_lifetime_slots = 2.0;  // …and leave at once
   cfg.verify_graph = true;
-  const EngineReport rep = Engine(s, cfg, 0).run();
+  const EngineReport rep = run_engine(s, cfg, 0);
   EXPECT_GT(rep.idle_slots, 0u);
   // The hard invariant is that the engine reached the horizon at all and
   // kept the graph consistent while the population drained to zero.
@@ -152,16 +171,35 @@ TEST(Engine, SurvivesZeroSessionStretches) {
 
 TEST(Engine, NoChurnMatchesInitialPopulationServing) {
   // arrival_rate 0 disables churn: the initial population runs to the
-  // horizon, nobody departs, no idle slots.
-  const Scenario s = churn_scenario();
-  EngineConfig cfg;
-  cfg.slots = 60;
-  const EngineReport rep = Engine(s, cfg, 0).run();
-  EXPECT_EQ(rep.arrivals, 0u);
-  EXPECT_EQ(rep.departures, 0u);
-  EXPECT_EQ(rep.idle_slots, 0u);
-  EXPECT_EQ(rep.peak_sessions, s.users.size());
-  EXPECT_GT(rep.mean_psnr, 0.0);
+  // horizon, so the engine must serve what the batch Simulator serves.
+  Scenario mobile = fig1_scenario(1);
+  mobile.mobility.step_stddev = 3.0;
+  mobile.finalize();
+  const std::vector<Scenario> inputs = {fig1_scenario(1), mobile,
+                                        interfering_scenario(1),
+                                        single_fbs_scenario(1)};
+  for (const Scenario& s : inputs) {
+    EngineConfig cfg;
+    cfg.slots = s.gop_deadline * s.num_gops;
+    {
+      // The engine allocates against the active graph, the Simulator
+      // against the coverage graph: they agree only when every cell serves.
+      const Engine engine(s, cfg, 0);
+      ASSERT_TRUE(engine.topology().active_graph().same_structure(
+          engine.topology().graph()));
+    }
+    const EngineReport rep = run_engine(s, cfg, 0);
+    const RunResult batch = Simulator(s, core::SchemeKind::kProposed, 0).run();
+    EXPECT_EQ(rep.arrivals, 0u);
+    EXPECT_EQ(rep.departures, 0u);
+    EXPECT_EQ(rep.idle_slots, 0u);
+    EXPECT_EQ(rep.peak_sessions, s.users.size());
+    EXPECT_EQ(rep.completed_gops, s.users.size() * s.num_gops);
+    // The two readouts sum the same GOP qualities in different orders.
+    EXPECT_NEAR(rep.mean_psnr, batch.mean_psnr,
+                1e-12 * std::abs(batch.mean_psnr));
+    EXPECT_EQ(rep.total_dual_iterations, batch.total_dual_iterations);
+  }
 }
 
 }  // namespace
