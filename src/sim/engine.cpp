@@ -313,6 +313,11 @@ EngineReport Engine::run() {
       }
     }
 
+    // GOP windows open before churn, so an admission probe at a GOP start
+    // plans the fresh GOP from alpha, not from the last GOP's final W.
+    // Newcomers start at alpha anyway.
+    for (auto& s : sessions_) s.video.begin_slot(t);
+
     spectrum::SlotObservation obs;
     {
       const util::ScopedTimer st(t_spectrum);
@@ -348,8 +353,6 @@ EngineReport Engine::run() {
       util::trace_flight_record_slot(pm, slot_mark);
       continue;
     }
-
-    for (auto& s : sessions_) s.video.begin_slot(t);
 
     core::SlotContext ctx = make_context(obs, fading_rng);
     core::SlotAllocation alloc;

@@ -145,6 +145,33 @@ TEST(Engine, AdmissionPolicyDoesNotDesyncTheChurnStream) {
   EXPECT_EQ(a.arrivals, b.arrivals);
 }
 
+TEST(Engine, AdmissionIgnoresDeliveredHistoryAtGopStart) {
+  // With gop_deadline = 1 every slot opens a GOP, so every admission probe
+  // plans a fresh GOP from the incumbents' base-layer quality alpha, not
+  // from what the allocator delivered last slot. Two solvers that deliver
+  // differently must therefore admit exactly the same arrivals.
+  EngineConfig cfg;
+  cfg.slots = 120;
+  cfg.churn.arrival_rate = 0.5;
+  cfg.churn.mean_lifetime_slots = 40.0;
+  cfg.churn.max_sessions_per_fbs = 100;
+  cfg.churn.admission_min_psnr = 33.0;
+  std::vector<EngineReport> reports;
+  for (const bool distributed : {false, true}) {
+    Scenario s = fig1_scenario(1);
+    s.gop_deadline = 1;
+    s.use_distributed_solver = distributed;
+    s.finalize();
+    reports.push_back(run_engine(s, cfg, 0));
+  }
+  EXPECT_GT(reports[0].admitted, 0u);
+  EXPECT_EQ(reports[0].arrivals, reports[1].arrivals);
+  EXPECT_EQ(reports[0].admitted, reports[1].admitted);
+  EXPECT_EQ(reports[0].rejected_capacity, reports[1].rejected_capacity);
+  EXPECT_EQ(reports[0].rejected_qos, reports[1].rejected_qos);
+  EXPECT_EQ(reports[0].departures, reports[1].departures);
+}
+
 TEST(Engine, VerifyGraphCrossChecksEveryChurnAndMobilityEvent) {
   const Scenario s = churn_scenario();
   EngineConfig cfg = churn_config();
