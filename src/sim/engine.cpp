@@ -1,415 +1,56 @@
 #include "sim/engine.h"
 
-#include <algorithm>
-#include <cmath>
-#include <optional>
-#include <string>
-#include <utility>
-
-#include "core/qos.h"
-#include "phy/geometry.h"
-#include "sim/latency.h"
 #include "util/check.h"
 #include "util/metrics.h"
 #include "util/trace.h"
-#include "video/mgs_model.h"
 
 namespace femtocr::sim {
 
 namespace {
 
-/// The engine's churn substream salt: 0xA1/0xB2/0xC3 are taken by
-/// spectrum/fading/mobility (sim/simulator.cpp); churn extends the family.
-constexpr std::uint64_t kChurnSalt = 0xD4;
-
-/// sim.engine.* counters, registered lazily on the first engine run so
-/// batch binaries keep their exact historical counter set (the baseline
-/// gate compares the union of counter names).
-struct EngineCounters {
-  util::Counter& slots;
-  util::Counter& arrivals;
-  util::Counter& admitted;
-  util::Counter& rejected_capacity;
-  util::Counter& rejected_qos;
-  util::Counter& departures;
-  util::Counter& handoffs;
-  util::Counter& idle_slots;
-};
-
-EngineCounters& engine_counters() {
-  static EngineCounters c{
-      util::metrics().counter("sim.engine.slots"),
-      util::metrics().counter("sim.engine.arrivals"),
-      util::metrics().counter("sim.engine.admitted"),
-      util::metrics().counter("sim.engine.rejected.capacity"),
-      util::metrics().counter("sim.engine.rejected.qos"),
-      util::metrics().counter("sim.engine.departures"),
-      util::metrics().counter("sim.engine.handoffs"),
-      util::metrics().counter("sim.engine.idle_slots")};
-  return c;
-}
-
-/// Knuth's product-of-uniforms Poisson sampler: exact, and spends a
-/// deterministic-given-the-stream number of draws. Means here are O(1)
-/// arrivals per slot, where this is also the fastest correct choice.
-std::size_t sample_poisson(double mean, util::Rng& rng) {
-  if (mean <= 0.0) return 0;
-  const double limit = std::exp(-mean);
-  std::size_t k = 0;
-  double p = 1.0;
-  do {
-    ++k;
-    p *= rng.uniform();
-  } while (p > limit);
-  return k - 1;
-}
-
-/// Exponential lifetime in whole slots, at least 1.
-std::size_t sample_lifetime(double mean_slots, util::Rng& rng) {
-  const double draw = rng.exponential(std::max(mean_slots, 1e-9));
-  return std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(draw)));
+/// Publishes a run's sim.engine.* counters. They register on the first
+/// engine run, so batch binaries keep their exact historical counter set
+/// (the baseline gate compares the union of counter names).
+void publish_counters(const EngineReport& r) {
+  const auto add = [](const char* name, std::size_t n) {
+    util::metrics().counter(name).add(n);
+  };
+  add("sim.engine.slots", r.slots);
+  add("sim.engine.arrivals", r.arrivals);
+  add("sim.engine.admitted", r.admitted);
+  add("sim.engine.rejected.capacity", r.rejected_capacity);
+  add("sim.engine.rejected.qos", r.rejected_qos);
+  add("sim.engine.departures", r.departures);
+  add("sim.engine.handoffs", r.handoffs);
+  add("sim.engine.idle_slots", r.idle_slots);
 }
 
 }  // namespace
 
 Engine::Engine(const Scenario& scenario, EngineConfig config,
                std::size_t run_index)
-    : scenario_(scenario),
-      config_(config),
-      run_index_(run_index),
-      topology_(scenario.mbs, scenario.fbss, scenario.users, scenario.radio,
-                scenario.graph),
-      scheme_(core::make_scheme(core::SchemeKind::kProposed, scenario.dual,
-                                scenario.use_distributed_solver)),
-      rng_(util::Rng(scenario.seed).split(0x5151 + run_index).seed()) {
-  FEMTOCR_CHECK(scenario_.delivery == DeliveryModel::kFluid,
+    : config_(config),
+      loop_(scenario,
+            core::make_scheme(core::SchemeKind::kProposed, scenario.dual,
+                              scenario.use_distributed_solver),
+            run_index, config.slots) {
+  FEMTOCR_CHECK(scenario.delivery == DeliveryModel::kFluid,
                 "the engine serves the fluid delivery model");
-  FEMTOCR_CHECK(scenario_.accounting == Accounting::kExpected,
+  FEMTOCR_CHECK(scenario.accounting == Accounting::kExpected,
                 "the engine serves expected-channel accounting");
+  FEMTOCR_CHECK(!scenario.faults.enabled(),
+                "the engine serves the fault-free model");
   FEMTOCR_CHECK(config_.slots > 0, "engine needs a positive slot horizon");
-  const video::GopClock clock(scenario_.gop_deadline);
-  sessions_.reserve(topology_.num_users());
-  for (const auto& u : topology_.users()) {
-    sessions_.push_back(
-        Session{video::VideoSession(video::sequence(u.video_name), clock),
-                kNeverDeparts});
-  }
-}
-
-void Engine::move_sessions(util::Rng& rng, EngineReport& report) {
-  double min_x = scenario_.mbs.position.x, max_x = min_x;
-  double min_y = scenario_.mbs.position.y, max_y = min_y;
-  for (const auto& f : scenario_.fbss) {
-    min_x = std::min(min_x, f.position.x - f.coverage_radius);
-    max_x = std::max(max_x, f.position.x + f.coverage_radius);
-    min_y = std::min(min_y, f.position.y - f.coverage_radius);
-    max_y = std::max(max_y, f.position.y + f.coverage_radius);
-  }
-  const double m = scenario_.mobility.margin;
-  for (std::size_t j = 0; j < topology_.num_users(); ++j) {
-    phy::Point p = topology_.user(j).position;
-    p.x = std::clamp(p.x + rng.normal(0.0, scenario_.mobility.step_stddev),
-                     min_x - m, max_x + m);
-    p.y = std::clamp(p.y + rng.normal(0.0, scenario_.mobility.step_stddev),
-                     min_y - m, max_y + m);
-    if (topology_.move_user(j, p)) {
-      ++report.handoffs;
-      engine_counters().handoffs.add();
-    }
-  }
-}
-
-bool Engine::admit(std::size_t t, phy::Point position,
-                   const std::string& video_name, double expected_channels,
-                   EngineReport& report) const {
-  const std::size_t cell = topology_.nearest_fbs(position);
-  if (topology_.users_of(cell).size() >= config_.churn.max_sessions_per_fbs) {
-    ++report.rejected_capacity;
-    engine_counters().rejected_capacity.add();
-    return false;
-  }
-  if (config_.churn.admission_min_psnr <= 0.0) return true;
-
-  // Per-cell QoS probe: can this femtocell hold every attached session
-  // plus the newcomer at the floor, given the slot's expected channel
-  // supply? One cell, edgeless graph — within a cell the slot splits by
-  // time shares, which is exactly qos_solve's program.
-  const video::GopClock clock(scenario_.gop_deadline);
-  core::SlotContext probe;
-  const net::InterferenceGraph probe_graph(1);
-  probe.num_fbs = 1;
-  probe.graph = &probe_graph;
-  probe.sinr_threshold = scenario_.radio.sinr_threshold;
-
-  const auto push_user = [&](double psnr, const phy::Link& mbs_link,
-                             const phy::Link& fbs_link, double rate_common,
-                             double rate_licensed) {
-    core::UserState u;
-    u.psnr = psnr;
-    u.set_link_success(mbs_link.success_probability(),
-                       fbs_link.success_probability());
-    u.rate_mbs = rate_common;
-    u.rate_fbs = rate_licensed;
-    u.fbs = 0;
-    probe.users.push_back(u);
-  };
-  for (const std::size_t j : topology_.users_of(cell)) {
-    push_user(sessions_[j].video.current_psnr(), topology_.mbs_link(j),
-              topology_.fbs_link(j),
-              sessions_[j].video.rate_constant(scenario_.common_bandwidth),
-              sessions_[j].video.rate_constant(scenario_.licensed_bandwidth));
-  }
-  const video::VideoSession candidate(video::sequence(video_name), clock);
-  const phy::Link cand_mbs(scenario_.mbs.position, position,
-                           scenario_.radio.mbs_pathloss,
-                           scenario_.radio.sinr_threshold);
-  const phy::Link cand_fbs(topology_.fbs(cell).position, position,
-                           scenario_.radio.fbs_pathloss,
-                           scenario_.radio.sinr_threshold);
-  push_user(candidate.current_psnr(), cand_mbs, cand_fbs,
-            candidate.rate_constant(scenario_.common_bandwidth),
-            candidate.rate_constant(scenario_.licensed_bandwidth));
-
-  const std::vector<double> gt{expected_channels};
-  const std::vector<double> floors(probe.users.size(),
-                                   config_.churn.admission_min_psnr);
-  const std::size_t slots_remaining =
-      scenario_.gop_deadline - (t % scenario_.gop_deadline);
-  const core::QosPlan plan = core::qos_solve(probe, gt, floors,
-                                             slots_remaining);
-  if (!plan.floors_met) {
-    ++report.rejected_qos;
-    engine_counters().rejected_qos.add();
-    return false;
-  }
-  return true;
-}
-
-void Engine::process_departures(std::size_t t, EngineReport& report) {
-  // Descending index order keeps the pending indices valid through the
-  // removals (remove_user shifts everything above the removed slot down).
-  for (std::size_t j = sessions_.size(); j-- > 0;) {
-    if (sessions_[j].depart_slot > t) continue;
-    topology_.remove_user(j);
-    sessions_.erase(sessions_.begin() + static_cast<std::ptrdiff_t>(j));
-    ++report.departures;
-    engine_counters().departures.add();
-  }
-}
-
-void Engine::run_arrivals(std::size_t t, double expected_channels,
-                          util::Rng& churn_rng, EngineReport& report) {
-  const auto& catalogue = video::standard_catalogue();
-  const video::GopClock clock(scenario_.gop_deadline);
-  const std::size_t offered =
-      sample_poisson(config_.churn.arrival_rate, churn_rng);
-  for (std::size_t a = 0; a < offered; ++a) {
-    ++report.arrivals;
-    engine_counters().arrivals.add();
-    // Fixed draw order per arrival: cell pick, in-disk position, lifetime.
-    // The video name cycles the catalogue by arrival ordinal (no draw).
-    const std::size_t cell = churn_rng.index(topology_.num_fbs());
-    const phy::Point position =
-        phy::random_in_disk(topology_.fbs(cell).coverage(), churn_rng);
-    const std::string& name = catalogue[next_video_ % catalogue.size()].name;
-    ++next_video_;
-    const std::size_t lifetime =
-        sample_lifetime(config_.churn.mean_lifetime_slots, churn_rng);
-    if (!admit(t, position, name, expected_channels, report)) continue;
-    net::CrUser user;
-    user.position = position;
-    user.video_name = name;
-    topology_.add_user(user);
-    sessions_.push_back(
-        Session{video::VideoSession(video::sequence(name), clock),
-                t + lifetime});
-    ++report.admitted;
-    engine_counters().admitted.add();
-  }
-}
-
-core::SlotContext Engine::make_context(const spectrum::SlotObservation& obs,
-                                       util::Rng& fading_rng) const {
-  core::SlotContext ctx;
-  ctx.num_fbs = topology_.num_fbs();
-  ctx.graph = &topology_.active_graph();
-  ctx.sinr_threshold = scenario_.radio.sinr_threshold;
-  for (std::size_t m : obs.available) {
-    ctx.available.push_back(m);
-    ctx.posterior.push_back(obs.posteriors[m]);
-  }
-  ctx.users.reserve(topology_.num_users());
-  for (std::size_t j = 0; j < topology_.num_users(); ++j) {
-    core::UserState u;
-    u.psnr = sessions_[j].video.current_psnr();
-    u.set_link_success(topology_.mbs_link(j).success_probability(),
-                       topology_.fbs_link(j).success_probability());
-    u.rate_mbs = sessions_[j].video.rate_constant(scenario_.common_bandwidth);
-    u.rate_fbs =
-        sessions_[j].video.rate_constant(scenario_.licensed_bandwidth);
-    u.fbs = topology_.user(j).fbs;
-    u.sinr_mbs = topology_.mbs_link(j).draw_sinr(fading_rng);
-    u.sinr_fbs = topology_.fbs_link(j).draw_sinr(fading_rng);
-    ctx.users.push_back(u);
-  }
-  return ctx;
 }
 
 EngineReport Engine::run() {
   static util::TimerStat& t_run = util::metrics().timer("sim.engine.run");
-  static util::TimerStat& t_spectrum =
-      util::metrics().timer("sim.slot.spectrum");
-  static util::TimerStat& t_allocate =
-      util::metrics().timer("sim.slot.allocate");
-  static util::Histogram& h_latency =
-      util::metrics().histogram("sim.slot.decision_latency_ns");
-  EngineCounters& counters = engine_counters();
   const util::ScopedTimer run_timer(t_run);
   const util::ScopedSpan run_span("sim.engine.run");
 
-  util::Rng spectrum_rng = rng_.split(0xA1);
-  util::Rng fading_rng = rng_.split(0xB2);
-  util::Rng mobility_rng = rng_.split(0xC3);
-  util::Rng churn_rng = rng_.split(kChurnSalt);
-  spectrum::SpectrumManager spectrum(scenario_.spectrum, spectrum_rng);
-
-  const double H = scenario_.radio.sinr_threshold;
-  const std::size_t T = scenario_.gop_deadline;
-
-  EngineReport report;
-  report.slots = config_.slots;
-  double psnr_sum = 0.0;
-  std::vector<std::int64_t> latencies;
-
-  // The initial population's lifetimes come from the same churn stream,
-  // drawn serially before the first slot.
-  if (config_.churn.enabled()) {
-    for (auto& s : sessions_) {
-      s.depart_slot = sample_lifetime(config_.churn.mean_lifetime_slots,
-                                      churn_rng);
-    }
-  }
-
-  // Component count of the activity-filtered graph, recomputed only when
-  // the graph's structural version moves (churn/handoff events).
-  std::uint64_t seen_version = topology_.active_graph().version();
-  std::size_t graph_components =
-      topology_.active_graph().components().size();
-
-  for (std::size_t t = 0; t < config_.slots; ++t) {
-    const std::uint64_t slot_mark = util::trace_slot_mark();
-    std::optional<util::ScopedSpan> slot_span;
-    slot_span.emplace("sim.slot");
-    slot_span->arg("slot", static_cast<double>(t));
-    slot_span->arg("run", static_cast<double>(run_index_));
-    std::int64_t decision_ns = 0;
-    counters.slots.add();
-
-    if (scenario_.mobility.step_stddev > 0.0 && t > 0 && t % T == 0) {
-      move_sessions(mobility_rng, report);
-      if (config_.verify_graph) {
-        topology_.check_active_graph_consistency();
-        ++report.graph_cross_checks;
-      }
-    }
-
-    // GOP windows open before churn, so an admission probe at a GOP start
-    // plans the fresh GOP from alpha, not from the last GOP's final W.
-    // Newcomers start at alpha anyway.
-    for (auto& s : sessions_) s.video.begin_slot(t);
-
-    spectrum::SlotObservation obs;
-    {
-      const util::ScopedTimer st(t_spectrum);
-      const util::ScopedSpan sp("sim.slot.spectrum");
-      obs = spectrum.observe_slot(t, spectrum_rng);
-    }
-
-    if (config_.churn.enabled()) {
-      process_departures(t, report);
-      run_arrivals(t, obs.expected_available, churn_rng, report);
-      if (config_.verify_graph) {
-        topology_.check_active_graph_consistency();
-        ++report.graph_cross_checks;
-      }
-    }
-
-    if (topology_.active_graph().version() != seen_version) {
-      seen_version = topology_.active_graph().version();
-      graph_components = topology_.active_graph().components().size();
-    }
-    report.max_components = std::max(report.max_components, graph_components);
-    report.peak_sessions = std::max(report.peak_sessions, sessions_.size());
-
-    if (sessions_.empty()) {
-      // Nothing to serve: the spectrum keeps evolving, the slot is free.
-      ++report.idle_slots;
-      counters.idle_slots.add();
-      slot_span.reset();
-      util::SlotPostmortemContext pm;
-      pm.run = run_index_;
-      pm.slot = t;
-      pm.latency_ns = 0;
-      util::trace_flight_record_slot(pm, slot_mark);
-      continue;
-    }
-
-    core::SlotContext ctx = make_context(obs, fading_rng);
-    core::SlotAllocation alloc;
-    {
-      const util::ScopedSpan sp("sim.slot.allocate");
-      const bool timed = util::metrics_enabled() || util::trace_enabled();
-      const std::int64_t begin_ns = timed ? util::monotonic_now_ns() : 0;
-      alloc = scheme_->allocate(ctx);
-      if (timed) {
-        decision_ns = util::monotonic_now_ns() - begin_ns;
-        t_allocate.record_ns(decision_ns);
-        h_latency.observe(static_cast<double>(decision_ns));
-        latencies.push_back(decision_ns);
-      }
-    }
-    report.total_dual_iterations += alloc.dual_iterations;
-
-    // Fluid delivery under expected-channel accounting — the Simulator's
-    // math, minus the bound trajectory and energy ledger the figures need.
-    for (std::size_t j = 0; j < sessions_.size(); ++j) {
-      const core::UserState& u = ctx.users[j];
-      double increment = 0.0;
-      if (alloc.use_mbs[j]) {
-        if (u.sinr_mbs > H) increment = alloc.rho_mbs[j] * u.rate_mbs;
-      } else if (u.sinr_fbs > H) {
-        increment =
-            alloc.rho_fbs[j] * alloc.effective_channels(ctx, j) * u.rate_fbs;
-      }
-      FEMTOCR_DCHECK_FINITE(increment, "delivered PSNR increment is NaN/inf");
-      FEMTOCR_DCHECK_GE(increment, 0.0, "delivered PSNR increment negative");
-      sessions_[j].video.deliver(increment);
-      sessions_[j].video.end_slot(t);
-    }
-
-    // GOP-boundary readout: every live session's window closed this slot.
-    if ((t + 1) % T == 0) {
-      for (const auto& s : sessions_) {
-        psnr_sum += s.video.gop_history().back();
-        ++report.completed_gops;
-      }
-    }
-
-    slot_span.reset();
-    util::SlotPostmortemContext pm;
-    pm.run = run_index_;
-    pm.slot = t;
-    pm.latency_ns = decision_ns;
-    util::trace_flight_record_slot(pm, slot_mark);
-  }
-
-  if (report.completed_gops > 0) {
-    report.mean_psnr = psnr_sum / static_cast<double>(report.completed_gops);
-  }
-  const LatencySlo slo = fold_latency_slo(latencies);
-  report.decision_latency_p50_ns = slo.p50_ns;
-  report.decision_latency_p90_ns = slo.p90_ns;
-  report.decision_latency_p99_ns = slo.p99_ns;
+  const EngineReport report =
+      loop_.run(config_, loop_.topology().active_graph(), nullptr).report;
+  publish_counters(report);
   return report;
 }
 

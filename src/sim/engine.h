@@ -1,169 +1,72 @@
 // Online allocation engine: slots as requests, sessions as tenants.
 //
 // The batch Simulator (sim/simulator.h) replays a fixed population for a
-// fixed horizon. The Engine is the serving shape the ROADMAP's north star
-// asks for: a long-running slot pipeline where video sessions arrive by a
+// fixed horizon. The Engine serves an open one: video sessions arrive by a
 // Poisson process, live an exponential lifetime, and leave — with every
 // topology consequence (association, links, the activity-filtered
 // interference graph, the cached shard decomposition) applied
-// *incrementally* per event instead of rebuilt per slot.
+// *incrementally* per event instead of rebuilt per slot. Both are façades
+// over one slot loop (sim/slot_loop.h) with one stage order; the Engine
+// turns churn on and allocates against the active graph.
 //
 // Admission control: a new session is admitted only if (a) its nearest
 // femtocell has capacity (`max_sessions_per_fbs`) and (b), when a quality
 // floor is configured, the QoS layer (core/qos.h) reports the cell can
 // still hold every attached session plus the newcomer at the floor given
 // the slot's expected channel supply (`QosPlan::floors_met` on a per-cell
-// probe context). Rejected arrivals never touch the topology.
+// probe context). GOP windows open before churn, so a probe at a GOP start
+// plans from alpha. Rejected arrivals never touch the topology.
 //
-// Interference model: the engine allocates against
-// net::Topology::active_graph() — the coverage graph restricted to
-// femtocells currently serving at least one session (an empty cell does
-// not transmit, so its overlaps constrain nobody). Churn and handoffs
-// therefore split and merge components at event granularity, which is
-// exactly the workload the fingerprint-keyed shard warm starts
+// Interference model: net::Topology::active_graph() is the coverage graph
+// restricted to femtocells currently serving at least one session (an
+// empty cell does not transmit, so its overlaps constrain nobody). Churn
+// and handoffs therefore split and merge components at event granularity,
+// which is exactly the workload the fingerprint-keyed shard warm starts
 // (core/scheme.h) exist for. With `verify_graph` on, the engine
 // cross-checks the incremental graph against a from-scratch rebuild after
 // every churn/mobility event (FEMTOCR_CHECK — active in release builds,
 // the CI churn-smoke gate runs with it enabled).
 //
 // Determinism contract: all churn randomness comes from the run RNG's
-// dedicated split(0xD4) substream, drawn serially in the slot loop;
-// spectrum/fading/mobility keep their existing 0xA1/0xB2/0xC3 substreams.
-// Every EngineReport field except the latency SLO block is bitwise
-// identical for any --threads value and with FEMTOCR_METRICS=0. Lifetime
-// draws happen for every arrival, admitted or not, so the substream stays
-// aligned across admission-policy changes. The sensing population
+// split(0xD4) substream, drawn serially in the slot loop. Every
+// EngineReport field except the latency SLO block is bitwise identical for
+// any --threads value and with FEMTOCR_METRICS=0. Lifetime draws happen
+// for every arrival, admitted or not, so the substream stays aligned
+// across admission-policy changes. The sensing population
 // (spectrum::SpectrumConfig::num_users) stays fixed at the base scenario's
 // deployment: sessions ride on top of the sensing infrastructure rather
 // than re-wiring it per arrival.
 //
-// Observability: sim.engine.* counters (lazily registered — batch runs
-// keep their exact historical counter set), sim.slot / sim.slot.allocate
-// spans, flight-recorder harvest per slot, and a per-run decision-latency
-// SLO fold (nearest-rank p50/p90/p99) as a first-class report field.
-// Wall-clock values never reach stdout.
+// Observability: the loop's sim.slot.* spans, timers and histograms, the
+// sim.engine.run timer, and the sim.engine.* counters — registered by the
+// first engine run and published once per run from the EngineReport, so
+// batch runs keep their exact historical counter set. Wall-clock values
+// never reach stdout.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <memory>
-#include <vector>
 
-#include "core/scheme.h"
 #include "net/topology.h"
 #include "sim/scenario.h"
-#include "video/session.h"
+#include "sim/slot_loop.h"
 
 namespace femtocr::sim {
 
-/// Session arrival/departure process. Rates are per slot.
-struct ChurnConfig {
-  /// Mean Poisson arrivals per slot; 0 disables churn entirely (the
-  /// initial population then runs to the horizon, as in the Simulator).
-  double arrival_rate = 0.0;
-  /// Mean exponential session lifetime in slots (draws are rounded up, so
-  /// every admitted session lives at least one slot).
-  double mean_lifetime_slots = 80.0;
-  /// Hard per-cell capacity: an arrival whose nearest FBS already serves
-  /// this many sessions is rejected before any QoS probe runs.
-  std::size_t max_sessions_per_fbs = 6;
-  /// GOP-end PSNR floor (dB) the admission probe must certify for every
-  /// session of the target cell, newcomer included. 0 = capacity-only
-  /// admission.
-  double admission_min_psnr = 0.0;
-
-  bool enabled() const { return arrival_rate > 0.0; }
-};
-
-struct EngineConfig {
-  std::size_t slots = 200;  ///< horizon (the engine itself is open-ended)
-  ChurnConfig churn;
-  /// Cross-check the incremental active graph + association invariants
-  /// against a from-scratch rebuild after every churn/mobility event.
-  /// FEMTOCR_CHECK-backed: aborts on divergence even in release builds.
-  bool verify_graph = false;
-};
-
-/// Per-run engine outputs. Everything except the latency block is
-/// deterministic (thread-count and metrics-toggle invariant).
-struct EngineReport {
-  std::size_t slots = 0;
-  std::size_t arrivals = 0;            ///< Poisson arrivals offered
-  std::size_t admitted = 0;
-  std::size_t rejected_capacity = 0;   ///< cell at max_sessions_per_fbs
-  std::size_t rejected_qos = 0;        ///< QoS probe refused the floor
-  std::size_t departures = 0;          ///< lifetime expiries processed
-  std::size_t handoffs = 0;            ///< mobility re-associations
-  std::size_t peak_sessions = 0;       ///< max concurrent sessions seen
-  std::size_t idle_slots = 0;          ///< slots served with zero sessions
-  std::size_t max_components = 0;      ///< active-graph component peak
-  std::size_t completed_gops = 0;      ///< (session, GOP window) readouts
-  double mean_psnr = 0.0;              ///< mean delivered GOP PSNR
-  std::size_t total_dual_iterations = 0;
-  std::size_t graph_cross_checks = 0;  ///< verify_graph passes executed
-
-  /// Decision-latency SLO (nearest-rank percentiles over the engine's
-  /// allocate calls). Wall-clock: populated only when metrics or tracing
-  /// are enabled; JSON/stderr only, never stdout.
-  std::int64_t decision_latency_p50_ns = 0;
-  std::int64_t decision_latency_p90_ns = 0;
-  std::int64_t decision_latency_p99_ns = 0;
-};
-
 class Engine {
  public:
-  /// `scenario` must be finalized and use the fluid/expected delivery
-  /// model (the engine's accounting path); its users become the initial
-  /// session population.
+  /// `scenario` must be finalized, use the fluid/expected delivery model
+  /// and carry no fault profile; its users become the initial session
+  /// population.
   Engine(const Scenario& scenario, EngineConfig config,
          std::size_t run_index = 0);
 
   EngineReport run();
 
-  const net::Topology& topology() const { return topology_; }
+  const net::Topology& topology() const { return loop_.topology(); }
 
  private:
-  /// One live session: video state plus the slot at whose start it leaves.
-  struct Session {
-    video::VideoSession video;
-    std::size_t depart_slot;
-  };
-
-  static constexpr std::size_t kNeverDeparts = static_cast<std::size_t>(-1);
-
-  /// Removes every session whose lifetime expired at or before slot t
-  /// (descending index order; frees capacity before the slot's arrivals).
-  void process_departures(std::size_t t, EngineReport& report);
-
-  /// Draws and admits slot t's Poisson arrivals serially from `churn_rng`.
-  /// `expected_channels` is the slot's G_t for the admission probe.
-  void run_arrivals(std::size_t t, double expected_channels,
-                    util::Rng& churn_rng, EngineReport& report);
-
-  /// Admission test for a candidate at `position` streaming `video_name`:
-  /// capacity cap, then the per-cell QoS probe. Returns true to admit;
-  /// bumps the report's rejection tallies otherwise.
-  bool admit(std::size_t t, phy::Point position,
-             const std::string& video_name, double expected_channels,
-             EngineReport& report) const;
-
-  /// Gaussian per-GOP movement of every live user through the incremental
-  /// topology ops; counts handoffs into the report.
-  void move_sessions(util::Rng& rng, EngineReport& report);
-
-  /// Slot context over the live sessions: fault-free twin of the
-  /// Simulator's, pointed at the activity-filtered interference graph.
-  core::SlotContext make_context(const spectrum::SlotObservation& obs,
-                                 util::Rng& fading_rng) const;
-
-  Scenario scenario_;
   EngineConfig config_;
-  std::size_t run_index_ = 0;
-  net::Topology topology_;
-  std::unique_ptr<core::Scheme> scheme_;
-  util::Rng rng_;
-  std::vector<Session> sessions_;  ///< parallel to topology_.users()
-  std::size_t next_video_ = 0;     ///< catalogue cursor for arrivals
+  SlotLoop loop_;
 };
 
 }  // namespace femtocr::sim

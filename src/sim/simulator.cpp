@@ -1,514 +1,69 @@
 #include "sim/simulator.h"
 
-#include <algorithm>
-#include <cmath>
-#include <optional>
-
-#include "core/heuristics.h"
-#include "sim/latency.h"
-#include "util/check.h"
 #include "util/metrics.h"
-#include "util/stats.h"
 #include "util/trace.h"
-#include "video/mgs_model.h"
 
 namespace femtocr::sim {
-
-namespace {
-
-net::Topology build_topology(const Scenario& s) {
-  std::optional<net::InterferenceGraph> graph = s.graph;
-  return net::Topology(s.mbs, s.fbss, s.users, s.radio, std::move(graph));
-}
-
-#if FEMTOCR_DCHECK_IS_ON()
-/// Per-slot contracts on whatever the scheme handed back: shapes aligned
-/// with the context, nonnegative time shares whose per-resource sums stay
-/// within the slot, and an Eq.-(23) upper bound that actually dominates the
-/// achieved objective. Runs every slot under FEMTOCR_DCHECK builds only.
-void dcheck_slot_allocation(const core::SlotContext& ctx,
-                            const core::SlotAllocation& alloc) {
-  const std::size_t K = ctx.users.size();
-  FEMTOCR_CHECK(alloc.use_mbs.size() == K && alloc.rho_mbs.size() == K &&
-                    alloc.rho_fbs.size() == K,
-                "scheme returned a mis-shaped allocation");
-  double sum_mbs = 0.0;
-  std::vector<double> sum_fbs(ctx.num_fbs, 0.0);
-  for (std::size_t j = 0; j < K; ++j) {
-    FEMTOCR_CHECK_GE(alloc.rho_mbs[j], 0.0, "negative MBS time share");
-    FEMTOCR_CHECK_GE(alloc.rho_fbs[j], 0.0, "negative FBS time share");
-    sum_mbs += alloc.rho_mbs[j];
-    sum_fbs[ctx.users[j].fbs] += alloc.rho_fbs[j];
-  }
-  FEMTOCR_CHECK_LE(sum_mbs, 1.0 + 1e-6, "MBS slot budget violated");
-  for (const double s : sum_fbs) {
-    FEMTOCR_CHECK_LE(s, 1.0 + 1e-6, "FBS slot budget violated");
-  }
-  FEMTOCR_CHECK_FINITE(alloc.objective, "slot objective must be finite");
-  FEMTOCR_CHECK_GE(alloc.upper_bound, alloc.objective - 1e-9,
-                   "per-slot upper bound fails to dominate the objective");
-}
-#endif
-
-}  // namespace
-
-namespace {
-
-/// The fault layer's dedicated seed universe (see sim/faults.cpp): the
-/// access re-draws under sensing outages come from here, never from the
-/// simulator's own streams, so enabling faults cannot shift the spectrum,
-/// fading or mobility substreams.
-constexpr std::uint64_t kFaultAccessSalt = 0xACCE55FA017ULL;
-
-/// sim.faults.* counters, registered lazily on first applied fault so a
-/// fault-free run's metrics dump stays byte-identical to historical ones
-/// (the baseline gate compares the union of counter names).
-struct FaultCounters {
-  util::Counter& sensing_outages;  ///< slots served on frozen posteriors
-  util::Counter& control_losses;   ///< slots on the local fallback rule
-  util::Counter& fbs_outages;      ///< downed FBS-slots observed by users
-  util::Counter& primary_bursts;   ///< channel-slots forced busy post-sensing
-  util::Counter& budget_squeezes;  ///< slots with a solver iteration cap
-};
-
-FaultCounters& fault_counters() {
-  static FaultCounters c{
-      util::metrics().counter("sim.faults.sensing_outages"),
-      util::metrics().counter("sim.faults.control_losses"),
-      util::metrics().counter("sim.faults.fbs_outages"),
-      util::metrics().counter("sim.faults.primary_bursts"),
-      util::metrics().counter("sim.faults.budget_squeezes")};
-  return c;
-}
-
-}  // namespace
 
 Simulator::Simulator(const Scenario& scenario, core::SchemeKind kind,
                      std::size_t run_index)
     : Simulator(scenario,
                 core::make_scheme(kind, scenario.dual,
                                   scenario.use_distributed_solver),
-                run_index) {
-  kind_ = kind;
-}
+                run_index) {}
 
 Simulator::Simulator(const Scenario& scenario,
                      std::unique_ptr<core::Scheme> scheme,
                      std::size_t run_index)
-    : scenario_(scenario),
-      kind_(core::SchemeKind::kProposed),
-      run_index_(run_index),
-      topology_(build_topology(scenario)),
-      scheme_(std::move(scheme)),
-      rng_(util::Rng(scenario.seed).split(0x5151 + run_index).seed()),
-      fault_plan_(scenario.faults,
-                  scenario.gop_deadline * scenario.num_gops,
-                  scenario.fbss.size(), scenario.spectrum.num_licensed,
-                  scenario.seed, run_index),
-      fault_rng_(
-          util::Rng(scenario.seed ^ kFaultAccessSalt).split(0xA0 + run_index)
-              .seed()) {
-  FEMTOCR_CHECK(scheme_ != nullptr, "simulator needs a scheme");
-  const video::GopClock clock(scenario_.gop_deadline);
-  sessions_.reserve(topology_.num_users());
-  for (const auto& u : topology_.users()) {
-    sessions_.emplace_back(video::sequence(u.video_name), clock);
-    bound_sessions_.emplace_back(video::sequence(u.video_name), clock);
-    if (scenario_.delivery == DeliveryModel::kPacket) {
-      packet_streams_.emplace_back(video::sequence(u.video_name), clock,
-                                   scenario_.gop_seconds,
-                                   scenario_.packet_bits);
-    }
-  }
-}
-
-void Simulator::move_users(util::Rng& rng) {
-  // Bounding box: the union of the coverage disks plus a margin — users
-  // roam the neighbourhood but never wander off to infinity.
-  double min_x = scenario_.mbs.position.x, max_x = min_x;
-  double min_y = scenario_.mbs.position.y, max_y = min_y;
-  for (const auto& f : scenario_.fbss) {
-    min_x = std::min(min_x, f.position.x - f.coverage_radius);
-    max_x = std::max(max_x, f.position.x + f.coverage_radius);
-    min_y = std::min(min_y, f.position.y - f.coverage_radius);
-    max_y = std::max(max_y, f.position.y + f.coverage_radius);
-  }
-  const double m = scenario_.mobility.margin;
-  for (std::size_t j = 0; j < scenario_.users.size(); ++j) {
-    auto& u = scenario_.users[j];
-    u.position.x = std::clamp(
-        u.position.x + rng.normal(0.0, scenario_.mobility.step_stddev),
-        min_x - m, max_x + m);
-    u.position.y = std::clamp(
-        u.position.y + rng.normal(0.0, scenario_.mobility.step_stddev),
-        min_y - m, max_y + m);
-    // Incremental re-association + link rebuild for this user only. Links
-    // are pure functions of positions, so the result is bitwise what a
-    // from-scratch build_topology(scenario_) would produce — minus the
-    // O(N^2) reconstruction the engine cannot afford per event.
-    topology_.move_user(j, u.position);
-  }
-#if FEMTOCR_DCHECK_IS_ON()
-  topology_.check_active_graph_consistency();
-#endif
-}
-
-core::SlotContext Simulator::make_context(
-    const spectrum::SlotObservation& obs, util::Rng& fading_rng,
-    std::size_t slot) {
-  core::SlotContext ctx;
-  ctx.num_fbs = topology_.num_fbs();
-  ctx.graph = &topology_.graph();
-  ctx.sinr_threshold = scenario_.radio.sinr_threshold;
-  ctx.solver_iteration_cap = fault_plan_.iteration_cap(slot);
-  if (ctx.solver_iteration_cap > 0) {
-    fault_counters().budget_squeezes.add();
-    util::trace_note_anomaly("sim.faults.budget_squeezes");
-  }
-  for (std::size_t m : obs.available) {
-    ctx.available.push_back(m);
-    ctx.posterior.push_back(obs.posteriors[m]);
-  }
-  const bool packet_mode = (scenario_.delivery == DeliveryModel::kPacket);
-  ctx.users.reserve(topology_.num_users());
-  for (std::size_t j = 0; j < topology_.num_users(); ++j) {
-    core::UserState u;
-    u.psnr = packet_mode ? packet_streams_[j].current_psnr()
-                         : sessions_[j].current_psnr();
-    u.set_link_success(topology_.mbs_link(j).success_probability(),
-                       topology_.fbs_link(j).success_probability());
-    u.rate_mbs = sessions_[j].rate_constant(scenario_.common_bandwidth);
-    u.rate_fbs = sessions_[j].rate_constant(scenario_.licensed_bandwidth);
-    u.fbs = topology_.user(j).fbs;
-    // The fading draws always happen — stream alignment is part of the
-    // determinism contract — the outage only zeroes what the user sees.
-    u.sinr_mbs = topology_.mbs_link(j).draw_sinr(fading_rng);
-    u.sinr_fbs = topology_.fbs_link(j).draw_sinr(fading_rng);
-    if (fault_plan_.enabled() && fault_plan_.fbs_down(slot, u.fbs)) {
-      fault_counters().fbs_outages.add();
-      util::trace_note_anomaly("sim.faults.fbs_outages");
-      u.success_fbs = 0.0;  // downed radio: no licensed-side delivery
-      u.sinr_fbs = 0.0;
-    }
-    ctx.users.push_back(u);
-  }
-  return ctx;
-}
-
-void Simulator::apply_spectrum_faults(std::size_t slot,
-                                      spectrum::SlotObservation& obs) {
-  // Sensing outage: the fusion pipeline is down, so the network serves the
-  // slot on the previous slot's (frozen) posteriors. Access decisions are
-  // re-realized against the stale beliefs from the fault universe's own
-  // stream; Eq. (7) still caps each access probability, so the collision
-  // budget holds with respect to the beliefs the network acts on.
-  if (fault_plan_.sensing_outage(slot) && !last_posteriors_.empty()) {
-    fault_counters().sensing_outages.add();
-    util::trace_note_anomaly("sim.faults.sensing_outages");
-    obs.posteriors = last_posteriors_;
-    obs.access = spectrum::decide_access(obs.posteriors,
-                                         scenario_.spectrum.gamma, fault_rng_);
-    obs.available = obs.access.available();
-    obs.expected_available = obs.access.expected_available();
-  } else {
-    last_posteriors_ = obs.posteriors;
-  }
-
-  // Primary-activity burst: the primary re-occupies the channel right after
-  // the sensing epoch, behind the posteriors' back. Realized collisions rise
-  // (the network cannot know), but the Eq. (7) access rule itself never
-  // exceeded its budget — the gamma invariant is about the rule.
-  for (std::size_t m = 0; m < obs.true_states.size(); ++m) {
-    if (fault_plan_.primary_burst(slot, m) &&
-        obs.true_states[m] == spectrum::ChannelState::kIdle) {
-      obs.true_states[m] = spectrum::ChannelState::kBusy;
-      fault_counters().primary_bursts.add();
-      util::trace_note_anomaly("sim.faults.primary_bursts");
-    }
-  }
-}
+    : loop_(scenario, std::move(scheme), run_index,
+            scenario.gop_deadline * scenario.num_gops) {}
 
 RunResult Simulator::run() {
   static util::TimerStat& t_run = util::metrics().timer("sim.run");
-  static util::TimerStat& t_spectrum =
-      util::metrics().timer("sim.slot.spectrum");
-  static util::TimerStat& t_allocate =
-      util::metrics().timer("sim.slot.allocate");
-  static util::TimerStat& t_deliver = util::metrics().timer("sim.slot.deliver");
   static util::Counter& c_slots = util::metrics().counter("sim.slots");
-  static util::Histogram& h_gap =
-      util::metrics().histogram("sim.slot.bound_gap");
-  static util::Histogram& h_latency =
-      util::metrics().histogram("sim.slot.decision_latency_ns");
   const util::ScopedTimer run_timer(t_run);
   const util::ScopedSpan run_span("sim.run");
 
-  util::Rng spectrum_rng = rng_.split(0xA1);
-  util::Rng fading_rng = rng_.split(0xB2);
-  spectrum::SpectrumManager spectrum(scenario_.spectrum, spectrum_rng);
-
-  const std::size_t total_slots = scenario_.gop_deadline * scenario_.num_gops;
-  const double H = scenario_.radio.sinr_threshold;
+  const Scenario& scenario = loop_.scenario();
+  EngineConfig config;  // churn off: the initial population runs to the end
+  config.slots = scenario.gop_deadline * scenario.num_gops;
+  const SlotTallies tallies = loop_.run(config, loop_.topology().graph(),
+                                        trace_);
+  c_slots.add(config.slots);
 
   RunResult result;
-  std::size_t accessed = 0;
-  std::size_t collided = 0;
-  double sum_available = 0.0;
-  double sum_gt = 0.0;
-  // Per-GOP accumulation of the per-slot optimality slack (Q_ub - Q)/K for
-  // the state-following bound; per-user bound qualities collected per GOP.
-  double gop_bump_sum = 0.0;
-  std::vector<util::RunningStat> user_bound_psnr(sessions_.size());
-
-  const bool packet_mode = (scenario_.delivery == DeliveryModel::kPacket);
-  const double slot_seconds =
-      scenario_.gop_seconds / static_cast<double>(scenario_.gop_deadline);
-
-  util::Rng mobility_rng = rng_.split(0xC3);
-
-  // Shard count of the slot solves (core/shard.h): a pure function of the
-  // interference graph, recomputed only when mobility rebuilds it.
-  std::size_t graph_components = topology_.graph().components().size();
-
-  // Decision-latency series for the per-run SLO fold. Wall-clock data:
-  // collected only when metrics or tracing are on, never printed to stdout.
-  std::vector<std::int64_t> latencies;
-
-  for (std::size_t t = 0; t < total_slots; ++t) {
-    // The slot span + ring mark open before any slot work so the flight
-    // recorder's harvest at the slot boundary sees the whole subtree.
-    const std::uint64_t slot_mark = util::trace_slot_mark();
-    std::optional<util::ScopedSpan> slot_span;
-    slot_span.emplace("sim.slot");
-    slot_span->arg("slot", static_cast<double>(t));
-    slot_span->arg("run", static_cast<double>(run_index_));
-    std::int64_t decision_ns = 0;
-
-    // Pedestrian movement + handoff at GOP boundaries (not mid-GOP: block
-    // fading already models slot-scale variation; position changes at the
-    // play-out timescale).
-    if (scenario_.mobility.step_stddev > 0.0 && t > 0 &&
-        t % scenario_.gop_deadline == 0) {
-      move_users(mobility_rng);
-      // Handoffs can rewire coverage overlaps: refresh the shard count.
-      graph_components = topology_.graph().components().size();
-    }
-    for (std::size_t j = 0; j < sessions_.size(); ++j) {
-      sessions_[j].begin_slot(t);
-      bound_sessions_[j].begin_slot(t);
-      if (packet_mode) packet_streams_[j].begin_slot(t);
-    }
-
-    c_slots.add();
-    spectrum::SlotObservation obs;
-    {
-      const util::ScopedTimer st(t_spectrum);
-      const util::ScopedSpan sp("sim.slot.spectrum");
-      obs = spectrum.observe_slot(t, spectrum_rng);
-    }
-    if (fault_plan_.enabled()) apply_spectrum_faults(t, obs);
-    accessed += obs.available.size();
-    collided += obs.collisions();
-    sum_available += static_cast<double>(obs.available.size());
-    sum_gt += obs.expected_available;
-
-    core::SlotContext ctx = make_context(obs, fading_rng, t);
-    core::SlotAllocation alloc;
-    {
-      // Manual stopwatch instead of a ScopedTimer: the same reading feeds
-      // the timer, the latency histogram, and the per-run SLO fold.
-      const util::ScopedSpan sp("sim.slot.allocate");
-      const bool timed = util::metrics_enabled() || util::trace_enabled();
-      const std::int64_t begin_ns = timed ? util::monotonic_now_ns() : 0;
-      if (fault_plan_.enabled() && fault_plan_.control_loss(t)) {
-        // Control/feedback loss: the coordinator's decision never reaches
-        // the base stations this slot, and each falls back to the local
-        // equal-share rule it can compute without the control channel.
-        fault_counters().control_losses.add();
-        util::trace_note_anomaly("sim.faults.control_losses");
-        alloc = core::heuristic_equal_allocation(ctx);
-      } else {
-        alloc = scheme_->allocate(ctx);
-      }
-      if (timed) {
-        decision_ns = util::monotonic_now_ns() - begin_ns;
-        t_allocate.record_ns(decision_ns);
-        h_latency.observe(static_cast<double>(decision_ns));
-        latencies.push_back(decision_ns);
-      }
-    }
-#if FEMTOCR_DCHECK_IS_ON()
-    dcheck_slot_allocation(ctx, alloc);
-#endif
-    result.total_dual_iterations += alloc.dual_iterations;
-    h_gap.observe(std::max(0.0, alloc.upper_bound - alloc.objective));
-
-    SlotTraceEntry trace_entry;
-    if (trace_ != nullptr) {
-      trace_entry.slot = t;
-      trace_entry.gop = t / scenario_.gop_deadline;
-      trace_entry.available = obs.available.size();
-      trace_entry.expected_channels = obs.expected_available;
-      trace_entry.collisions = obs.collisions();
-      trace_entry.objective = alloc.objective;
-      trace_entry.upper_bound = alloc.upper_bound;
-      trace_entry.components = graph_components;
-      trace_entry.users.resize(sessions_.size());
-    }
-    result.max_components = std::max(result.max_components, graph_components);
-
-    // Amplification ratio for the Eq.-(23) bound trajectory: the optimum's
-    // per-slot objective gain over the channel-free baseline is at most
-    // (1 + Dbar) times the greedy's; we amplify each user's realized
-    // log-gain by the same ratio (== 1 whenever the allocation is exact).
-    double bound_ratio = 1.0;
-    if (alloc.upper_bound > alloc.objective) {
-      const double gain = alloc.objective - alloc.objective_empty;
-      if (gain > 1e-12) {
-        bound_ratio = (alloc.upper_bound - alloc.objective_empty) / gain;
-      }
-    }
-    gop_bump_sum += (alloc.upper_bound - alloc.objective) /
-                    static_cast<double>(sessions_.size());
-
-    const util::ScopedTimer deliver_timer(t_deliver);
-    std::optional<util::ScopedSpan> deliver_span;
-    deliver_span.emplace("sim.slot.deliver");
-    for (std::size_t j = 0; j < sessions_.size(); ++j) {
-      const core::UserState& u = ctx.users[j];
-      double increment = 0.0;
-      double granted_mbps = 0.0;  // link capacity handed to this user
-      bool decoded = false;       // the slot's block-fading outcome xi
-      if (alloc.use_mbs[j]) {
-        const bool ok = u.sinr_mbs > H;  // xi^t_{0,j}
-        decoded = ok;
-        granted_mbps = alloc.rho_mbs[j] * scenario_.common_bandwidth;
-        result.energy_mbs_joules += alloc.rho_mbs[j] *
-                                    scenario_.radio.mbs_tx_power *
-                                    slot_seconds;
-        if (ok) increment = alloc.rho_mbs[j] * u.rate_mbs;
-      } else {
-        const bool ok = u.sinr_fbs > H;  // xi^t_{i,j}
-        decoded = ok;
-        double g = alloc.effective_channels(ctx, j);
-        if (scenario_.accounting == Accounting::kRealized) {
-          // Only truly idle channels deliver; collisions carry nothing.
-          const bool single =
-              !alloc.user_channel.empty() &&
-              alloc.user_channel[j] != core::SlotAllocation::kNoChannel;
-          if (single) {
-            g = obs.true_states[alloc.user_channel[j]] ==
-                        spectrum::ChannelState::kIdle
-                    ? 1.0
-                    : 0.0;
-          } else {
-            double realized = 0.0;
-            for (std::size_t m : alloc.channels[u.fbs]) {
-              if (obs.true_states[m] == spectrum::ChannelState::kIdle) {
-                realized += 1.0;
-              }
-            }
-            // Schemes with a per-user override (e.g. Heuristic 1's
-            // contention discount) keep the same discount ratio on the
-            // realized count.
-            const double expected = alloc.expected_channels[u.fbs];
-            g = expected > 0.0
-                    ? realized * alloc.effective_channels(ctx, j) / expected
-                    : 0.0;
-          }
-        }
-        granted_mbps = alloc.rho_fbs[j] * g * scenario_.licensed_bandwidth;
-        result.energy_fbs_joules += alloc.rho_fbs[j] * g *
-                                    scenario_.radio.fbs_tx_power *
-                                    slot_seconds;
-        if (ok) increment = alloc.rho_fbs[j] * g * u.rate_fbs;
-      }
-      FEMTOCR_DCHECK_FINITE(increment, "delivered PSNR increment is NaN/inf");
-      FEMTOCR_DCHECK_GE(increment, 0.0, "delivered PSNR increment negative");
-      sessions_[j].deliver(increment);
-      if (packet_mode) {
-        const auto capacity_bits = static_cast<std::size_t>(
-            granted_mbps * 1e6 * slot_seconds);
-        packet_streams_[j].transmit(capacity_bits, decoded);
-      }
-
-      // Bound trajectory: amplify the log-gain by bound_ratio. The bound's
-      // slack comes from the licensed side (the channel allocation), so
-      // common-channel increments pass through unamplified.
-      const double user_ratio = alloc.use_mbs[j] ? 1.0 : bound_ratio;
-      const double w = bound_sessions_[j].current_psnr();
-      const double main_w = u.psnr;
-      const double log_gain = std::log1p(increment / main_w) * user_ratio;
-      const double bound_increment = w * std::expm1(log_gain);
-      bound_sessions_[j].deliver(bound_increment);
-
-      if (trace_ != nullptr) {
-        UserSlotTrace& ut = trace_entry.users[j];
-        ut.use_mbs = alloc.use_mbs[j];
-        ut.rho = alloc.use_mbs[j] ? alloc.rho_mbs[j] : alloc.rho_fbs[j];
-        ut.increment = increment;
-        ut.psnr_after = packet_mode ? packet_streams_[j].current_psnr()
-                                    : sessions_[j].current_psnr();
-      }
-
-      sessions_[j].end_slot(t);
-      bound_sessions_[j].end_slot(t);
-      if (packet_mode) packet_streams_[j].end_slot(t);
-    }
-    deliver_span.reset();
-    if (trace_ != nullptr) trace_->record(std::move(trace_entry));
-
-    // State-following bound readout at GOP boundaries: the delivered W_T
-    // inflated once by the GOP's mean per-slot optimality slack.
-    if ((t + 1) % scenario_.gop_deadline == 0) {
-      const double mean_bump =
-          gop_bump_sum / static_cast<double>(scenario_.gop_deadline);
-      for (std::size_t j = 0; j < sessions_.size(); ++j) {
-        const double delivered = packet_mode
-                                     ? packet_streams_[j].gop_history().back()
-                                     : sessions_[j].gop_history().back();
-        user_bound_psnr[j].add(delivered * std::exp(mean_bump));
-      }
-      gop_bump_sum = 0.0;
-    }
-
-    // Close the slot span, then harvest: any anomaly note a fault or
-    // solver-fallback site tagged during this slot freezes the slot's span
-    // subtree (sim.slot included) into the postmortem pool.
-    slot_span.reset();
-    util::SlotPostmortemContext pm;
-    pm.run = run_index_;
-    pm.slot = t;
-    pm.latency_ns = decision_ns;
-    util::trace_flight_record_slot(pm, slot_mark);
-  }
-
-  result.slots = total_slots;
-  result.user_mean_psnr.reserve(sessions_.size());
+  result.slots = config.slots;
+  const auto& sessions = loop_.sessions();
+  result.user_mean_psnr.reserve(sessions.size());
   double sum = 0.0;
   double bound_sum = 0.0;
   double compounded_sum = 0.0;
-  for (std::size_t j = 0; j < sessions_.size(); ++j) {
-    const double delivered = packet_mode ? packet_streams_[j].mean_gop_psnr()
-                                         : sessions_[j].mean_gop_psnr();
+  for (const auto& s : sessions) {
+    const double delivered = s.mean_gop_psnr();
     result.user_mean_psnr.push_back(delivered);
     sum += delivered;
-    bound_sum += user_bound_psnr[j].mean();
-    compounded_sum += bound_sessions_[j].mean_gop_psnr();
+    bound_sum += s.bound_readout.mean();
+    compounded_sum += s.bound.mean_gop_psnr();
   }
-  result.mean_psnr = sum / static_cast<double>(sessions_.size());
-  result.mean_bound_psnr = bound_sum / static_cast<double>(sessions_.size());
-  result.mean_bound_psnr_compounded =
-      compounded_sum / static_cast<double>(sessions_.size());
+  const auto users = static_cast<double>(sessions.size());
+  const auto slots = static_cast<double>(config.slots);
+  result.mean_psnr = sum / users;
+  result.mean_bound_psnr = bound_sum / users;
+  result.mean_bound_psnr_compounded = compounded_sum / users;
   result.collision_rate =
-      accessed > 0 ? static_cast<double>(collided) / static_cast<double>(accessed)
-                   : 0.0;
-  result.avg_available = sum_available / static_cast<double>(total_slots);
-  result.avg_expected_channels = sum_gt / static_cast<double>(total_slots);
-  const LatencySlo slo = fold_latency_slo(latencies);
-  result.decision_latency_p50_ns = slo.p50_ns;
-  result.decision_latency_p90_ns = slo.p90_ns;
-  result.decision_latency_p99_ns = slo.p99_ns;
+      tallies.accessed > 0 ? static_cast<double>(tallies.collided) /
+                                 static_cast<double>(tallies.accessed)
+                           : 0.0;
+  result.avg_available = tallies.sum_available / slots;
+  result.avg_expected_channels = tallies.sum_expected / slots;
+  result.energy_mbs_joules = tallies.energy_mbs_joules;
+  result.energy_fbs_joules = tallies.energy_fbs_joules;
+  const EngineReport& served = tallies.report;
+  result.total_dual_iterations = served.total_dual_iterations;
+  result.max_components = served.max_components;
+  result.decision_latency_p50_ns = served.decision_latency_p50_ns;
+  result.decision_latency_p90_ns = served.decision_latency_p90_ns;
+  result.decision_latency_p99_ns = served.decision_latency_p99_ns;
   return result;
 }
 

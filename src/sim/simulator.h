@@ -1,11 +1,14 @@
-// Slot-by-slot discrete-event simulator (paper Section V methodology).
+// Batch simulator: the paper's Section V methodology over a fixed
+// population for a fixed horizon of num_gops GOPs.
 //
-// Per slot: primary channels evolve and are sensed (SpectrumManager); block
-// fading realizes one SINR per link; the configured scheme allocates; every
-// user's video session receives its realized PSNR increment; at GOP
-// deadlines the delivered quality is recorded. A parallel "bound
-// trajectory" reconstructs the paper's Eq.-(23) upper-bound curves for the
-// Proposed scheme (see EXPERIMENTS.md for the exact transformation).
+// A façade over the slot loop (sim/slot_loop.h), which runs every slot:
+// sensing, block fading, the configured scheme's allocation, delivery of
+// each user's realized PSNR increment, and the GOP-deadline readout. The
+// Simulator drives it with churn off against the full coverage graph, then
+// reads the run's tallies into a RunResult, including the parallel "bound
+// trajectories" that reconstruct the paper's Eq.-(23) upper-bound curves
+// for the Proposed scheme (see EXPERIMENTS.md for the exact
+// transformation).
 #pragma once
 
 #include <cstddef>
@@ -15,11 +18,9 @@
 
 #include "core/scheme.h"
 #include "net/topology.h"
-#include "sim/faults.h"
 #include "sim/scenario.h"
+#include "sim/slot_loop.h"
 #include "sim/trace.h"
-#include "video/packet_stream.h"
-#include "video/session.h"
 
 namespace femtocr::sim {
 
@@ -48,8 +49,8 @@ struct RunResult {
   /// Largest per-slot interference-graph component count seen over the run
   /// (> 1 means the Proposed scheme's interfering slots decomposed and ran
   /// through the shard engine, core/shard.h). Graph-derived and
-  /// deterministic; only mobility can move it mid-run. Never printed to
-  /// stdout.
+  /// deterministic: the coverage graph never changes during a run. Never
+  /// printed to stdout.
   std::size_t max_components = 0;
   /// Per-run decision-latency SLO fold (nearest-rank percentiles over the
   /// slot allocate latencies). Wall-clock values: populated only when
@@ -84,45 +85,16 @@ class Simulator {
   /// by sim::sweep's opt-in price-carry chains (adjacent sweep points drift
   /// slowly, so the previous point's prices land near the next optimum).
   void seed_prices(std::vector<double> lambda) {
-    scheme_->seed_prices(std::move(lambda));
+    loop_.scheme().seed_prices(std::move(lambda));
   }
   const std::vector<double>* final_prices() const {
-    return scheme_->carried_prices();
+    return loop_.scheme().carried_prices();
   }
 
-  const net::Topology& topology() const { return topology_; }
+  const net::Topology& topology() const { return loop_.topology(); }
 
  private:
-  core::SlotContext make_context(const spectrum::SlotObservation& obs,
-                                 util::Rng& fading_rng, std::size_t slot);
-
-  /// Applies the slot's spectrum-side faults to `obs` in place: primary
-  /// bursts flip ground truth to busy behind the posteriors' back; a
-  /// sensing outage freezes the previous slot's posteriors and re-realizes
-  /// the Eq. (7) access decisions against them (collision budget intact by
-  /// construction). No-op without an enabled plan.
-  void apply_spectrum_faults(std::size_t slot, spectrum::SlotObservation& obs);
-
-  /// Gaussian per-GOP user movement within the deployment's bounding box,
-  /// followed by a topology rebuild (links + nearest-FBS re-association).
-  void move_users(util::Rng& rng);
-
-  Scenario scenario_;  ///< copied: the simulator outlives the caller's config
-  core::SchemeKind kind_;
-  std::size_t run_index_ = 0;  ///< postmortem identity for the flight recorder
-  net::Topology topology_;
-  std::unique_ptr<core::Scheme> scheme_;
-  util::Rng rng_;
-  /// Fault layer (sim/faults.h). The plan is realized once per run from a
-  /// dedicated seed universe; fault_rng_ only ever draws when the plan is
-  /// enabled, so disabled runs are bitwise identical to pre-fault builds.
-  FaultPlan fault_plan_;
-  util::Rng fault_rng_;
-  std::vector<double> last_posteriors_;  ///< frozen under sensing outages
-  std::vector<video::VideoSession> sessions_;
-  std::vector<video::VideoSession> bound_sessions_;
-  /// Populated only under DeliveryModel::kPacket.
-  std::vector<video::PacketStream> packet_streams_;
+  SlotLoop loop_;
   TraceRecorder* trace_ = nullptr;
 };
 
