@@ -90,13 +90,13 @@ struct EngineReport {
   std::size_t handoffs = 0;            ///< mobility re-associations
   std::size_t peak_sessions = 0;       ///< max concurrent sessions seen
   std::size_t idle_slots = 0;          ///< slots served with zero sessions
-  std::size_t max_components = 0;      ///< active-graph component peak
+  std::size_t max_components = 0;      ///< served graph's component peak
   std::size_t completed_gops = 0;      ///< (session, GOP window) readouts
   double mean_psnr = 0.0;              ///< mean delivered GOP PSNR
   std::size_t total_dual_iterations = 0;
   std::size_t graph_cross_checks = 0;  ///< verify_graph passes executed
 
-  /// Decision-latency SLO (nearest-rank percentiles over the engine's
+  /// Decision-latency SLO (nearest-rank percentiles over the run's
   /// allocate calls). Wall-clock: populated only when metrics or tracing
   /// are enabled; JSON/stderr only, never stdout.
   std::int64_t decision_latency_p50_ns = 0;
@@ -147,8 +147,6 @@ class SlotLoop {
     std::size_t depart_slot;  ///< the slot at whose start it leaves
   };
 
-  static constexpr std::size_t kNeverDeparts = static_cast<std::size_t>(-1);
-
   /// `scenario` must be finalized; its users are the initial population.
   /// `horizon` sizes the fault plan. The run's randomness derives only from
   /// scenario.seed and `run_index`.
@@ -168,6 +166,8 @@ class SlotLoop {
   const std::vector<Session>& sessions() const { return sessions_; }
 
  private:
+  static constexpr std::size_t kNeverDeparts = static_cast<std::size_t>(-1);
+
   /// Gaussian per-GOP movement of every user within the deployment's
   /// bounding box, through the incremental topology ops.
   void move_users(util::Rng& rng, EngineReport& report);

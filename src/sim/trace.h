@@ -29,9 +29,9 @@ struct SlotTraceEntry {
   double objective = 0.0;          ///< allocator's Q for the slot
   double upper_bound = 0.0;        ///< Eq. 23 bound (== Q when exact)
   /// Connected components of the slot's interference graph — the shard
-  /// count of the per-component solve (core/shard.h). Derived from the
-  /// topology, so it only moves when mobility rewires coverage. Not part
-  /// of the CSV schema (write_csv is unchanged).
+  /// count of the per-component solve (core/shard.h). The Simulator's
+  /// coverage graph never changes, so the count is constant over its run.
+  /// Not part of the CSV schema (write_csv is unchanged).
   std::size_t components = 0;
   std::vector<UserSlotTrace> users;
 };

@@ -1,12 +1,13 @@
 // Online allocation engine (sim/engine.h): determinism across thread
 // counts, churn accounting, both admission-rejection paths, graph
-// verification, survival of zero-session stretches, and equivalence with
-// the batch Simulator when churn is off. Every run also checks session
-// conservation.
+// verification, survival of zero-session stretches, the scenarios it
+// refuses, and equivalence with the batch Simulator when churn is off.
+// Every run also checks session conservation.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <stdexcept>
 #include <vector>
 
 #include "sim/engine.h"
@@ -194,6 +195,21 @@ TEST(Engine, SurvivesZeroSessionStretches) {
   // The hard invariant is that the engine reached the horizon at all and
   // kept the graph consistent while the population drained to zero.
   EXPECT_EQ(rep.slots, cfg.slots);
+}
+
+TEST(Engine, RejectsScenariosItDoesNotServe) {
+  // Packet delivery, realized accounting and fault profiles run only in
+  // the batch Simulator; the engine refuses them instead of ignoring them.
+  Scenario packet = churn_scenario();
+  packet.delivery = DeliveryModel::kPacket;
+  Scenario realized = churn_scenario();
+  realized.accounting = Accounting::kRealized;
+  Scenario faulty = churn_scenario();
+  faulty.faults.control_loss_rate = 0.1;
+  faulty.finalize();
+  for (const Scenario* s : {&packet, &realized, &faulty}) {
+    EXPECT_THROW(Engine(*s, churn_config(), 0), std::logic_error);
+  }
 }
 
 TEST(Engine, NoChurnMatchesInitialPopulationServing) {
