@@ -11,8 +11,9 @@
 # with the metrics kill switch on or off, so the goldens hold across every
 # CI leg and thread count.
 #
-# Regenerating after an intended output change:
-#   ./build/bench/<name> <ARGS> 2>/dev/null > tests/goldens/<stem>.txt
+# Regenerating after an intended output change (BIN is the bench or
+# example binary in the build tree):
+#   <BIN> <ARGS> 2>/dev/null > tests/goldens/<stem>.txt
 if(NOT DEFINED BIN OR NOT DEFINED GOLDEN OR NOT DEFINED OUT)
   message(FATAL_ERROR "RunGolden.cmake needs -DBIN=, -DGOLDEN=, -DOUT=")
 endif()
@@ -36,5 +37,5 @@ if(NOT diff_rc EQUAL 0)
   message(FATAL_ERROR
           "stdout differs from golden ${GOLDEN}\n${diff_text}\n"
           "If the change is intended, regenerate with:\n"
-          "  ./build/bench/<name> ${ARGS} 2>/dev/null > ${GOLDEN}")
+          "  ${BIN} ${ARGS} 2>/dev/null > ${GOLDEN}")
 endif()
