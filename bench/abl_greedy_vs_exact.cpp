@@ -11,6 +11,7 @@
 
 #include "core/exact.h"
 #include "core/greedy.h"
+#include "core/slot_cache.h"
 #include "net/interference_graph.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -59,7 +60,9 @@ int main(int argc, char** argv) {
     const int instances = 60;
     for (int i = 0; i < instances; ++i) {
       const core::SlotContext ctx = random_context(rng, graph, 6, channels);
-      const core::GreedyResult g = core::greedy_allocate(ctx);
+      core::SlotCache cache;
+      cache.build(ctx);
+      const core::GreedyResult g = core::greedy_allocate(ctx, cache);
       const core::ExactResult e = core::exact_allocate(ctx);
       const double greedy_gain = g.allocation.objective - g.q_empty;
       const double optimal_gain = e.allocation.objective - g.q_empty;

@@ -10,6 +10,7 @@
 #include "common.h"
 
 #include "core/dual_solver.h"
+#include "core/slot_cache.h"
 #include "core/waterfill.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
@@ -56,7 +57,9 @@ int main(int argc, char** argv) {
   opts.record_trace = true;
   opts.initial_lambda = 0.08;  // start visibly away from the optimum
   const std::vector<double> gt = {ctx.total_expected_channels()};
-  const core::DualResult res = core::solve_dual(ctx, gt, opts);
+  core::SlotCache cache;
+  cache.build(ctx);
+  const core::DualResult res = core::solve_dual(ctx, cache, gt, opts);
 
   std::cout << "Fig. 4(a) — convergence of the dual variables (Table I), "
                "single-FBS slot 0\n"
@@ -74,7 +77,7 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   table.print_csv(std::cout, "fig4a");
 
-  const double exact = core::waterfill_solve(ctx, gt).objective;
+  const double exact = core::waterfill_solve(ctx, cache, gt).objective;
   std::cout << "converged: " << (res.converged ? "yes" : "no") << " after "
             << res.iterations << " iterations\n"
             << "dual objective:  " << util::Table::num(res.allocation.objective, 6)

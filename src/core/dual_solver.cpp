@@ -178,33 +178,6 @@ void user_best_responses(const SlotContext& ctx, const SlotCache& cache,
   }
 }
 
-/// Projects the recovered primal point onto the slot budgets: if a resource
-/// is oversubscribed, its shares are scaled down proportionally. (At the
-/// converged prices the violation is at most the subgradient step's
-/// granularity; scaling preserves the assignment and near-optimality.) The
-/// per-FBS sums live in the scratch arena: best-iterate tracking runs this
-/// once per sampled iterate, not once per solve.
-void rescale_to_budgets(const SlotContext& ctx, DualScratch& ds,
-                        SlotAllocation& alloc) {
-  double sum_mbs = 0.0;
-  ds.rescale_sum_fbs.assign(ctx.num_fbs, 0.0);
-  for (std::size_t j = 0; j < ctx.users.size(); ++j) {
-    sum_mbs += alloc.rho_mbs[j];
-    ds.rescale_sum_fbs[ctx.users[j].fbs] += alloc.rho_fbs[j];
-  }
-  const double scale_mbs = sum_mbs > 1.0 ? 1.0 / sum_mbs : 1.0;
-  ds.rescale_scale_fbs.assign(ctx.num_fbs, 1.0);
-  for (std::size_t i = 0; i < ctx.num_fbs; ++i) {
-    if (ds.rescale_sum_fbs[i] > 1.0) {
-      ds.rescale_scale_fbs[i] = 1.0 / ds.rescale_sum_fbs[i];
-    }
-  }
-  for (std::size_t j = 0; j < ctx.users.size(); ++j) {
-    alloc.rho_mbs[j] *= scale_mbs;
-    alloc.rho_fbs[j] *= ds.rescale_scale_fbs[ctx.users[j].fbs];
-  }
-}
-
 /// Primal recovery at `lambda`: best responses with the choices stored,
 /// copied into `alloc`, projected onto the slot budgets, scored. This is
 /// THE scoring function — the periodic best-iterate sampling and the exit
@@ -219,7 +192,7 @@ double recover_primal(const SlotContext& ctx, const SlotCache& cache,
     alloc.rho_mbs[j] = ds.choice_rho_mbs[j];
     alloc.rho_fbs[j] = ds.choice_rho_fbs[j];
   }
-  rescale_to_budgets(ctx, ds, alloc);
+  project_to_budgets(ctx, alloc);
   return slot_objective(ctx, alloc);
 }
 
@@ -267,7 +240,7 @@ double fallback_allocation(const SlotContext& ctx, const SlotCache& cache,
     alloc.rho_mbs[j] = use_mbs ? share : 0.0;
     alloc.rho_fbs[j] = use_mbs ? 0.0 : share;
   }
-  rescale_to_budgets(ctx, ds, alloc);
+  project_to_budgets(ctx, alloc);
   return slot_objective(ctx, alloc);
 }
 
@@ -300,6 +273,40 @@ FallbackCounters& fallback_counters() {
 }
 
 }  // namespace
+
+double price_step(const std::vector<double>& lambda,
+                  const std::vector<double>& sums, double step,
+                  std::vector<double>& next) {
+  for (std::size_t i = 0; i < lambda.size(); ++i) {
+    next[i] = util::pos(lambda[i] - step * (1.0 - sums[i]));
+    FEMTOCR_DCHECK_FINITE(next[i], "dual price diverged mid-iteration");
+  }
+  return util::squared_distance(next, lambda);
+}
+
+/// At the converged prices the violation is at most the subgradient step's
+/// granularity. The per-FBS sums live in the scratch arena: best-iterate
+/// tracking runs this once per sampled iterate, not once per solve.
+void project_to_budgets(const SlotContext& ctx, SlotAllocation& alloc) {
+  DualScratch& ds = slot_scratch().dual;
+  double sum_mbs = 0.0;
+  ds.rescale_sum_fbs.assign(ctx.num_fbs, 0.0);
+  for (std::size_t j = 0; j < ctx.users.size(); ++j) {
+    sum_mbs += alloc.rho_mbs[j];
+    ds.rescale_sum_fbs[ctx.users[j].fbs] += alloc.rho_fbs[j];
+  }
+  const double scale_mbs = sum_mbs > 1.0 ? 1.0 / sum_mbs : 1.0;
+  ds.rescale_scale_fbs.assign(ctx.num_fbs, 1.0);
+  for (std::size_t i = 0; i < ctx.num_fbs; ++i) {
+    if (ds.rescale_sum_fbs[i] > 1.0) {
+      ds.rescale_scale_fbs[i] = 1.0 / ds.rescale_sum_fbs[i];
+    }
+  }
+  for (std::size_t j = 0; j < ctx.users.size(); ++j) {
+    alloc.rho_mbs[j] *= scale_mbs;
+    alloc.rho_fbs[j] *= ds.rescale_scale_fbs[ctx.users[j].fbs];
+  }
+}
 
 DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
                       const std::vector<double>& gt_per_fbs,
@@ -430,12 +437,7 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
     for (std::size_t tau = 0; tau < options.max_iterations; ++tau) {
       user_best_responses(ctx, cache, ds, ds.lambda, /*store_choices=*/false);
 
-      // Eq. (16)/(18)/(19): lambda_i <- [lambda_i - s (1 - sum_j rho_ij)]^+.
-      for (std::size_t i = 0; i < num_prices; ++i) {
-        ds.next[i] = util::pos(ds.lambda[i] - step * (1.0 - ds.sums[i]));
-        FEMTOCR_DCHECK_FINITE(ds.next[i], "dual price diverged mid-iteration");
-      }
-      const double movement = util::squared_distance(ds.next, ds.lambda);
+      const double movement = price_step(ds.lambda, ds.sums, step, ds.next);
       std::swap(ds.lambda, ds.next);
       if (options.record_trace) result.trace.push_back(ds.lambda);
       ++result.iterations;
@@ -498,7 +500,6 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
   DualRecovery recovery = result.converged ? DualRecovery::kConverged
                                            : DualRecovery::kLastIterate;
   if (!result.converged) {
-    result.degraded = true;
     // The headline fix: under an oversized step the orbit's final point
     // can be strictly worse than an earlier one — return the best sampled
     // iterate instead (strict improvement only; ties keep the last
@@ -569,7 +570,7 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
   result.lambda = ds.lambda;
 
   // Exit contracts. A converged solve promises finite cone prices; a
-  // non-converged one reports through `degraded`/`recovery` and the
+  // non-converged one reports through `recovery` and the
   // core.dual.fallback.* counters instead of an over-claiming "converged
   // multiplier" abort (the prices were sanitized above). Every path
   // guarantees a finite, budget-feasible primal point.
@@ -612,14 +613,6 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
   // Every FBS holds its assigned expected channel count; the channel id
   // lists are the caller's to fill (they depend on how gt was produced).
   return result;
-}
-
-DualResult solve_dual(const SlotContext& ctx,
-                      const std::vector<double>& gt_per_fbs,
-                      const DualOptions& options) {
-  SlotCache cache;
-  cache.build(ctx);
-  return solve_dual(ctx, cache, gt_per_fbs, options);
 }
 
 }  // namespace femtocr::core

@@ -9,8 +9,10 @@
 // and broadcasts them. Iterate until sum_i (lambda_i' - lambda_i)^2 <= phi.
 //
 // This mirrors the message flow the paper describes (users -> MBS shares,
-// MBS -> users prices); in-process it is a plain loop. The solver records
-// the full price trace on request — Fig. 4(a) is a direct dump of it.
+// MBS -> users prices); in-process it is a plain loop, and core/protocol.h
+// runs the same price step and budget projection as explicit messages. The
+// solver records the full price trace on request — Fig. 4(a) is a direct
+// dump of it.
 #pragma once
 
 #include <cstddef>
@@ -38,15 +40,15 @@ struct DualOptions {
   bool record_trace = false;    ///< keep lambda(tau) for every tau
 
   /// Warm start: prices from a previous solve (size num_fbs + 1). Beliefs
-  /// and fading drift slowly across slots and adjacent sweep points, so a
-  /// carried price lands near the new optimum and cuts iterations by an
-  /// order of magnitude.
+  /// and fading drift slowly across slots, so a carried price lands near
+  /// the new optimum and cuts iterations by an order of magnitude.
   std::optional<std::vector<double>> warm_start;
-  /// Set by callers that run a warm-start chain (core/scheme.cpp, the
-  /// stress bench): a solve entered without carried prices then counts a
-  /// core.dual.warm_start.miss. When false (default) a priceless solve is
-  /// just a cold solve and counts neither, keeping one-shot callers out of
-  /// the hit-rate denominator. Passing `warm_start` always counts a hit.
+  /// Set by callers that run a warm-start chain (solve_component in
+  /// core/shard.cpp, the stress bench): a solve entered without carried
+  /// prices then counts a core.dual.warm_start.miss. When false (default)
+  /// a priceless solve is just a cold solve and counts neither, keeping
+  /// one-shot callers out of the hit-rate denominator. Passing
+  /// `warm_start` always counts a hit.
   bool warm_start_enabled = false;
 
   /// Graceful-degradation knobs. Every sampled price vector is scored by
@@ -75,7 +77,7 @@ struct DualOptions {
 
 /// How the returned primal point was produced. Anything other than
 /// kConverged means the subgradient did not meet the tolerance and the
-/// result is a graceful-degradation recovery (DualResult::degraded).
+/// result is a graceful-degradation recovery.
 enum class DualRecovery {
   kConverged,    ///< loop met the movement tolerance; recovery at lambda*
   kLastIterate,  ///< non-converged; primal at the final prices
@@ -92,10 +94,7 @@ struct DualResult {
   /// lambda(tau) per iteration when record_trace is set; index 0 is the
   /// initial point.
   std::vector<std::vector<double>> trace;
-  /// True iff the solve exhausted its iteration budget (all attempts) and
-  /// the allocation comes from a degradation path; mirrored by the
-  /// core.dual.fallback.* counters (docs/ROBUSTNESS.md).
-  bool degraded = false;
+  /// Mirrored by the core.dual.fallback.* counters (docs/ROBUSTNESS.md).
   DualRecovery recovery = DualRecovery::kConverged;
   std::size_t retries = 0;      ///< backoff attempts actually taken
 };
@@ -104,19 +103,27 @@ struct SlotCache;
 
 /// Runs the Table I/II subgradient for the given expected channel counts
 /// per FBS (all equal to ctx.total_expected_channels() in the
-/// non-interfering cases; per-allocation G_i in the interfering case).
-/// The returned primal allocation is recovered at the final prices and then
-/// rescaled onto the slot budgets, so it is always feasible.
-DualResult solve_dual(const SlotContext& ctx,
-                      const std::vector<double>& gt_per_fbs,
-                      const DualOptions& options = {});
-
-/// Same solve against a prebuilt per-slot cache (core/slot_cache.h).
-/// Bit-identical to the overload above — the cache holds the exact values
-/// the solver would recompute — but skips the per-call table build, which
-/// is how schemes that solve many times per slot should call it.
+/// non-interfering cases; per-allocation G_i in the interfering case),
+/// against the slot's cache (core/slot_cache.h), which must be built for
+/// `ctx`. The returned primal allocation is recovered at the final prices
+/// and then projected onto the slot budgets, so it is always feasible.
 DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
                       const std::vector<double>& gt_per_fbs,
                       const DualOptions& options = {});
+
+/// Eq. (16)/(18)/(19), the MBS's price step: next_i = [lambda_i -
+/// step (1 - sums_i)]^+, with sums_i resource i's share sum. `next` must
+/// already have lambda's size. Returns the squared price movement that
+/// Table I's stopping rule compares with phi. solve_dual and the
+/// protocol's MbsAgent (core/protocol.h) both step through it.
+double price_step(const std::vector<double>& lambda,
+                  const std::vector<double>& sums, double step,
+                  std::vector<double>& next);
+
+/// Projects a recovered primal point onto the slot budgets: the shares of
+/// every oversubscribed resource are scaled by the reciprocal of their sum,
+/// which keeps the assignment and near-optimality. solve_dual and
+/// run_protocol both recover through it.
+void project_to_budgets(const SlotContext& ctx, SlotAllocation& alloc);
 
 }  // namespace femtocr::core

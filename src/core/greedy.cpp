@@ -173,10 +173,4 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
   return result;
 }
 
-GreedyResult greedy_allocate(const SlotContext& ctx) {
-  SlotCache cache;
-  cache.build(ctx);  // validates the context
-  return greedy_allocate(ctx, cache);
-}
-
 }  // namespace femtocr::core

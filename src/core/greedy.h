@@ -35,16 +35,13 @@ struct GreedyResult {
   double bound_dmax = 0.0;        ///< Theorem 2 bound
 };
 
-/// Runs Table III on the slot context. FBSs with no associated users are
-/// skipped (allocating them channels cannot increase the objective).
-GreedyResult greedy_allocate(const SlotContext& ctx);
-
-/// Same allocation against a prebuilt per-slot cache (core/slot_cache.h),
-/// bit-identical to the overload above. The candidate argmax of each round
-/// evaluates Q(c + e) for the surviving pairs through util::parallel_for
-/// (objective-only solves into an index-addressed buffer, argmax folded
-/// serially in candidate order), so results do not depend on the thread
-/// count.
+/// Runs Table III on the slot context, against the slot's cache
+/// (core/slot_cache.h), which must be built for `ctx`. FBSs with no
+/// associated users are skipped (allocating them channels cannot increase
+/// the objective). The candidate argmax of each round evaluates Q(c + e)
+/// for the surviving pairs through util::parallel_for (objective-only
+/// solves into an index-addressed buffer, argmax folded serially in
+/// candidate order), so results do not depend on the thread count.
 GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache);
 
 }  // namespace femtocr::core

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/waterfill.h"
 #include "util/check.h"
 
 namespace femtocr::core {
@@ -33,11 +32,6 @@ double slot_objective(const SlotContext& ctx, const SlotAllocation& alloc) {
     }
   }
   return q;
-}
-
-double empty_allocation_objective(const SlotContext& ctx) {
-  const std::vector<double> no_channels(ctx.num_fbs, 0.0);
-  return waterfill_solve(ctx, no_channels).objective;
 }
 
 }  // namespace femtocr::core

@@ -29,13 +29,4 @@ double fbs_term(const UserState& u, double rho, double g);
 /// Full objective Q of an allocation (uses allocation.expected_channels).
 double slot_objective(const SlotContext& ctx, const SlotAllocation& alloc);
 
-/// Objective of the best allocation with *no* licensed channels at all:
-/// every user either water-fills the common channel or idles at
-/// S log(W). This is Q(empty) — the baseline the incremental bounds of
-/// Section IV-C measure gains against. Computed exactly (the channel-free
-/// problem is a single-resource water-filling plus a per-user binary
-/// choice that always prefers any positive MBS share over idling only if
-/// it raises S log W; idling equals keeping rho = 0).
-double empty_allocation_objective(const SlotContext& ctx);
-
 }  // namespace femtocr::core

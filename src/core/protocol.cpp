@@ -5,8 +5,6 @@
 #include "core/objective.h"
 #include "core/subproblem.h"
 #include "util/check.h"
-#include "util/mathx.h"
-#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace femtocr::core::protocol {
@@ -55,11 +53,8 @@ PriceBroadcast MbsAgent::on_reports(const std::vector<ShareReport>& reports,
     sums_[user_fbs[k] + 1] += reports[k].rho_fbs;
   }
   next_.resize(lambda_.size());
-  for (std::size_t i = 0; i < lambda_.size(); ++i) {
-    next_[i] =
-        util::pos(lambda_[i] - options_.step_size * (1.0 - sums_[i]));
-  }
-  const double movement = util::squared_distance(next_, lambda_);
+  const double movement =
+      price_step(lambda_, sums_, options_.step_size, next_);
   std::swap(lambda_, next_);
   ++iteration_;
   if (movement <= options_.tolerance) converged_ = true;
@@ -103,23 +98,13 @@ ProtocolResult run_protocol(const SlotContext& ctx,
   // then projection onto the slot budgets.
   SlotAllocation alloc = SlotAllocation::zeros(ctx);
   alloc.expected_channels = gt_per_fbs;
-  double sum_mbs = 0.0;
-  std::vector<double> sum_fbs(ctx.num_fbs, 0.0);
   for (std::size_t j = 0; j < users.size(); ++j) {
     const ShareReport r = users[j].on_broadcast(prices);
     alloc.use_mbs[j] = r.use_mbs;
     alloc.rho_mbs[j] = r.rho_mbs;
     alloc.rho_fbs[j] = r.rho_fbs;
-    sum_mbs += r.rho_mbs;
-    sum_fbs[user_fbs[j]] += r.rho_fbs;
   }
-  const double scale_mbs = sum_mbs > 1.0 ? 1.0 / sum_mbs : 1.0;
-  for (std::size_t j = 0; j < users.size(); ++j) {
-    alloc.rho_mbs[j] *= scale_mbs;
-    if (sum_fbs[user_fbs[j]] > 1.0) {
-      alloc.rho_fbs[j] /= sum_fbs[user_fbs[j]];
-    }
-  }
+  project_to_budgets(ctx, alloc);
   alloc.objective = slot_objective(ctx, alloc);
   alloc.upper_bound = alloc.objective;
   alloc.dual_iterations = result.rounds;
@@ -128,57 +113,6 @@ ProtocolResult run_protocol(const SlotContext& ctx,
   span.arg("rounds", static_cast<double>(result.rounds));
   span.arg("converged", result.converged ? 1.0 : 0.0);
   span.arg("uplink_messages", static_cast<double>(result.uplink_messages));
-  return result;
-}
-
-ShardedProtocolResult run_protocol_sharded(const SlotContext& ctx,
-                                           const ShardPlan& plan,
-                                           const std::vector<double>& gt_per_fbs,
-                                           const DualOptions& options) {
-  util::ScopedSpan span("core.protocol.run_sharded");
-  ctx.validate();
-  FEMTOCR_CHECK(gt_per_fbs.size() == ctx.num_fbs,
-                "need one expected channel count per FBS");
-
-  const std::vector<ComponentProblem> problems =
-      make_component_problems(ctx, plan);
-  ShardedProtocolResult result;
-  result.per_component.resize(problems.size());
-
-  // One exchange per component, concurrently: worker c writes only its own
-  // result slot, folds stay serial in component order below.
-  util::parallel_for(problems.size(), [&](std::size_t c) {
-    const ComponentProblem& p = problems[c];
-    if (p.ctx.users.empty()) {
-      // No users, no exchange: the component contributes a zero allocation
-      // and no signaling.
-      ProtocolResult empty;
-      empty.allocation = SlotAllocation::zeros(p.ctx);
-      empty.converged = true;
-      result.per_component[c] = std::move(empty);
-      return;
-    }
-    std::vector<double> gt_local(p.ctx.num_fbs, 0.0);
-    for (std::size_t i = 0; i < p.global_fbs.size(); ++i) {
-      gt_local[i] = gt_per_fbs[p.global_fbs[i]];
-    }
-    result.per_component[c] = run_protocol(p.ctx, gt_local, options);
-  });
-
-  result.converged = true;
-  std::vector<SlotAllocation> subs;
-  subs.reserve(problems.size());
-  for (const ProtocolResult& r : result.per_component) {
-    result.converged = result.converged && r.converged;
-    result.rounds = std::max(result.rounds, r.rounds);
-    result.uplink_messages += r.uplink_messages;
-    result.downlink_broadcasts += r.downlink_broadcasts;
-    subs.push_back(r.allocation);
-  }
-  result.allocation = fold_component_allocations(ctx, problems, subs);
-  span.arg("components", static_cast<double>(problems.size()));
-  span.arg("rounds", static_cast<double>(result.rounds));
-  span.arg("converged", result.converged ? 1.0 : 0.0);
   return result;
 }
 

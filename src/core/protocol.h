@@ -8,15 +8,17 @@
 // This module runs that exchange with explicit message objects and per-node
 // state — no node touches another's private state — so the distributed
 // claim is demonstrated rather than assumed, and the signaling overhead
-// (messages, broadcast bytes) can be measured. The fixed point equals the
-// centralized solver's optimum (pinned by tests).
+// (messages, broadcast bytes) can be measured. It is a message transport
+// over solve_dual's arithmetic: users answer through solve_user, the MBS
+// updates prices with solve_dual's price_step, and the final recovery uses
+// the same project_to_budgets, so a converged exchange reproduces the
+// in-process solve bit for bit (pinned by tests).
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
 #include "core/dual_solver.h"
-#include "core/shard.h"
 #include "core/types.h"
 
 namespace femtocr::core::protocol {
@@ -52,8 +54,8 @@ class UserAgent {
 };
 
 /// The MBS: collects share reports, updates prices by the projected
-/// subgradient (Eq. 16/18/19), and decides termination by the paper's
-/// price-movement rule.
+/// subgradient (Eq. 16/18/19, price_step), and decides termination by the
+/// paper's price-movement rule.
 class MbsAgent {
  public:
   MbsAgent(std::size_t num_fbs, DualOptions options);
@@ -96,32 +98,5 @@ struct ProtocolResult {
 ProtocolResult run_protocol(const SlotContext& ctx,
                             const std::vector<double>& gt_per_fbs,
                             const DualOptions& options = {});
-
-/// Component-sharded exchange: one independent protocol instance per
-/// connected component of `plan`, each with its own local price vector
-/// [lambda_0^c, lambda_i...] — signaling stays inside the component, so
-/// the rounds of distinct components overlap in time (and run concurrently
-/// here, over util::parallel_for). Results fold in fixed component order
-/// with the same MBS-budget projection as the monolithic recovery
-/// (core/shard.h). `rounds` is the max over components: the slowest
-/// component's exchange bounds the slot's signaling latency.
-struct ShardedProtocolResult {
-  SlotAllocation allocation;  ///< folded, MBS-projected, objective re-evaluated
-  /// Per-component results in plan order; allocations and prices are
-  /// component-local (see ComponentProblem's remaps).
-  std::vector<ProtocolResult> per_component;
-  bool converged = false;  ///< every component's exchange converged
-  std::size_t rounds = 0;  ///< max over components
-  std::size_t uplink_messages = 0;      ///< total across components
-  std::size_t downlink_broadcasts = 0;  ///< total across components
-};
-
-/// Runs one exchange per component of `plan` (components() of ctx.graph).
-/// `gt_per_fbs` is global, as in run_protocol; each component sees its own
-/// slice. Deterministic for any thread count.
-ShardedProtocolResult run_protocol_sharded(const SlotContext& ctx,
-                                           const ShardPlan& plan,
-                                           const std::vector<double>& gt_per_fbs,
-                                           const DualOptions& options = {});
 
 }  // namespace femtocr::core::protocol

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/objective.h"
+#include "core/slot_cache.h"
 #include "core/subproblem.h"
 #include "core/waterfill.h"
 #include "util/check.h"
@@ -58,14 +59,15 @@ void residual_waterfill(const SlotContext& ctx,
 QosPlan qos_solve(const SlotContext& ctx, const std::vector<double>& gt_per_fbs,
                   const std::vector<double>& min_psnr,
                   std::size_t slots_remaining) {
-  ctx.validate();
+  SlotCache cache;
+  cache.build(ctx);  // validates the context
   FEMTOCR_CHECK(min_psnr.size() == ctx.users.size(),
                 "need one quality floor per user");
   FEMTOCR_CHECK(slots_remaining > 0, "need at least the current slot");
 
   QosPlan plan;
   // Assignment from the unconstrained optimum.
-  SlotAllocation base = waterfill_solve(ctx, gt_per_fbs);
+  SlotAllocation base = waterfill_solve(ctx, cache, gt_per_fbs);
 
   // Per-user floor share on the assigned base station: spread the deficit
   // over the remaining slots and convert to a share via the expected

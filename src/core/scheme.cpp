@@ -1,11 +1,9 @@
 #include "core/scheme.h"
 
-#include <algorithm>
+#include <utility>
 
-#include "core/greedy.h"
-#include "core/shard.h"
-#include "core/waterfill.h"
 #include "core/heuristics.h"
+#include "core/shard.h"
 #include "util/check.h"
 
 namespace femtocr::core {
@@ -21,17 +19,7 @@ const char* scheme_name(SchemeKind kind) {
 
 ProposedScheme::ProposedScheme(DualOptions options,
                                bool use_distributed_solver)
-    : options_(std::move(options)),
-      use_distributed_solver_(use_distributed_solver) {}
-
-void ProposedScheme::seed_prices(std::vector<double> lambda) {
-  warm_lambda_ = std::move(lambda);
-  warm_age_ = 0;
-}
-
-const std::vector<double>* ProposedScheme::carried_prices() const {
-  return warm_lambda_.empty() ? nullptr : &warm_lambda_;
-}
+    : options_{use_distributed_solver, std::move(options)} {}
 
 const ShardPlan& ProposedScheme::shard_plan(
     const net::InterferenceGraph& graph) {
@@ -56,68 +44,36 @@ SlotAllocation ProposedScheme::allocate(const SlotContext& ctx) {
   ++shard_warm_age_;
   if (warm_age_ > kMaxWarmAgeSlots) warm_lambda_.clear();
   if (shard_warm_age_ > kMaxWarmAgeSlots) shard_warm_.clear();
-  if (ctx.graph->num_edges() == 0) {
-    // Non-interfering: every FBS reuses all available channels (spatial
-    // reuse); Tables I/II apply and achieve the optimum.
-    std::vector<double> gt(ctx.num_fbs, ctx.total_expected_channels());
-    if (use_distributed_solver_) {
-      DualOptions opts = options_;
-      opts.warm_start_enabled = true;
-      if (warm_lambda_.size() == ctx.num_fbs + 1) {
-        // The staleness sweep above already dropped an over-age carry, so
-        // a surviving shape-matched seed is fresh enough to use.
-        opts.warm_start = warm_lambda_;
-      } else {
-        warm_lambda_.clear();  // shape-mismatched seed
-      }
-      // Fault-injection budget squeeze (sim/faults.h): the solve must land
-      // inside the slot, so an injected cap bounds the subgradient budget
-      // for this slot only — degradation, not abortion, is the contract.
-      if (ctx.solver_iteration_cap > 0) {
-        opts.max_iterations =
-            std::min(opts.max_iterations, ctx.solver_iteration_cap);
-      }
-      DualResult res = solve_dual(ctx, cache_, gt, opts);
-      if (res.converged) {
-        // Only converged prices are worth carrying: a degraded solve's
-        // final prices can sit anywhere in the orbit and would poison the
-        // next slot's seed.
-        warm_lambda_ = res.lambda;
-        warm_age_ = 0;
-      } else {
-        warm_lambda_.clear();
-      }
-      res.allocation.channels.assign(ctx.num_fbs, ctx.available);
-      res.allocation.objective_empty = res.allocation.objective;
-      return res.allocation;
+  // Edgeless slots and connected interfering graphs are solved whole (the
+  // edgeless dual path carries one global price vector); when the graph
+  // splits into several components the slot decomposes and the shard
+  // engine solves the components concurrently (core/shard.h), carrying one
+  // price vector per component fingerprint on the distributed path.
+  const ShardPlan* plan =
+      ctx.graph->num_edges() == 0 ? nullptr : &shard_plan(*ctx.graph);
+  if (plan == nullptr || plan->num_components() <= 1) {
+    // The staleness sweep above already dropped an over-age carry, so a
+    // surviving shape-matched seed is fresh enough to use.
+    ComponentOutcome outcome;
+    SlotAllocation alloc =
+        solve_component(ctx, cache_, options_, &warm_lambda_, outcome);
+    if (outcome.dual_path) {
+      // Only converged prices are worth carrying (outcome.lambda is empty
+      // otherwise): a degraded solve's final prices can sit anywhere in
+      // the orbit and would poison the next slot's seed.
+      warm_lambda_ = std::move(outcome.lambda);
+      if (outcome.converged) warm_age_ = 0;
     }
-    SlotAllocation alloc = waterfill_solve(ctx, cache_, gt);
-    alloc.channels.assign(ctx.num_fbs, ctx.available);
-    alloc.objective_empty = alloc.objective;
     return alloc;
   }
-  // Interfering: Table III greedy channel allocation. With a connected
-  // graph the slot stays one monolithic greedy (prices are not carried —
-  // the inner solver is the exact water-filling); when the graph splits
-  // into several components the slot decomposes and the shard engine
-  // solves the components concurrently (core/shard.h), carrying one price
-  // vector per component fingerprint on the distributed path.
-  const ShardPlan& plan = shard_plan(*ctx.graph);
-  if (plan.num_components() <= 1) {
-    GreedyResult res = greedy_allocate(ctx, cache_);
-    return res.allocation;
-  }
-  ShardOptions shard_options;
-  shard_options.use_distributed_solver = use_distributed_solver_;
-  shard_options.dual = options_;
   // Route each carried price vector to the component that owns its
   // fingerprint. Components whose fingerprint has no carry (membership
   // changed, component is new, last solve did not converge) start cold —
   // never seeded from a same-position or same-count stranger.
-  shard_seed_.resize(plan.num_components());
-  for (std::size_t c = 0; c < plan.num_components(); ++c) {
+  shard_seed_.resize(plan->num_components());
+  for (std::size_t c = 0; c < plan->num_components(); ++c) {
     shard_seed_[c].clear();
-    const ShardPlan::ComponentKey key = plan.key(c);
+    const ShardPlan::ComponentKey key = plan->key(c);
     for (const ShardCarry& carry : shard_warm_) {
       if (carry.key == key) {
         shard_seed_[c] = carry.lambda;
@@ -125,17 +81,17 @@ SlotAllocation ProposedScheme::allocate(const SlotContext& ctx) {
       }
     }
   }
-  ShardResult res = sharded_allocate(ctx, plan, shard_options, &shard_seed_);
-  shard_warm_.resize(plan.num_components());
+  ShardResult res = sharded_allocate(ctx, *plan, options_, &shard_seed_);
+  shard_warm_.resize(plan->num_components());
   for (std::size_t c = 0; c < res.outcomes.size(); ++c) {
-    shard_warm_[c].key = plan.key(c);
+    shard_warm_[c].key = plan->key(c);
     if (res.outcomes[c].dual_path && res.outcomes[c].converged) {
       shard_warm_[c].lambda = std::move(res.outcomes[c].lambda);
     } else {
       shard_warm_[c].lambda.clear();  // never carry a degraded price vector
     }
   }
-  if (use_distributed_solver_) shard_warm_age_ = 0;
+  if (options_.use_distributed_solver) shard_warm_age_ = 0;
   return std::move(res.allocation);
 }
 

@@ -27,11 +27,10 @@ class Scheme {
   virtual std::string name() const = 0;
   virtual SlotAllocation allocate(const SlotContext& ctx) = 0;
 
-  /// Live warm-start plumbing: a scheme that maintains dual prices across
-  /// slots may adopt a seed before its first allocate() (price carry across
-  /// adjacent sweep points — sim/sweeps.h) and expose its current carry for
-  /// the next instance in the chain. Stateless schemes ignore both; the
-  /// base returns nullptr for "nothing carried".
+  /// Hooks for seeding prices into a scheme before its first allocate()
+  /// and reading its carry back out. No library scheme uses them (the
+  /// Proposed scheme's carries stay inside it); they remain because
+  /// perfbench's CheckedScheme forwards both.
   virtual void seed_prices(std::vector<double> /*lambda*/) {}
   virtual const std::vector<double>* carried_prices() const { return nullptr; }
 };
@@ -62,8 +61,6 @@ class ProposedScheme final : public Scheme {
                           bool use_distributed_solver = false);
   std::string name() const override { return "Proposed"; }
   SlotAllocation allocate(const SlotContext& ctx) override;
-  void seed_prices(std::vector<double> lambda) override;
-  const std::vector<double>* carried_prices() const override;
 
  private:
   /// One component's carried prices plus the fingerprint they belong to.
@@ -82,8 +79,7 @@ class ProposedScheme final : public Scheme {
   /// flips by the engine invalidate the cache automatically.
   const ShardPlan& shard_plan(const net::InterferenceGraph& graph);
 
-  DualOptions options_;
-  bool use_distributed_solver_;
+  ShardOptions options_;  ///< solver choice + dual options, every path
   std::vector<double> warm_lambda_;  ///< prices carried across slots
   std::size_t warm_age_ = 0;  ///< allocate() calls since the carry was fresh
   /// Sharded-slot warm prices, fingerprint-keyed (see ShardCarry). Aged

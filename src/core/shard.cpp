@@ -35,52 +35,45 @@ ShardMetrics& shard_metrics() {
   return m;
 }
 
-/// One component's solve: exactly ProposedScheme::allocate's dispatch,
-/// applied to the sub-context — edgeless components take the optimal
-/// water-filling (or the warm-startable subgradient on the distributed
-/// path), interfering components take the Table III greedy. Runs on a
-/// parallel_for worker; everything it touches is component-local (its own
-/// cache, the worker's thread-local scratch arena) or read-only.
-SlotAllocation solve_component(const ComponentProblem& problem,
-                               SlotCache& cache, const ShardOptions& options,
+}  // namespace
+
+SlotAllocation solve_component(const SlotContext& ctx, const SlotCache& cache,
+                               const ShardOptions& options,
                                const std::vector<double>* warm,
                                ComponentOutcome& outcome) {
-  const SlotContext& sub = problem.ctx;
-  if (sub.users.empty()) {
-    // No users, nothing to allocate: zeros is exact (Q == 0, bound == 0).
-    return SlotAllocation::zeros(sub);
-  }
-  cache.build(sub);
-  if (sub.graph->num_edges() == 0) {
-    const std::vector<double> gt(sub.num_fbs, sub.total_expected_channels());
+  if (ctx.graph->num_edges() == 0) {
+    // Every FBS reuses all available channels (spatial reuse); Tables I/II
+    // apply and achieve the optimum.
+    const std::vector<double> gt(ctx.num_fbs, ctx.total_expected_channels());
     if (options.use_distributed_solver) {
       DualOptions opts = options.dual;
       opts.warm_start_enabled = true;
-      if (warm != nullptr && warm->size() == sub.num_fbs + 1) {
+      if (warm != nullptr && warm->size() == ctx.num_fbs + 1) {
         opts.warm_start = *warm;
       }
-      if (sub.solver_iteration_cap > 0) {
+      // Fault-injection budget squeeze (sim/faults.h): the solve must land
+      // inside the slot, so an injected cap bounds the subgradient budget
+      // for this slot only — degradation, not abortion, is the contract.
+      if (ctx.solver_iteration_cap > 0) {
         opts.max_iterations =
-            std::min(opts.max_iterations, sub.solver_iteration_cap);
+            std::min(opts.max_iterations, ctx.solver_iteration_cap);
       }
-      DualResult res = solve_dual(sub, cache, gt, opts);
+      DualResult res = solve_dual(ctx, cache, gt, opts);
       outcome.dual_path = true;
       outcome.converged = res.converged;
       if (res.converged) outcome.lambda = std::move(res.lambda);
-      res.allocation.channels.assign(sub.num_fbs, sub.available);
+      res.allocation.channels.assign(ctx.num_fbs, ctx.available);
       res.allocation.objective_empty = res.allocation.objective;
       return std::move(res.allocation);
     }
-    SlotAllocation alloc = waterfill_solve(sub, cache, gt);
-    alloc.channels.assign(sub.num_fbs, sub.available);
+    SlotAllocation alloc = waterfill_solve(ctx, cache, gt);
+    alloc.channels.assign(ctx.num_fbs, ctx.available);
     alloc.objective_empty = alloc.objective;
     return alloc;
   }
-  GreedyResult res = greedy_allocate(sub, cache);
+  GreedyResult res = greedy_allocate(ctx, cache);
   return std::move(res.allocation);
 }
-
-}  // namespace
 
 ShardPlan ShardPlan::build(const net::InterferenceGraph& graph) {
   ShardPlan plan;
@@ -163,9 +156,10 @@ SlotAllocation fold_component_allocations(
     alloc.dual_iterations += sub.dual_iterations;
   }
   // Each component solved against its own unit MBS budget; the shared slot
-  // can only grant one. Project exactly like run_protocol's primal
-  // recovery: uniform rescale when oversubscribed. The summed upper bound
-  // still dominates — per-component budgets relax the coupled problem.
+  // can only grant one. Project the MBS shares exactly like
+  // project_to_budgets: uniform rescale when oversubscribed. The summed
+  // upper bound still dominates — per-component budgets relax the coupled
+  // problem.
   if (sum_mbs > 1.0) {
     const double scale_mbs = 1.0 / sum_mbs;
     for (double& rho : alloc.rho_mbs) rho *= scale_mbs;
@@ -206,14 +200,20 @@ ShardResult sharded_allocate(
   // ThreadPool contract, deterministic because nesting never changes WHAT
   // is computed.
   std::vector<SlotAllocation> subs(num_components);
-  std::vector<SlotCache> caches(num_components);
   util::parallel_for(num_components, [&](std::size_t c) {
+    const SlotContext& sub = problems[c].ctx;
+    if (sub.users.empty()) {
+      // No users, nothing to allocate: zeros is exact (Q == 0, bound == 0).
+      subs[c] = SlotAllocation::zeros(sub);
+      return;
+    }
+    SlotCache cache;
+    cache.build(sub);
     const std::vector<double>* warm =
         (warm_prices != nullptr && c < warm_prices->size())
             ? &(*warm_prices)[c]
             : nullptr;
-    subs[c] = solve_component(problems[c], caches[c], options, warm,
-                              result.outcomes[c]);
+    subs[c] = solve_component(sub, cache, options, warm, result.outcomes[c]);
   });
 
   result.allocation = fold_component_allocations(ctx, problems, subs);

@@ -8,7 +8,7 @@
 // spatial reuse across components is free), the subproblems are solved
 // concurrently over util::parallel_for, and the sub-allocations are folded
 // back in fixed component order. The fold then projects the MBS shares onto
-// the global budget exactly the way run_protocol's primal recovery does
+// the global budget exactly as project_to_budgets (core/dual_solver.h) does
 // (scale by 1/sum when oversubscribed) and re-evaluates the objective, so
 // the result is always feasible. The folded upper bound is the sum of the
 // per-component bounds, which is a genuine Eq.-(23)-style bound: giving
@@ -116,6 +116,18 @@ struct ShardResult {
   std::size_t max_component_size = 0;
   std::vector<ComponentOutcome> outcomes;  ///< fixed component order
 };
+
+/// One slot's or one component's solve, the dispatch ProposedScheme::allocate
+/// applies to an unsharded slot and sharded_allocate to every component
+/// with users: an edgeless graph takes the optimal water-filling (or, with
+/// use_distributed_solver, the subgradient, seeded from `warm` iff its
+/// size is num_fbs + 1 and capped by ctx.solver_iteration_cap), an
+/// interfering graph takes the Table III greedy. `cache` must be built for
+/// `ctx`; `outcome` reports the dual path's convergence and prices.
+SlotAllocation solve_component(const SlotContext& ctx, const SlotCache& cache,
+                               const ShardOptions& options,
+                               const std::vector<double>* warm,
+                               ComponentOutcome& outcome);
 
 /// Folds per-component sub-allocations (aligned with `problems`) into one
 /// global allocation: shares/channels scatter through the stable remaps,

@@ -14,8 +14,9 @@
 //
 // Bitwise contract: every cached value is the result of the exact
 // expression the solvers previously computed inline (same operands, same
-// operation order), so a cached solve is bit-identical to an uncached one.
-// Figure outputs are pinned on this by the golden-regression tests.
+// operation order), so the cache moves no bit of any solve. Figure outputs
+// are pinned on this by the golden-regression tests. Each solver has one
+// entry point, which takes the built cache; a one-shot caller builds one.
 //
 // Observability: builds are counted under core.slotcache.* (see
 // docs/OBSERVABILITY.md for how to read them against sim.slots).

@@ -681,14 +681,6 @@ SlotAllocation waterfill_evaluate(const SlotContext& ctx,
   return evaluate_assignment(ctx, cache, gt_per_fbs, um.data());
 }
 
-SlotAllocation waterfill_evaluate(const SlotContext& ctx,
-                                  const std::vector<double>& gt_per_fbs,
-                                  const std::vector<bool>& use_mbs) {
-  SlotCache cache;
-  cache.build(ctx);  // validates the context
-  return waterfill_evaluate(ctx, cache, gt_per_fbs, use_mbs);
-}
-
 SlotAllocation waterfill_solve(const SlotContext& ctx, const SlotCache& cache,
                                const std::vector<double>& gt_per_fbs) {
   static util::Counter& c_solves =
@@ -727,13 +719,6 @@ double waterfill_solve_objective(const SlotContext& ctx,
   return hill_climb(ctx, cache, gt_per_fbs, um);
 }
 
-SlotAllocation waterfill_solve(const SlotContext& ctx,
-                               const std::vector<double>& gt_per_fbs) {
-  SlotCache cache;
-  cache.build(ctx);  // validates the context
-  return waterfill_solve(ctx, cache, gt_per_fbs);
-}
-
 SlotAllocation waterfill_solve_exhaustive(
     const SlotContext& ctx, const SlotCache& cache,
     const std::vector<double>& gt_per_fbs) {
@@ -769,13 +754,6 @@ SlotAllocation waterfill_solve_exhaustive(
     um[j] = (best_mask >> j) & 1U;
   }
   return evaluate_assignment(ctx, cache, gt_per_fbs, um.data());
-}
-
-SlotAllocation waterfill_solve_exhaustive(
-    const SlotContext& ctx, const std::vector<double>& gt_per_fbs) {
-  SlotCache cache;
-  cache.build(ctx);  // validates the context
-  return waterfill_solve_exhaustive(ctx, cache, gt_per_fbs);
 }
 
 }  // namespace femtocr::core

@@ -47,15 +47,12 @@ double waterfill_resource_reference(const SlotContext& ctx,
                                     const std::vector<double>& successes,
                                     std::vector<double>& rho_out);
 
-/// Solves the slot problem for given expected channel counts per FBS.
-/// Assignment is found by best-response iteration (tracks and returns the
-/// best objective seen, so cycling cannot degrade the result).
-SlotAllocation waterfill_solve(const SlotContext& ctx,
-                               const std::vector<double>& gt_per_fbs);
-
-/// Same solve against a prebuilt per-slot cache (core/slot_cache.h) —
-/// bit-identical results, no per-call table build. The cache may be shared
-/// read-only by concurrent callers (greedy candidate evaluation).
+/// Solves the slot problem for given expected channel counts per FBS,
+/// against the slot's cache (core/slot_cache.h), which must be built for
+/// `ctx` and may be shared read-only by concurrent callers (greedy
+/// candidate evaluation). Assignment is found by best-response iteration
+/// (tracks and returns the best objective seen, so cycling cannot degrade
+/// the result).
 SlotAllocation waterfill_solve(const SlotContext& ctx, const SlotCache& cache,
                                const std::vector<double>& gt_per_fbs);
 
@@ -70,14 +67,8 @@ double waterfill_solve_objective(const SlotContext& ctx,
 
 /// Water-fills every resource for a FIXED base-station assignment and
 /// returns the completed allocation (objective included). The optimum over
-/// shares given the assignment; used by the KKT certifier and tests.
-SlotAllocation waterfill_evaluate(const SlotContext& ctx,
-                                  const std::vector<double>& gt_per_fbs,
-                                  const std::vector<bool>& use_mbs);
-
-/// Cached-overload of waterfill_evaluate (bit-identical; used by callers
-/// that evaluate many assignments against one slot, e.g. the KKT
-/// certifier's flip tests and core/exact).
+/// shares given the assignment; the KKT certifier's flip tests evaluate
+/// many assignments against one cache.
 SlotAllocation waterfill_evaluate(const SlotContext& ctx,
                                   const SlotCache& cache,
                                   const std::vector<double>& gt_per_fbs,
@@ -85,13 +76,8 @@ SlotAllocation waterfill_evaluate(const SlotContext& ctx,
 
 /// Brute-force reference: enumerates all 2^K base-station assignments and
 /// water-fills each exactly. Guarded to K <= 16. Used by tests and the
-/// exact channel allocator on small instances.
-SlotAllocation waterfill_solve_exhaustive(const SlotContext& ctx,
-                                          const std::vector<double>& gt_per_fbs);
-
-/// Cached-overload of the brute-force reference (bit-identical): the exact
-/// allocator enumerates many channel assignments per slot and shares one
-/// cache across all of them.
+/// exact channel allocator on small instances, which shares one cache
+/// across all the channel assignments of a slot.
 SlotAllocation waterfill_solve_exhaustive(const SlotContext& ctx,
                                           const SlotCache& cache,
                                           const std::vector<double>& gt_per_fbs);

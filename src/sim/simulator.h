@@ -79,18 +79,6 @@ class Simulator {
   /// outlive run()). Pass nullptr to detach.
   void attach_trace(TraceRecorder* recorder) { trace_ = recorder; }
 
-  /// Warm-start plumbing across simulators: seeds the scheme's dual-price
-  /// carry before the first slot (no-op for stateless schemes) and exposes
-  /// whatever the scheme is carrying after run() — nullptr when cold. Used
-  /// by sim::sweep's opt-in price-carry chains (adjacent sweep points drift
-  /// slowly, so the previous point's prices land near the next optimum).
-  void seed_prices(std::vector<double> lambda) {
-    loop_.scheme().seed_prices(std::move(lambda));
-  }
-  const std::vector<double>* final_prices() const {
-    return loop_.scheme().carried_prices();
-  }
-
   const net::Topology& topology() const { return loop_.topology(); }
 
  private:

@@ -11,7 +11,7 @@ namespace femtocr::sim {
 std::vector<SweepRow> sweep(const Scenario& base,
                             const std::vector<double>& xs,
                             const std::function<void(Scenario&, double)>& apply,
-                            std::size_t runs, SweepOptions options) {
+                            std::size_t runs) {
   // Materialize every point's scenario up front (apply is cheap and need
   // not be thread-safe), then fan the whole (point, scheme, run) grid
   // across the pool at once — points near the end of the sweep don't wait
@@ -32,38 +32,13 @@ std::vector<SweepRow> sweep(const Scenario& base,
   constexpr std::size_t kNumSchemes = 3;
   const std::size_t per_point = kNumSchemes * runs;
   std::vector<RunResult> results(xs.size() * per_point);
-  if (options.carry_prices) {
-    // Price-carry mode: the parallel unit is one (scheme, run) chain that
-    // walks the sweep points serially, seeding each simulator with the
-    // previous point's final carried prices. Each chain owns a disjoint
-    // result stride and depends only on (k, r), so the output is still
-    // bitwise identical for any thread count — the chain order is fixed,
-    // only chains interleave.
-    util::parallel_for(kNumSchemes * runs, [&](std::size_t c) {
-      const std::size_t k = c / runs;
-      const std::size_t r = c % runs;
-      std::vector<double> seed;
-      for (std::size_t p = 0; p < xs.size(); ++p) {
-        Simulator sim(scenarios[p], kKinds[k], r);
-        if (!seed.empty()) sim.seed_prices(seed);
-        results[p * per_point + k * runs + r] = sim.run();
-        const std::vector<double>* carried = sim.final_prices();
-        if (carried != nullptr) {
-          seed = *carried;
-        } else {
-          seed.clear();  // cold chain link: don't resurrect older prices
-        }
-      }
-    });
-  } else {
-    util::parallel_for(results.size(), [&](std::size_t i) {
-      const std::size_t p = i / per_point;
-      const std::size_t k = (i % per_point) / runs;
-      const std::size_t r = i % runs;
-      Simulator sim(scenarios[p], kKinds[k], r);
-      results[i] = sim.run();
-    });
-  }
+  util::parallel_for(results.size(), [&](std::size_t i) {
+    const std::size_t p = i / per_point;
+    const std::size_t k = (i % per_point) / runs;
+    const std::size_t r = i % runs;
+    Simulator sim(scenarios[p], kKinds[k], r);
+    results[i] = sim.run();
+  });
 
   std::vector<SweepRow> rows;
   rows.reserve(xs.size());

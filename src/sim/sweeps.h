@@ -20,30 +20,17 @@ struct SweepRow {
   std::vector<SchemeSummary> schemes;  ///< Proposed, H1, H2 order
 };
 
-struct SweepOptions {
-  /// Carry dual prices across adjacent sweep points: chain (scheme, run)
-  /// cells so point p+1's simulator is seeded with point p's final carried
-  /// prices (Simulator::seed_prices / final_prices). Adjacent points drift
-  /// slowly, so the seed lands near the next optimum — the live warm-start
-  /// regime. Only the Proposed scheme on the distributed-solver path has a
-  /// price state; everything else ignores the seed. Off by default: the
-  /// figure benches keep the historical fully-independent grid.
-  bool carry_prices = false;
-};
-
 /// Runs `runs` simulations of all three schemes for every knob value,
 /// fanning the whole (point, scheme, run) grid across the replication
 /// engine (util::parallel_for; thread count from util::default_threads()).
 /// Output is bitwise identical for any thread count — see the seeding
-/// contract in sim/experiment.h; with `carry_prices` the parallel unit is
-/// the (scheme, run) chain walking the points serially, which preserves
-/// the same invariance. `apply` mutates a copy of the base scenario for
-/// the given knob value (and must leave it finalized); it is invoked
-/// serially, before the fan-out.
+/// contract in sim/experiment.h. `apply` mutates a copy of the base
+/// scenario for the given knob value (and must leave it finalized); it is
+/// invoked serially, before the fan-out.
 std::vector<SweepRow> sweep(const Scenario& base,
                             const std::vector<double>& xs,
                             const std::function<void(Scenario&, double)>& apply,
-                            std::size_t runs = 10, SweepOptions options = {});
+                            std::size_t runs = 10);
 
 /// Prints the standard figure table: one row per sweep point with
 /// mean +/- 95% CI per scheme; adds the upper-bound column when

@@ -102,7 +102,8 @@ TEST(Kkt, CertifiesTheWaterfillOptimum) {
   for (int trial = 0; trial < 10; ++trial) {
     auto f = test::random_context(rng, 5, 2, 3);
     const std::vector<double> gt(2, f.ctx.total_expected_channels());
-    const core::SlotAllocation a = core::waterfill_solve(f.ctx, gt);
+    const core::SlotAllocation a =
+        core::waterfill_solve(f.ctx, test::cache_for(f.ctx), gt);
     const core::KktReport r = core::check_kkt(f.ctx, gt, a);
     EXPECT_TRUE(r.optimal(1e-4))
         << "trial " << trial << ": stationarity " << r.stationarity_residual
@@ -115,7 +116,8 @@ TEST(Kkt, FlagsAPerturbedAllocation) {
   util::Rng rng(1607);
   auto f = test::random_context(rng, 4, 1, 3);
   const std::vector<double> gt = {f.ctx.total_expected_channels()};
-  core::SlotAllocation a = core::waterfill_solve(f.ctx, gt);
+  core::SlotAllocation a =
+      core::waterfill_solve(f.ctx, test::cache_for(f.ctx), gt);
   // Steal half of the largest positive share on whichever side holds it:
   // the resource's water levels now disagree.
   std::size_t victim = 0;
@@ -153,7 +155,7 @@ TEST(Kkt, FlagsABadAssignment) {
   const std::vector<double> gt = {0.2};  // licensed side nearly worthless
   std::vector<bool> all_fbs(4, false);
   const core::SlotAllocation forced =
-      core::waterfill_evaluate(f.ctx, gt, all_fbs);
+      core::waterfill_evaluate(f.ctx, test::cache_for(f.ctx), gt, all_fbs);
   const core::KktReport r = core::check_kkt(f.ctx, gt, forced);
   EXPECT_GT(r.assignment_regret, 1e-3);
 }
@@ -162,7 +164,8 @@ TEST(Kkt, FlagsBudgetViolations) {
   util::Rng rng(1619);
   auto f = test::random_context(rng, 3, 1, 2);
   const std::vector<double> gt = {f.ctx.total_expected_channels()};
-  core::SlotAllocation a = core::waterfill_solve(f.ctx, gt);
+  core::SlotAllocation a =
+      core::waterfill_solve(f.ctx, test::cache_for(f.ctx), gt);
   for (std::size_t j = 0; j < 3; ++j) a.rho_fbs[j] += 0.5;
   const core::KktReport r = core::check_kkt(f.ctx, gt, a);
   EXPECT_GT(r.budget_violation, 0.4);

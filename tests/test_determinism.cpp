@@ -99,42 +99,6 @@ TEST(Determinism, SweepBitwiseIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(Determinism, PriceCarrySweepBitwiseIdenticalAcrossThreadCounts) {
-  // The warm-start chain mode (SweepOptions::carry_prices): the parallel
-  // unit becomes one (scheme, run) chain walking the sweep points
-  // serially, so the carried dual prices depend only on the chain — the
-  // output must stay bitwise identical for threads 1/2/8. The scenario
-  // runs the distributed solver so the Proposed chain actually carries
-  // prices rather than trivially staying cold.
-  ThreadDefaultGuard guard;
-  sim::Scenario base = small_scenario();
-  base.use_distributed_solver = true;
-  base.dual.max_iterations = 20000;
-  base.finalize();
-  const std::vector<double> xs = {0.4, 0.5, 0.6};
-  const auto apply = [](sim::Scenario& s, double eta) {
-    s.set_utilization(eta);
-    s.finalize();
-  };
-  constexpr std::size_t kRuns = 3;
-  const sim::SweepOptions carry{/*carry_prices=*/true};
-
-  util::set_default_threads(1);
-  const auto reference = sim::sweep(base, xs, apply, kRuns, carry);
-
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    util::set_default_threads(threads);
-    const auto rows = sim::sweep(base, xs, apply, kRuns, carry);
-    ASSERT_EQ(rows.size(), reference.size()) << "threads=" << threads;
-    for (std::size_t p = 0; p < rows.size(); ++p) {
-      ASSERT_EQ(rows[p].schemes.size(), reference[p].schemes.size());
-      for (std::size_t k = 0; k < rows[p].schemes.size(); ++k) {
-        expect_summary_identical(rows[p].schemes[k], reference[p].schemes[k]);
-      }
-    }
-  }
-}
-
 TEST(Determinism, RunAllSchemesBitwiseIdenticalAcrossThreadCounts) {
   ThreadDefaultGuard guard;
   const sim::Scenario scenario = small_scenario();

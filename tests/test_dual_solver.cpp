@@ -28,8 +28,8 @@ TEST(DualSolver, ConvergesToWaterfillOptimumSingleFbs) {
   for (int trial = 0; trial < 10; ++trial) {
     auto f = test::random_context(rng, 3, 1, 3);
     const std::vector<double> gt = {f.ctx.total_expected_channels()};
-    const DualResult d = solve_dual(f.ctx, gt, tuned());
-    const SlotAllocation w = waterfill_solve(f.ctx, gt);
+    const DualResult d = solve_dual(f.ctx, test::cache_for(f.ctx), gt, tuned());
+    const SlotAllocation w = waterfill_solve(f.ctx, test::cache_for(f.ctx), gt);
     EXPECT_TRUE(d.converged) << "trial " << trial;
     // The subgradient's fixed step leaves a small primal gap; the two
     // solvers must agree to within a fraction of a percent of objective.
@@ -44,8 +44,8 @@ TEST(DualSolver, ConvergesMultiFbsNonInterfering) {
   for (int trial = 0; trial < 6; ++trial) {
     auto f = test::random_context(rng, 6, 3, 4);
     const std::vector<double> gt(3, f.ctx.total_expected_channels());
-    const DualResult d = solve_dual(f.ctx, gt, tuned());
-    const SlotAllocation w = waterfill_solve(f.ctx, gt);
+    const DualResult d = solve_dual(f.ctx, test::cache_for(f.ctx), gt, tuned());
+    const SlotAllocation w = waterfill_solve(f.ctx, test::cache_for(f.ctx), gt);
     EXPECT_TRUE(d.converged);
     EXPECT_NEAR(d.allocation.objective, w.objective,
                 5e-3 * std::abs(w.objective));
@@ -59,7 +59,7 @@ TEST(DualSolver, PrimalIsAlwaysFeasible) {
     const std::vector<double> gt(2, f.ctx.total_expected_channels());
     DualOptions o = tuned();
     o.max_iterations = 50;  // even far from convergence
-    const DualResult d = solve_dual(f.ctx, gt, o);
+    const DualResult d = solve_dual(f.ctx, test::cache_for(f.ctx), gt, o);
     EXPECT_TRUE(d.allocation.feasible(f.ctx));
   }
 }
@@ -70,7 +70,7 @@ TEST(DualSolver, Theorem1BinaryAssignment) {
   util::Rng rng(521);
   auto f = test::random_context(rng, 6, 2, 3);
   const std::vector<double> gt(2, f.ctx.total_expected_channels());
-  const DualResult d = solve_dual(f.ctx, gt, tuned());
+  const DualResult d = solve_dual(f.ctx, test::cache_for(f.ctx), gt, tuned());
   for (std::size_t j = 0; j < 6; ++j) {
     if (d.allocation.use_mbs[j]) {
       EXPECT_DOUBLE_EQ(d.allocation.rho_fbs[j], 0.0);
@@ -86,7 +86,8 @@ TEST(DualSolver, TraceIsRecordedAndSettles) {
   DualOptions o = tuned();
   o.record_trace = true;
   const DualResult d =
-      solve_dual(f.ctx, {f.ctx.total_expected_channels()}, o);
+      solve_dual(f.ctx, test::cache_for(f.ctx),
+                 {f.ctx.total_expected_channels()}, o);
   ASSERT_EQ(d.trace.size(), d.iterations + 1);  // initial point included
   ASSERT_EQ(d.trace.front().size(), 2u);        // lambda_0, lambda_1
   // Later iterates move less than early ones (convergent trace).
@@ -105,10 +106,11 @@ TEST(DualSolver, WarmStartCutsIterations) {
   util::Rng rng(541);
   auto f = test::random_context(rng, 4, 1, 3);
   const std::vector<double> gt = {f.ctx.total_expected_channels()};
-  const DualResult cold = solve_dual(f.ctx, gt, tuned());
+  const DualResult cold =
+      solve_dual(f.ctx, test::cache_for(f.ctx), gt, tuned());
   DualOptions warm = tuned();
   warm.warm_start = cold.lambda;
-  const DualResult hot = solve_dual(f.ctx, gt, warm);
+  const DualResult hot = solve_dual(f.ctx, test::cache_for(f.ctx), gt, warm);
   EXPECT_TRUE(hot.converged);
   EXPECT_LT(hot.iterations, cold.iterations / 2);
   // Both stop inside the oscillation floor around the optimum; their
@@ -124,11 +126,14 @@ TEST(DualSolver, RejectsBadOptions) {
   const std::vector<double> gt = {1.0};
   DualOptions o;
   o.step_size = 0.0;
-  EXPECT_THROW(solve_dual(f.ctx, gt, o), std::logic_error);
+  EXPECT_THROW(solve_dual(f.ctx, test::cache_for(f.ctx), gt, o),
+               std::logic_error);
   DualOptions bad_warm = tuned();
   bad_warm.warm_start = std::vector<double>{1.0, 2.0, 3.0};  // wrong size
-  EXPECT_THROW(solve_dual(f.ctx, gt, bad_warm), std::logic_error);
-  EXPECT_THROW(solve_dual(f.ctx, {1.0, 2.0}, tuned()), std::logic_error);
+  EXPECT_THROW(solve_dual(f.ctx, test::cache_for(f.ctx), gt, bad_warm),
+               std::logic_error);
+  EXPECT_THROW(solve_dual(f.ctx, test::cache_for(f.ctx), {1.0, 2.0}, tuned()),
+               std::logic_error);
 }
 
 TEST(DualSolver, OversizedStepDoesNotConverge) {
@@ -141,9 +146,9 @@ TEST(DualSolver, OversizedStepDoesNotConverge) {
   o.step_size = 0.05;  // ~2x the optimal price scale
   o.max_iterations = 5000;
   const DualResult d =
-      solve_dual(f.ctx, {f.ctx.total_expected_channels()}, o);
+      solve_dual(f.ctx, test::cache_for(f.ctx),
+                 {f.ctx.total_expected_channels()}, o);
   EXPECT_FALSE(d.converged);
-  EXPECT_TRUE(d.degraded);
   EXPECT_NE(d.recovery, DualRecovery::kConverged);
   EXPECT_TRUE(d.allocation.feasible(f.ctx));  // primal still projected
 }
@@ -171,11 +176,13 @@ TEST(DualSolver, BestIterateRecoveryBeatsLastIterate) {
 
     DualOptions last_only = base;
     last_only.track_best_iterate = false;
-    const DualResult last = solve_dual(f.ctx, gt, last_only);
+    const DualResult last =
+        solve_dual(f.ctx, test::cache_for(f.ctx), gt, last_only);
 
     DualOptions tracked = base;
     tracked.track_best_iterate = true;
-    const DualResult best = solve_dual(f.ctx, gt, tracked);
+    const DualResult best =
+        solve_dual(f.ctx, test::cache_for(f.ctx), gt, tracked);
 
     ASSERT_FALSE(last.converged) << "trial " << trial;
     ASSERT_FALSE(best.converged) << "trial " << trial;
@@ -203,11 +210,10 @@ TEST(DualSolver, TrackingIsInvisibleOnConvergedSolves) {
   on.best_iterate_stride = 8;
   DualOptions off = tuned();
   off.track_best_iterate = false;
-  const DualResult a = solve_dual(f.ctx, gt, on);
-  const DualResult b = solve_dual(f.ctx, gt, off);
+  const DualResult a = solve_dual(f.ctx, test::cache_for(f.ctx), gt, on);
+  const DualResult b = solve_dual(f.ctx, test::cache_for(f.ctx), gt, off);
   ASSERT_TRUE(a.converged);
   ASSERT_TRUE(b.converged);
-  EXPECT_FALSE(a.degraded);
   EXPECT_EQ(a.recovery, DualRecovery::kConverged);
   EXPECT_EQ(a.iterations, b.iterations);
   EXPECT_EQ(a.allocation.objective, b.allocation.objective);  // bitwise
@@ -219,17 +225,16 @@ TEST(DualSolver, TrackingIsInvisibleOnConvergedSolves) {
 
 TEST(DualSolver, TinyIterationBudgetDegradesGracefully) {
   // Regression for the non-convergence exit contract: a squeezed budget
-  // must surface as degraded=true with a feasible, finite recovery — not
-  // as a contract abort about unconverged multipliers.
+  // must surface as a non-converged solve with a feasible, finite
+  // recovery — not as a contract abort about unconverged multipliers.
   util::Rng rng(571);
   auto f = test::random_context(rng, 5, 2, 3);
   const std::vector<double> gt(2, f.ctx.total_expected_channels());
   DualOptions o = tuned();
   o.max_iterations = 2;
   DualResult d;
-  ASSERT_NO_THROW(d = solve_dual(f.ctx, gt, o));
+  ASSERT_NO_THROW(d = solve_dual(f.ctx, test::cache_for(f.ctx), gt, o));
   EXPECT_FALSE(d.converged);
-  EXPECT_TRUE(d.degraded);
   EXPECT_NE(d.recovery, DualRecovery::kConverged);
   EXPECT_TRUE(d.allocation.feasible(f.ctx));
   EXPECT_TRUE(std::isfinite(d.allocation.objective));
@@ -248,9 +253,9 @@ TEST(DualSolver, RetryBackoffRescuesOversizedStep) {
   o.max_retries = 3;
   o.retry_backoff = 0.1;
   const DualResult d =
-      solve_dual(f.ctx, {f.ctx.total_expected_channels()}, o);
+      solve_dual(f.ctx, test::cache_for(f.ctx),
+                 {f.ctx.total_expected_channels()}, o);
   EXPECT_TRUE(d.converged);
-  EXPECT_FALSE(d.degraded);
   EXPECT_GE(d.retries, 1u);
   EXPECT_EQ(d.recovery, DualRecovery::kConverged);
 }
@@ -275,9 +280,8 @@ TEST(DualSolver, FallbackChainReachesGreedy) {
   o.max_iterations = 1;
   o.tolerance = 1e-12;
   o.allow_fallback = true;
-  const DualResult d = solve_dual(f.ctx, {0.0}, o);
+  const DualResult d = solve_dual(f.ctx, test::cache_for(f.ctx), {0.0}, o);
   EXPECT_FALSE(d.converged);
-  EXPECT_TRUE(d.degraded);
   EXPECT_EQ(d.recovery, DualRecovery::kGreedy);
   EXPECT_TRUE(d.allocation.feasible(f.ctx));
   // The slope-heavy user holds nearly the whole slot.
@@ -303,9 +307,8 @@ TEST(DualSolver, FallbackChainFallsThroughToEqual) {
   o.max_iterations = 1;
   o.tolerance = 1e-12;
   o.allow_fallback = true;
-  const DualResult d = solve_dual(f.ctx, {0.0}, o);
+  const DualResult d = solve_dual(f.ctx, test::cache_for(f.ctx), {0.0}, o);
   EXPECT_FALSE(d.converged);
-  EXPECT_TRUE(d.degraded);
   EXPECT_EQ(d.recovery, DualRecovery::kEqual);
   EXPECT_TRUE(d.allocation.feasible(f.ctx));
   EXPECT_NEAR(d.allocation.rho_mbs[0], 0.5, 1e-9);
@@ -318,9 +321,11 @@ TEST(DualSolver, RejectsBadRetryBackoff) {
   DualOptions o = tuned();
   o.max_retries = 2;
   o.retry_backoff = 0.0;
-  EXPECT_THROW(solve_dual(f.ctx, {1.0}, o), std::logic_error);
+  EXPECT_THROW(solve_dual(f.ctx, test::cache_for(f.ctx), {1.0}, o),
+               std::logic_error);
   o.retry_backoff = 1.5;
-  EXPECT_THROW(solve_dual(f.ctx, {1.0}, o), std::logic_error);
+  EXPECT_THROW(solve_dual(f.ctx, test::cache_for(f.ctx), {1.0}, o),
+               std::logic_error);
 }
 
 TEST(DualSolver, WarmStartMissCountingRespectsTheFeatureSwitch) {
@@ -338,18 +343,19 @@ TEST(DualSolver, WarmStartMissCountingRespectsTheFeatureSwitch) {
 
   const std::uint64_t h0 = hits.total();
   const std::uint64_t m0 = misses.total();
-  const DualResult cold = solve_dual(f.ctx, gt, tuned());
+  const DualResult cold =
+      solve_dual(f.ctx, test::cache_for(f.ctx), gt, tuned());
   EXPECT_EQ(hits.total(), h0);
   EXPECT_EQ(misses.total(), m0);
 
   DualOptions chained = tuned();
   chained.warm_start_enabled = true;
-  (void)solve_dual(f.ctx, gt, chained);
+  (void)solve_dual(f.ctx, test::cache_for(f.ctx), gt, chained);
   EXPECT_EQ(hits.total(), h0);
   EXPECT_EQ(misses.total(), m0 + 1);
 
   chained.warm_start = cold.lambda;
-  (void)solve_dual(f.ctx, gt, chained);
+  (void)solve_dual(f.ctx, test::cache_for(f.ctx), gt, chained);
   EXPECT_EQ(hits.total(), h0 + 1);
   EXPECT_EQ(misses.total(), m0 + 1);
 }
@@ -380,9 +386,12 @@ TEST(DualSolver, WarmChainStaysWithinPropertyBound) {
     } else {
       warm_opts.warm_start.reset();
     }
-    const DualResult hot = solve_dual(f.ctx, gt, warm_opts);
-    const DualResult cold = solve_dual(f.ctx, gt, cold_opts);
-    const SlotAllocation e = waterfill_solve_exhaustive(f.ctx, gt);
+    const DualResult hot =
+        solve_dual(f.ctx, test::cache_for(f.ctx), gt, warm_opts);
+    const DualResult cold =
+        solve_dual(f.ctx, test::cache_for(f.ctx), gt, cold_opts);
+    const SlotAllocation e =
+        waterfill_solve_exhaustive(f.ctx, test::cache_for(f.ctx), gt);
     ASSERT_TRUE(hot.converged) << "slot " << slot;
     warm = hot.lambda;
     for (const DualResult* d : {&hot, &cold}) {

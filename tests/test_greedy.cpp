@@ -21,7 +21,7 @@ const std::vector<std::pair<std::size_t, std::size_t>> kPathEdges = {{0, 1},
 TEST(Greedy, SingleFbsGetsEverything) {
   util::Rng rng(601);
   auto f = test::random_context(rng, 3, 1, 4);
-  const GreedyResult r = greedy_allocate(f.ctx);
+  const GreedyResult r = greedy_allocate(f.ctx, test::cache_for(f.ctx));
   // No interference: all four channels to the only FBS.
   ASSERT_EQ(r.allocation.channels.size(), 1u);
   EXPECT_EQ(r.allocation.channels[0].size(), 4u);
@@ -38,7 +38,7 @@ TEST(Greedy, RespectsInterferenceConstraints) {
   util::Rng rng(607);
   for (int trial = 0; trial < 10; ++trial) {
     auto f = test::random_context(rng, 6, 3, 4, kPathEdges);
-    const GreedyResult r = greedy_allocate(f.ctx);
+    const GreedyResult r = greedy_allocate(f.ctx, test::cache_for(f.ctx));
     EXPECT_TRUE(r.allocation.feasible(f.ctx)) << "trial " << trial;
     // Adjacent FBSs share no channel (Lemma 4), checked directly too.
     for (std::size_t m : r.allocation.channels[0]) {
@@ -53,7 +53,7 @@ TEST(Greedy, RespectsInterferenceConstraints) {
 TEST(Greedy, NonAdjacentFbssReuseChannels) {
   util::Rng rng(613);
   auto f = test::random_context(rng, 6, 3, 3, kPathEdges);
-  const GreedyResult r = greedy_allocate(f.ctx);
+  const GreedyResult r = greedy_allocate(f.ctx, test::cache_for(f.ctx));
   // FBS 0 and 2 are independent: with only 3 channels and positive demand
   // everywhere, spatial reuse must appear (both hold every channel FBS 1
   // does not block).
@@ -69,7 +69,7 @@ TEST(Greedy, NonAdjacentFbssReuseChannels) {
 TEST(Greedy, TraceTelescopesToObjective) {
   util::Rng rng(617);
   auto f = test::random_context(rng, 6, 3, 3, kPathEdges);
-  const GreedyResult r = greedy_allocate(f.ctx);
+  const GreedyResult r = greedy_allocate(f.ctx, test::cache_for(f.ctx));
   double sum = r.q_empty;
   for (const auto& s : r.steps) sum += s.delta;
   EXPECT_NEAR(sum, r.allocation.objective, 1e-6);
@@ -84,7 +84,7 @@ TEST(Greedy, DeltasAreDiminishingPerFbs) {
   // non-increasing overall (it always takes the argmax of a shrinking set).
   util::Rng rng(619);
   auto f = test::random_context(rng, 6, 3, 4, kPathEdges);
-  const GreedyResult r = greedy_allocate(f.ctx);
+  const GreedyResult r = greedy_allocate(f.ctx, test::cache_for(f.ctx));
   // Property 1 is "generally true" rather than exact for this objective
   // (assignment flips can locally break submodularity), so allow a small
   // violation margin.
@@ -96,7 +96,7 @@ TEST(Greedy, DeltasAreDiminishingPerFbs) {
 TEST(Exact, MatchesGreedyOnNonInterfering) {
   util::Rng rng(631);
   auto f = test::random_context(rng, 4, 2, 2);
-  const GreedyResult g = greedy_allocate(f.ctx);
+  const GreedyResult g = greedy_allocate(f.ctx, test::cache_for(f.ctx));
   const ExactResult e = exact_allocate(f.ctx);
   EXPECT_NEAR(g.allocation.objective, e.allocation.objective, 1e-6);
 }
@@ -127,7 +127,7 @@ TEST(GreedyVsExact, NearOptimalOnRandomInstances) {
   const int trials = 15;
   for (int trial = 0; trial < trials; ++trial) {
     auto f = test::random_context(rng, 6, 3, 3, kPathEdges);
-    const GreedyResult g = greedy_allocate(f.ctx);
+    const GreedyResult g = greedy_allocate(f.ctx, test::cache_for(f.ctx));
     const ExactResult e = exact_allocate(f.ctx);
     EXPECT_LE(g.allocation.objective, e.allocation.objective + 1e-6);
     const double gap =
@@ -148,7 +148,7 @@ TEST(GreedyVsExact, Theorem2LowerBoundHolds) {
   util::Rng rng(653);
   for (int trial = 0; trial < 15; ++trial) {
     auto f = test::random_context(rng, 6, 3, 3, kPathEdges);
-    const GreedyResult g = greedy_allocate(f.ctx);
+    const GreedyResult g = greedy_allocate(f.ctx, test::cache_for(f.ctx));
     const ExactResult e = exact_allocate(f.ctx);
     const double greedy_gain = g.allocation.objective - g.q_empty;
     const double optimal_gain = e.allocation.objective - g.q_empty;
@@ -178,7 +178,7 @@ TEST(Bounds, UpperBoundFormulas) {
 TEST(Greedy, EmptyAvailableSet) {
   util::Rng rng(659);
   auto f = test::random_context(rng, 4, 2, 0);
-  const GreedyResult r = greedy_allocate(f.ctx);
+  const GreedyResult r = greedy_allocate(f.ctx, test::cache_for(f.ctx));
   EXPECT_TRUE(r.steps.empty());
   EXPECT_NEAR(r.allocation.objective, r.q_empty, 1e-12);
   EXPECT_TRUE(r.allocation.feasible(f.ctx));
@@ -187,7 +187,7 @@ TEST(Greedy, EmptyAvailableSet) {
 TEST(Greedy, SkipsFbssWithoutUsers) {
   util::Rng rng(661);
   auto f = test::random_context(rng, 2, 3, 3, kPathEdges);  // FBS 2 unused
-  const GreedyResult r = greedy_allocate(f.ctx);
+  const GreedyResult r = greedy_allocate(f.ctx, test::cache_for(f.ctx));
   EXPECT_TRUE(r.allocation.channels[2].empty());
 }
 

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/slot_cache.h"
 #include "core/types.h"
 #include "net/interference_graph.h"
 #include "util/rng.h"
@@ -49,6 +50,15 @@ inline ContextFixture random_context(
     f.ctx.users.push_back(u);
   }
   return f;
+}
+
+/// A slot cache built for `ctx`, for the solvers' cached entry points
+/// (core/slot_cache.h). Building it validates the context, as the solvers
+/// rely on; a temporary lives to the end of the call it is passed to.
+inline core::SlotCache cache_for(const core::SlotContext& ctx) {
+  core::SlotCache cache;
+  cache.build(ctx);
+  return cache;
 }
 
 }  // namespace femtocr::test

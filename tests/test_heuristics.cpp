@@ -214,7 +214,8 @@ TEST(Heuristics, ProposedObjectiveDominatesBoth) {
   for (int trial = 0; trial < 20; ++trial) {
     auto f = test::random_context(rng, 6, 2, 3);
     const std::vector<double> gt(2, f.ctx.total_expected_channels());
-    const double optimal = waterfill_solve(f.ctx, gt).objective;
+    const double optimal =
+        waterfill_solve(f.ctx, test::cache_for(f.ctx), gt).objective;
     EXPECT_GE(optimal + 1e-9, heuristic_equal_allocation(f.ctx).objective);
     EXPECT_GE(optimal + 1e-9, heuristic_multiuser_diversity(f.ctx).objective);
   }

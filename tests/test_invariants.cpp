@@ -22,9 +22,11 @@ TEST(Invariants, WaterfillIsPermutationSymmetric) {
   util::Rng rng(1201);
   auto f = test::random_context(rng, 5, 1, 3);
   const std::vector<double> gt = {f.ctx.total_expected_channels()};
-  const double before = core::waterfill_solve(f.ctx, gt).objective;
+  const double before =
+      core::waterfill_solve(f.ctx, test::cache_for(f.ctx), gt).objective;
   std::reverse(f.ctx.users.begin(), f.ctx.users.end());
-  const double after = core::waterfill_solve(f.ctx, gt).objective;
+  const double after =
+      core::waterfill_solve(f.ctx, test::cache_for(f.ctx), gt).objective;
   EXPECT_NEAR(before, after, 1e-9);
 }
 
@@ -36,7 +38,8 @@ TEST(Invariants, ObjectiveScalesWithIdenticalUserCloning) {
   auto f = test::random_context(rng, 2, 1, 3);
   f.ctx.users[1] = f.ctx.users[0];  // clone
   const std::vector<double> gt = {f.ctx.total_expected_channels()};
-  const core::SlotAllocation a = core::waterfill_solve(f.ctx, gt);
+  const core::SlotAllocation a =
+      core::waterfill_solve(f.ctx, test::cache_for(f.ctx), gt);
   if (!a.use_mbs[0] && !a.use_mbs[1]) {
     EXPECT_NEAR(a.rho_fbs[0], a.rho_fbs[1], 1e-6);
   }

@@ -47,7 +47,8 @@ TEST_P(SeededProperty, Theorem1BinaryAssignment) {
   util::Rng rng(GetParam() * 7919);
   auto f = test::random_context(rng, 5, 2, 3);
   const std::vector<double> gt(2, f.ctx.total_expected_channels());
-  const core::SlotAllocation a = core::waterfill_solve(f.ctx, gt);
+  const core::SlotAllocation a =
+      core::waterfill_solve(f.ctx, test::cache_for(f.ctx), gt);
   for (std::size_t j = 0; j < f.ctx.users.size(); ++j) {
     // p*q = 0: a user never splits a slot across both base stations.
     EXPECT_DOUBLE_EQ(a.rho_mbs[j] * a.rho_fbs[j], 0.0);
@@ -93,7 +94,8 @@ TEST_P(SeededProperty, Lemma1ConcavityInShares) {
 TEST_P(SeededProperty, Lemma4InterferenceFeasibility) {
   util::Rng rng(GetParam() * 1299709);
   auto f = random_interfering_context(rng);
-  const core::GreedyResult r = core::greedy_allocate(f.ctx);
+  const core::GreedyResult r =
+      core::greedy_allocate(f.ctx, test::cache_for(f.ctx));
   EXPECT_TRUE(r.allocation.feasible(f.ctx));
   for (std::size_t i = 0; i < f.ctx.num_fbs; ++i) {
     for (std::size_t n : f.ctx.graph->neighbors(i)) {
@@ -111,7 +113,8 @@ TEST_P(SeededProperty, Theorem2BoundOnRandomGraphs) {
   util::Rng rng(GetParam() * 15485863);
   auto f = random_interfering_context(rng);
   if (f.ctx.available.size() > 3 && f.ctx.num_fbs > 3) return;  // keep exact cheap
-  const core::GreedyResult g = core::greedy_allocate(f.ctx);
+  const core::GreedyResult g =
+      core::greedy_allocate(f.ctx, test::cache_for(f.ctx));
   const core::ExactResult e = core::exact_allocate(f.ctx);
   const double greedy_gain = g.allocation.objective - g.q_empty;
   const double optimal_gain = e.allocation.objective - g.q_empty;
@@ -126,7 +129,8 @@ TEST_P(SeededProperty, GreedyNeverBeatsExact) {
   util::Rng rng(GetParam() * 32452843);
   auto f = random_interfering_context(rng);
   if (f.ctx.available.size() > 3 && f.ctx.num_fbs > 3) return;
-  const core::GreedyResult g = core::greedy_allocate(f.ctx);
+  const core::GreedyResult g =
+      core::greedy_allocate(f.ctx, test::cache_for(f.ctx));
   const core::ExactResult e = core::exact_allocate(f.ctx);
   EXPECT_LE(g.allocation.objective, e.allocation.objective + 1e-6);
 }
@@ -209,7 +213,8 @@ TEST_P(SeededProperty, WaterfillSatisfiesKkt) {
   auto f = test::random_context(rng, num_users, num_fbs, 3);
   std::vector<double> gt;
   for (std::size_t i = 0; i < num_fbs; ++i) gt.push_back(rng.uniform(0.3, 3.0));
-  const core::SlotAllocation a = core::waterfill_solve(f.ctx, gt);
+  const core::SlotAllocation a =
+      core::waterfill_solve(f.ctx, test::cache_for(f.ctx), gt);
   const core::KktReport r = core::check_kkt(f.ctx, gt, a);
   EXPECT_TRUE(r.optimal(1e-4))
       << "stationarity " << r.stationarity_residual << " exclusion "
@@ -246,7 +251,8 @@ TEST_P(SeededProperty, MoreChannelsNeverHurt) {
   for (std::size_t used = 0; used <= 4; ++used) {
     double g = 0.0;
     for (std::size_t a = 0; a < used; ++a) g += f.ctx.posterior[a];
-    const double q = core::waterfill_solve(f.ctx, {g}).objective;
+    const double q =
+        core::waterfill_solve(f.ctx, test::cache_for(f.ctx), {g}).objective;
     EXPECT_GE(q, prev - 1e-9);
     prev = q;
   }
@@ -272,8 +278,10 @@ TEST_P(WideSeededProperty, DualRecoveredPrimalNearExhaustiveOptimum) {
   const std::size_t channels = 2 + rng.index(3);
   auto f = test::random_context(rng, users, fbs, channels);
   const std::vector<double> gt(fbs, f.ctx.total_expected_channels());
-  const core::DualResult d = core::solve_dual(f.ctx, gt, core::DualOptions{});
-  const core::SlotAllocation e = core::waterfill_solve_exhaustive(f.ctx, gt);
+  const core::DualResult d =
+      core::solve_dual(f.ctx, test::cache_for(f.ctx), gt, core::DualOptions{});
+  const core::SlotAllocation e =
+      core::waterfill_solve_exhaustive(f.ctx, test::cache_for(f.ctx), gt);
   EXPECT_TRUE(d.allocation.feasible(f.ctx));
   EXPECT_LE(d.allocation.objective, e.objective + 1e-9);
   const double slack = 0.01 * std::max(1.0, std::abs(e.objective));
@@ -287,7 +295,8 @@ TEST_P(WideSeededProperty, GreedyBoundsHoldOnRandomGraphs) {
   // <= 3 channels).
   util::Rng rng(GetParam() * 275604541ull);
   auto f = random_interfering_context(rng);
-  const core::GreedyResult g = core::greedy_allocate(f.ctx);
+  const core::GreedyResult g =
+      core::greedy_allocate(f.ctx, test::cache_for(f.ctx));
   const core::ExactResult e = core::exact_allocate(f.ctx);
   const double greedy_gain = g.allocation.objective - g.q_empty;
   const double optimal_gain = e.allocation.objective - g.q_empty;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/multistage.h"
-#include "core/objective.h"
 #include "core/protocol.h"
 #include "core/waterfill.h"
 #include "test_helpers.h"
@@ -30,7 +29,8 @@ TEST(Protocol, ReachesTheCentralizedOptimum) {
     const protocol::ProtocolResult res =
         protocol::run_protocol(f.ctx, gt, tuned());
     EXPECT_TRUE(res.converged) << "trial " << trial;
-    const SlotAllocation exact = waterfill_solve(f.ctx, gt);
+    const SlotAllocation exact =
+        waterfill_solve(f.ctx, test::cache_for(f.ctx), gt);
     EXPECT_NEAR(res.allocation.objective, exact.objective,
                 5e-3 * std::abs(exact.objective));
     EXPECT_TRUE(res.allocation.feasible(f.ctx));
@@ -38,17 +38,42 @@ TEST(Protocol, ReachesTheCentralizedOptimum) {
 }
 
 TEST(Protocol, MatchesTheInProcessDualSolver) {
-  util::Rng rng(907);
-  auto f = test::random_context(rng, 3, 1, 3);
-  const std::vector<double> gt = {f.ctx.total_expected_channels()};
-  const DualResult central = solve_dual(f.ctx, gt, tuned());
-  const protocol::ProtocolResult distributed =
-      protocol::run_protocol(f.ctx, gt, tuned());
-  // Identical update rule, identical starting point -> identical rounds
-  // and objective.
-  EXPECT_EQ(distributed.rounds, central.iterations);
-  EXPECT_NEAR(distributed.allocation.objective, central.allocation.objective,
-              1e-9);
+  // The protocol transports solve_dual's arithmetic: the same price step,
+  // the same budget projection, the same recovery. Whenever both converge
+  // they must agree bit for bit. The K >= 192 instances at 4 threads take
+  // solve_dual's parallel best-response pass.
+  util::Rng rng(4242);
+  std::size_t compared = 0;
+  auto check = [&](std::size_t users, std::size_t fbs, std::size_t channels) {
+    auto f = test::random_context(rng, users, fbs, channels);
+    const std::vector<double> gt(fbs, f.ctx.total_expected_channels());
+    const DualResult central =
+        solve_dual(f.ctx, test::cache_for(f.ctx), gt, tuned());
+    const protocol::ProtocolResult distributed =
+        protocol::run_protocol(f.ctx, gt, tuned());
+    if (!central.converged || !distributed.converged) return;
+    ++compared;
+    SCOPED_TRACE(testing::Message() << "K=" << users << " N=" << fbs
+                                    << " M=" << channels);
+    EXPECT_EQ(distributed.rounds, central.iterations);
+    EXPECT_EQ(distributed.lambda, central.lambda);
+    EXPECT_EQ(distributed.allocation.use_mbs, central.allocation.use_mbs);
+    EXPECT_EQ(distributed.allocation.rho_mbs, central.allocation.rho_mbs);
+    EXPECT_EQ(distributed.allocation.rho_fbs, central.allocation.rho_fbs);
+    EXPECT_EQ(distributed.allocation.objective, central.allocation.objective);
+  };
+  util::set_default_threads(1);
+  for (int trial = 0; trial < 160; ++trial) {
+    check(2 + rng.index(40), 1 + rng.index(4), 1 + rng.index(6));
+  }
+  EXPECT_GE(compared, 140u);
+  util::set_default_threads(4);
+  compared = 0;
+  check(192, 2, 4);
+  check(200, 3, 5);
+  check(256, 4, 6);
+  EXPECT_GE(compared, 1u);
+  util::set_default_threads(0);
 }
 
 TEST(Protocol, MessageAccounting) {
@@ -88,104 +113,6 @@ TEST(Protocol, RejectsMalformedInput) {
   const protocol::UserAgent agent(0, u, 1.0);
   // Broadcast covering only FBS 0 cannot serve a user of FBS 2.
   EXPECT_THROW(agent.on_broadcast({0, {0.02, 0.03}}), std::logic_error);
-}
-
-TEST(Protocol, ShardedExchangeMatchesHandComposedPerComponentRuns) {
-  // Three isolated FBSs = three components: the sharded exchange must be
-  // exactly one independent run_protocol per component, folded with the
-  // shared-budget projection — composed here by hand, not via the
-  // library's fold.
-  util::Rng rng(937);
-  auto f = test::random_context(rng, 6, 3, 3);
-  const std::vector<double> gt(3, f.ctx.total_expected_channels());
-  const core::ShardPlan plan = core::ShardPlan::build(*f.ctx.graph);
-  ASSERT_EQ(plan.num_components(), 3u);
-
-  const protocol::ShardedProtocolResult sharded =
-      protocol::run_protocol_sharded(f.ctx, plan, gt, tuned());
-
-  SlotAllocation expected = SlotAllocation::zeros(f.ctx);
-  double sum_mbs = 0.0;
-  bool all_converged = true;
-  std::size_t max_rounds = 0;
-  std::size_t uplink = 0;
-  std::size_t downlink = 0;
-  ASSERT_EQ(sharded.per_component.size(), 3u);
-  for (std::size_t i = 0; i < 3; ++i) {
-    core::SlotContext sub;
-    sub.num_fbs = 1;
-    sub.available = f.ctx.available;
-    sub.posterior = f.ctx.posterior;
-    const net::InterferenceGraph sub_graph(1);
-    sub.graph = &sub_graph;
-    std::vector<std::size_t> users;
-    for (std::size_t j = 0; j < f.ctx.users.size(); ++j) {
-      if (f.ctx.users[j].fbs != i) continue;
-      UserState u = f.ctx.users[j];
-      u.fbs = 0;
-      sub.users.push_back(u);
-      users.push_back(j);
-    }
-    const protocol::ProtocolResult solo =
-        protocol::run_protocol(sub, {gt[i]}, tuned());
-    EXPECT_EQ(sharded.per_component[i].converged, solo.converged);
-    EXPECT_EQ(sharded.per_component[i].rounds, solo.rounds);
-    EXPECT_EQ(sharded.per_component[i].lambda, solo.lambda);
-    for (std::size_t k = 0; k < users.size(); ++k) {
-      expected.use_mbs[users[k]] = solo.allocation.use_mbs[k];
-      expected.rho_mbs[users[k]] = solo.allocation.rho_mbs[k];
-      expected.rho_fbs[users[k]] = solo.allocation.rho_fbs[k];
-      sum_mbs += solo.allocation.rho_mbs[k];
-    }
-    expected.channels[i] = solo.allocation.channels[0];
-    expected.expected_channels[i] = solo.allocation.expected_channels[0];
-    expected.upper_bound += solo.allocation.upper_bound;
-    expected.objective_empty += solo.allocation.objective_empty;
-    expected.dual_iterations += solo.allocation.dual_iterations;
-    all_converged = all_converged && solo.converged;
-    max_rounds = std::max(max_rounds, solo.rounds);
-    uplink += solo.uplink_messages;
-    downlink += solo.downlink_broadcasts;
-  }
-  if (sum_mbs > 1.0) {
-    // Reciprocal-multiply to match the library's projection bit for bit.
-    const double scale_mbs = 1.0 / sum_mbs;
-    for (double& rho : expected.rho_mbs) rho *= scale_mbs;
-  }
-  expected.objective = slot_objective(f.ctx, expected);
-
-  EXPECT_EQ(sharded.converged, all_converged);
-  EXPECT_EQ(sharded.rounds, max_rounds);
-  EXPECT_EQ(sharded.uplink_messages, uplink);
-  EXPECT_EQ(sharded.downlink_broadcasts, downlink);
-  EXPECT_EQ(sharded.allocation.use_mbs, expected.use_mbs);
-  EXPECT_EQ(sharded.allocation.rho_mbs, expected.rho_mbs);
-  EXPECT_EQ(sharded.allocation.rho_fbs, expected.rho_fbs);
-  EXPECT_EQ(sharded.allocation.channels, expected.channels);
-  EXPECT_EQ(sharded.allocation.expected_channels, expected.expected_channels);
-  EXPECT_EQ(sharded.allocation.objective, expected.objective);
-  EXPECT_EQ(sharded.allocation.upper_bound, expected.upper_bound);
-  EXPECT_TRUE(sharded.allocation.feasible(f.ctx));
-}
-
-TEST(Protocol, ShardedExchangeBitwiseIdenticalAcrossThreadCounts) {
-  util::Rng rng(941);
-  auto f = test::random_context(rng, 8, 4, 2);
-  const std::vector<double> gt(4, f.ctx.total_expected_channels());
-  const core::ShardPlan plan = core::ShardPlan::build(*f.ctx.graph);
-
-  util::set_default_threads(1);
-  const auto reference = protocol::run_protocol_sharded(f.ctx, plan, gt, tuned());
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    util::set_default_threads(threads);
-    const auto res = protocol::run_protocol_sharded(f.ctx, plan, gt, tuned());
-    EXPECT_EQ(res.allocation.rho_mbs, reference.allocation.rho_mbs);
-    EXPECT_EQ(res.allocation.rho_fbs, reference.allocation.rho_fbs);
-    EXPECT_EQ(res.allocation.objective, reference.allocation.objective);
-    EXPECT_EQ(res.rounds, reference.rounds);
-    EXPECT_EQ(res.uplink_messages, reference.uplink_messages);
-  }
-  util::set_default_threads(0);
 }
 
 // ----------------------------------------------------------- Multistage ----

@@ -23,7 +23,8 @@ TEST(Qos, NoFloorsReducesToTheUnconstrainedOptimum) {
   const QosPlan plan = qos_solve(f.ctx, gt, floors, 5);
   EXPECT_TRUE(plan.floors_met);
   for (double s : plan.floor_shares) EXPECT_DOUBLE_EQ(s, 0.0);
-  const double unconstrained = waterfill_solve(f.ctx, gt).objective;
+  const double unconstrained =
+      waterfill_solve(f.ctx, test::cache_for(f.ctx), gt).objective;
   EXPECT_NEAR(plan.allocation.objective, unconstrained, 1e-6);
 }
 
@@ -85,8 +86,9 @@ TEST(Qos, ObjectiveNeverExceedsUnconstrained) {
       floors.push_back(u.psnr + rng.uniform(0.0, 3.0));
     }
     const QosPlan plan = qos_solve(f.ctx, gt, floors, 3);
-    EXPECT_LE(plan.allocation.objective,
-              waterfill_solve(f.ctx, gt).objective + 1e-6);
+    const double optimum =
+        waterfill_solve(f.ctx, test::cache_for(f.ctx), gt).objective;
+    EXPECT_LE(plan.allocation.objective, optimum + 1e-6);
   }
 }
 

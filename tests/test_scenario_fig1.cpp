@@ -8,6 +8,7 @@
 #include "sim/scenario.h"
 #include "sim/experiment.h"
 #include "sim/simulator.h"
+#include "test_helpers.h"
 #include "video/mgs_model.h"
 
 namespace femtocr::sim {
@@ -67,7 +68,8 @@ TEST(Fig1Scenario, GreedyWithinHalfOfOptimumAsThePaperStates) {
       u.fbs = topo.user(j).fbs;
       ctx.users.push_back(u);
     }
-    const core::GreedyResult g = core::greedy_allocate(ctx);
+    const core::GreedyResult g =
+        core::greedy_allocate(ctx, test::cache_for(ctx));
     const core::ExactResult e = core::exact_allocate(ctx);
     const double greedy_gain = g.allocation.objective - g.q_empty;
     const double optimal_gain = e.allocation.objective - g.q_empty;

@@ -33,7 +33,9 @@ TEST(Scheme, ProposedNonInterferingIsTheExactOptimum) {
   ProposedScheme scheme;
   const SlotAllocation a = scheme.allocate(f.ctx);
   const std::vector<double> gt(2, f.ctx.total_expected_channels());
-  EXPECT_NEAR(a.objective, waterfill_solve(f.ctx, gt).objective, 1e-9);
+  EXPECT_NEAR(a.objective,
+              waterfill_solve(f.ctx, test::cache_for(f.ctx), gt).objective,
+              1e-9);
   EXPECT_TRUE(a.feasible(f.ctx));
   // All channels handed to both (non-interfering spatial reuse).
   EXPECT_EQ(a.channels[0].size(), f.ctx.available.size());

@@ -97,7 +97,7 @@ TEST(WaterfillSolve, FeasibleAndChannelAware) {
     auto f = test::random_context(rng, 6, 2, 4);
     const std::vector<double> gt = {rng.uniform(0.0, 3.0),
                                     rng.uniform(0.0, 3.0)};
-    const SlotAllocation a = waterfill_solve(f.ctx, gt);
+    const SlotAllocation a = waterfill_solve(f.ctx, test::cache_for(f.ctx), gt);
     EXPECT_TRUE(a.feasible(f.ctx));
     EXPECT_EQ(a.expected_channels, gt);
   }
@@ -113,8 +113,10 @@ TEST(WaterfillSolve, MatchesExhaustiveAssignment) {
     auto f = test::random_context(rng, num_users, num_fbs, 3);
     std::vector<double> gt;
     for (std::size_t i = 0; i < num_fbs; ++i) gt.push_back(rng.uniform(0.5, 3.0));
-    const SlotAllocation fast = waterfill_solve(f.ctx, gt);
-    const SlotAllocation exact = waterfill_solve_exhaustive(f.ctx, gt);
+    const SlotAllocation fast =
+        waterfill_solve(f.ctx, test::cache_for(f.ctx), gt);
+    const SlotAllocation exact =
+        waterfill_solve_exhaustive(f.ctx, test::cache_for(f.ctx), gt);
     EXPECT_NEAR(fast.objective, exact.objective, 1e-6)
         << "trial " << trial << ": hill climbing missed the optimum";
   }
@@ -124,9 +126,10 @@ TEST(WaterfillSolve, MonotoneInChannelCount) {
   // More expected channels can never decrease the optimal objective.
   util::Rng rng(421);
   auto f = test::random_context(rng, 4, 1, 3);
-  double prev = waterfill_solve(f.ctx, {0.0}).objective;
+  double prev = waterfill_solve(f.ctx, test::cache_for(f.ctx), {0.0}).objective;
   for (double g = 0.5; g <= 4.0; g += 0.5) {
-    const double cur = waterfill_solve(f.ctx, {g}).objective;
+    const double cur =
+        waterfill_solve(f.ctx, test::cache_for(f.ctx), {g}).objective;
     EXPECT_GE(cur, prev - 1e-9);
     prev = cur;
   }
@@ -135,7 +138,8 @@ TEST(WaterfillSolve, MonotoneInChannelCount) {
 TEST(WaterfillSolve, NoChannelsSendsEveryoneUsefulToMbs) {
   util::Rng rng(431);
   auto f = test::random_context(rng, 3, 1, 0);
-  const SlotAllocation a = waterfill_solve(f.ctx, {0.0});
+  const SlotAllocation a =
+      waterfill_solve(f.ctx, test::cache_for(f.ctx), {0.0});
   // With G = 0 the FBS branch strictly idles; the optimum puts at least one
   // user on the common channel and fills its slot.
   double sum_mbs = 0.0;
@@ -143,23 +147,18 @@ TEST(WaterfillSolve, NoChannelsSendsEveryoneUsefulToMbs) {
   EXPECT_GT(sum_mbs, 0.99);
 }
 
-TEST(WaterfillSolve, EmptyObjectiveMatchesZeroChannelSolve) {
-  util::Rng rng(433);
-  auto f = test::random_context(rng, 4, 2, 3);
-  const double direct = waterfill_solve(f.ctx, {0.0, 0.0}).objective;
-  EXPECT_NEAR(empty_allocation_objective(f.ctx), direct, 1e-12);
-}
-
 TEST(WaterfillSolve, ExhaustiveGuard) {
   util::Rng rng(439);
   auto f = test::random_context(rng, 17, 1, 1);
-  EXPECT_THROW(waterfill_solve_exhaustive(f.ctx, {1.0}), std::logic_error);
+  EXPECT_THROW(waterfill_solve_exhaustive(f.ctx, test::cache_for(f.ctx), {1.0}),
+               std::logic_error);
 }
 
 TEST(WaterfillSolve, RejectsMismatchedGtVector) {
   util::Rng rng(443);
   auto f = test::random_context(rng, 3, 2, 2);
-  EXPECT_THROW(waterfill_solve(f.ctx, {1.0}), std::logic_error);
+  EXPECT_THROW(waterfill_solve(f.ctx, test::cache_for(f.ctx), {1.0}),
+               std::logic_error);
 }
 
 // ------------------------------------------------- differential tier ----
