@@ -1,10 +1,11 @@
 // Shared CLI + wall-clock harness for the figure/ablation bench binaries.
 //
 // Every bench accepts:
-//   --runs=N           replications per experiment cell (default: the
-//                      paper's 10 unless the bench overrides it)
-//   --threads=N        worker threads for the replication engine; 0 = auto
-//                      (FEMTOCR_THREADS env, else hardware concurrency)
+//   --runs=N           replications per experiment cell, N >= 1 (default:
+//                      the paper's 10 unless the bench overrides it)
+//   --threads=N        worker threads for the replication engine, N >= 0;
+//                      0 = auto (FEMTOCR_THREADS env, else hardware
+//                      concurrency)
 //   --metrics-out=FILE dump the process-wide metrics registry as JSON on
 //                      report() (schema: docs/OBSERVABILITY.md, validated
 //                      by tools/metrics_report.py --check)
@@ -51,11 +52,8 @@ class Harness {
         " --trace-out=FILE" + extra_help + ")\n";
     try {
       const util::Args args(argc, argv);
-      runs_ = static_cast<std::size_t>(
-          args.get("runs", static_cast<std::int64_t>(default_runs)));
-      const auto threads =
-          static_cast<std::size_t>(args.get("threads", std::int64_t{0}));
-      util::set_default_threads(threads);
+      runs_ = args.get_count("runs", default_runs, /*min=*/1);
+      util::set_default_threads(args.get_count("threads", 0, /*min=*/0));
       manifest_.threads = util::default_threads();
       metrics_path_ = args.get("metrics-out", std::string());
       trace_path_ = args.get("trace-out", std::string());

@@ -189,6 +189,9 @@ int main(int argc, char** argv) {
   // construction and printing excluded).
   static util::TimerStat& t_solve =
       util::metrics().timer("bench.stress.slot_solve");
+  static util::TimerStat& t_slot = util::metrics().timer("sim.slot");
+  static util::TimerStat& t_allocate =
+      util::metrics().timer("sim.slot.allocate");
   static util::Counter& c_cells = util::metrics().counter("bench.stress.cells");
   static util::Counter& c_solves =
       util::metrics().counter("bench.stress.solves");
@@ -218,14 +221,14 @@ int main(int argc, char** argv) {
           shown_users = f.num_users;
           shown_fbs = f.num_fbs;
         }
-        util::ScopedSpan slot_span("sim.slot");
-        slot_span.arg("run", static_cast<double>(rep));
+        util::Scope slot_scope(t_slot);
+        slot_scope.arg("run", static_cast<double>(rep));
         c_solves.add();
-        const util::ScopedSpan alloc_span("sim.slot.allocate");
+        const util::Scope allocate_scope(t_allocate);
         const core::ShardPlan plan = core::ShardPlan::build(*f.ctx.graph);
         FEMTOCR_CHECK(plan.num_components() > 1,
                       "city deployments must decompose into components");
-        const util::ScopedTimer timer(t_solve);
+        const util::Scope solve_scope(t_solve);
         const core::ShardResult res = core::sharded_allocate(f.ctx, plan);
         sum_objective += res.allocation.objective;
         work += res.num_components;
@@ -266,12 +269,12 @@ int main(int argc, char** argv) {
         for (std::size_t slot = 0; slot < kChainSlots; ++slot) {
           if (slot > 0) drift_fixture(f, drift_rng);
           // The bench drives core::solve_dual directly, so it synthesizes
-          // the simulator's sim.slot / sim.slot.allocate span envelope
+          // the simulator's sim.slot / sim.slot.allocate scope envelope
           // itself; trace tooling then applies the same nesting checks to
           // bench traces as to simulator traces.
-          util::ScopedSpan slot_span("sim.slot");
-          slot_span.arg("slot", static_cast<double>(slot));
-          slot_span.arg("run", static_cast<double>(rep));
+          util::Scope slot_scope(t_slot);
+          slot_scope.arg("slot", static_cast<double>(slot));
+          slot_scope.arg("run", static_cast<double>(rep));
           const std::vector<double> gt(cell.fbs,
                                        f.ctx.total_expected_channels());
           if (warm.size() == cell.fbs + 1) {
@@ -280,9 +283,9 @@ int main(int argc, char** argv) {
             opts.warm_start.reset();
           }
           c_solves.add();
-          const util::ScopedSpan alloc_span("sim.slot.allocate");
+          const util::Scope allocate_scope(t_allocate);
           cache.build(f.ctx);
-          const util::ScopedTimer timer(t_solve);
+          const util::Scope solve_scope(t_solve);
           const core::DualResult res =
               core::solve_dual(f.ctx, cache, gt, opts);
           if (res.converged) {
@@ -296,12 +299,12 @@ int main(int argc, char** argv) {
       } else {
         Fixture f = make_fixture(cell, /*ring=*/true, rep);
         core::SlotCache cache;
-        util::ScopedSpan slot_span("sim.slot");
-        slot_span.arg("run", static_cast<double>(rep));
+        util::Scope slot_scope(t_slot);
+        slot_scope.arg("run", static_cast<double>(rep));
         c_solves.add();
-        const util::ScopedSpan alloc_span("sim.slot.allocate");
+        const util::Scope allocate_scope(t_allocate);
         cache.build(f.ctx);
-        const util::ScopedTimer timer(t_solve);
+        const util::Scope solve_scope(t_solve);
         const core::GreedyResult res = core::greedy_allocate(f.ctx, cache);
         sum_objective += res.allocation.objective;
         work += res.steps.size();

@@ -28,8 +28,7 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
       util::metrics().histogram("core.greedy.bound_gap");
   static util::TimerStat& t_alloc =
       util::metrics().timer("core.greedy.allocate");
-  const util::ScopedTimer timer(t_alloc);
-  const util::ScopedSpan span("core.greedy.allocate");
+  const util::Scope scope(t_alloc);
   c_allocs.add();
 
   // The cache's build() validated the context; re-check only what is not
@@ -82,7 +81,7 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
     }
     gs.tasks.push_back(n_candidates);
     util::parallel_for(gs.tasks.size() - 1, [&](std::size_t t) {
-      const MemoScope scope;
+      const MemoScope memo;
       std::vector<double>& trial = slot_scratch().greedy.trial;
       for (std::size_t k = gs.tasks[t]; k < gs.tasks[t + 1]; ++k) {
         const auto [i, a] = gs.candidates[k];

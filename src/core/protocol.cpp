@@ -64,7 +64,8 @@ PriceBroadcast MbsAgent::on_reports(const std::vector<ShareReport>& reports,
 ProtocolResult run_protocol(const SlotContext& ctx,
                             const std::vector<double>& gt_per_fbs,
                             const DualOptions& options) {
-  util::ScopedSpan span("core.protocol.run");
+  static util::TimerStat& t_run = util::metrics().timer("core.protocol.run");
+  util::Scope scope(t_run);
   ctx.validate();
   FEMTOCR_CHECK(gt_per_fbs.size() == ctx.num_fbs,
                 "need one expected channel count per FBS");
@@ -110,9 +111,9 @@ ProtocolResult run_protocol(const SlotContext& ctx,
   alloc.dual_iterations = result.rounds;
   result.allocation = std::move(alloc);
   result.lambda = std::move(prices.lambda);
-  span.arg("rounds", static_cast<double>(result.rounds));
-  span.arg("converged", result.converged ? 1.0 : 0.0);
-  span.arg("uplink_messages", static_cast<double>(result.uplink_messages));
+  scope.arg("rounds", static_cast<double>(result.rounds));
+  scope.arg("converged", result.converged ? 1.0 : 0.0);
+  scope.arg("uplink_messages", static_cast<double>(result.uplink_messages));
   return result;
 }
 

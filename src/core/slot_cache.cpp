@@ -17,8 +17,7 @@ void SlotCache::build(const SlotContext& ctx) {
       util::metrics().counter("core.slotcache.user_entries");
   static util::TimerStat& t_build =
       util::metrics().timer("core.slotcache.build");
-  const util::ScopedTimer timer(t_build);
-  const util::ScopedSpan span("core.slotcache.build");
+  const util::Scope scope(t_build);
 
   // One validation pass covers the argument contracts the hot paths used
   // to re-check per call (positive PSNR, probability-ranged S, finite

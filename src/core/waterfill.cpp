@@ -687,14 +687,13 @@ SlotAllocation waterfill_solve(const SlotContext& ctx, const SlotCache& cache,
       util::metrics().counter("core.waterfill.solves");
   static util::TimerStat& t_solve =
       util::metrics().timer("core.waterfill.solve");
-  const util::ScopedTimer timer(t_solve);
-  const util::ScopedSpan span("core.waterfill.solve");
+  const util::Scope scope(t_solve);
   c_solves.add();
 
   check_cache_matches(ctx, cache, gt_per_fbs);
   // One memo scope for the climb and the materialisation of its winner,
   // whose resources the climb has already solved.
-  const MemoScope scope;
+  const MemoScope memo;
   std::vector<unsigned char>& um = slot_scratch().assign.use_mbs;
   hill_climb(ctx, cache, gt_per_fbs, um);
   // Re-waterfilling the winning assignment is deterministic, so the
@@ -710,8 +709,7 @@ double waterfill_solve_objective(const SlotContext& ctx,
       util::metrics().counter("core.waterfill.solves");
   static util::TimerStat& t_solve =
       util::metrics().timer("core.waterfill.solve");
-  const util::ScopedTimer timer(t_solve);
-  const util::ScopedSpan span("core.waterfill.solve");
+  const util::Scope scope(t_solve);
   c_solves.add();
 
   check_cache_matches(ctx, cache, gt_per_fbs);

@@ -45,8 +45,7 @@ Engine::Engine(const Scenario& scenario, EngineConfig config,
 
 EngineReport Engine::run() {
   static util::TimerStat& t_run = util::metrics().timer("sim.engine.run");
-  const util::ScopedTimer run_timer(t_run);
-  const util::ScopedSpan run_span("sim.engine.run");
+  const util::Scope scope(t_run);
 
   const EngineReport report =
       loop_.run(config_, loop_.topology().active_graph(), nullptr).report;

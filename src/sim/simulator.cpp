@@ -21,8 +21,7 @@ Simulator::Simulator(const Scenario& scenario,
 RunResult Simulator::run() {
   static util::TimerStat& t_run = util::metrics().timer("sim.run");
   static util::Counter& c_slots = util::metrics().counter("sim.slots");
-  const util::ScopedTimer run_timer(t_run);
-  const util::ScopedSpan run_span("sim.run");
+  const util::Scope scope(t_run);
 
   const Scenario& scenario = loop_.scenario();
   EngineConfig config;  // churn off: the initial population runs to the end
@@ -61,9 +60,6 @@ RunResult Simulator::run() {
   const EngineReport& served = tallies.report;
   result.total_dual_iterations = served.total_dual_iterations;
   result.max_components = served.max_components;
-  result.decision_latency_p50_ns = served.decision_latency_p50_ns;
-  result.decision_latency_p90_ns = served.decision_latency_p90_ns;
-  result.decision_latency_p99_ns = served.decision_latency_p99_ns;
   return result;
 }
 

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -52,13 +51,6 @@ struct RunResult {
   /// deterministic: the coverage graph never changes during a run. Never
   /// printed to stdout.
   std::size_t max_components = 0;
-  /// Per-run decision-latency SLO fold (nearest-rank percentiles over the
-  /// slot allocate latencies). Wall-clock values: populated only when
-  /// metrics or tracing are enabled, exported to JSON/stderr only, and
-  /// never allowed to feed a SchemeSummary or stdout.
-  std::int64_t decision_latency_p50_ns = 0;
-  std::int64_t decision_latency_p90_ns = 0;
-  std::int64_t decision_latency_p99_ns = 0;
 };
 
 class Simulator {

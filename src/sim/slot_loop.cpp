@@ -441,6 +441,7 @@ void SlotLoop::deliver(std::size_t t, const core::SlotContext& ctx,
 SlotTallies SlotLoop::run(const EngineConfig& config,
                           const net::InterferenceGraph& graph,
                           TraceRecorder* trace) {
+  static util::TimerStat& t_slot = util::metrics().timer("sim.slot");
   static util::TimerStat& t_spectrum =
       util::metrics().timer("sim.slot.spectrum");
   static util::TimerStat& t_allocate =
@@ -448,8 +449,6 @@ SlotTallies SlotLoop::run(const EngineConfig& config,
   static util::TimerStat& t_deliver = util::metrics().timer("sim.slot.deliver");
   static util::Histogram& h_gap =
       util::metrics().histogram("sim.slot.bound_gap");
-  static util::Histogram& h_latency =
-      util::metrics().histogram("sim.slot.decision_latency_ns");
 
   util::Rng spectrum_rng = rng_.split(0xA1);
   util::Rng fading_rng = rng_.split(0xB2);
@@ -493,13 +492,12 @@ SlotTallies SlotLoop::run(const EngineConfig& config,
   std::size_t graph_components = graph.components().size();
 
   for (std::size_t t = 0; t < config.slots; ++t) {
-    // The slot span + ring mark open before any slot work so the flight
+    // The slot scope + ring mark open before any slot work so the flight
     // recorder's harvest at the slot boundary sees the whole subtree.
     const std::uint64_t slot_mark = util::trace_slot_mark();
-    std::optional<util::ScopedSpan> slot_span;
-    slot_span.emplace("sim.slot");
-    slot_span->arg("slot", static_cast<double>(t));
-    slot_span->arg("run", static_cast<double>(run_index_));
+    util::Scope slot_scope(t_slot);
+    slot_scope.arg("slot", static_cast<double>(t));
+    slot_scope.arg("run", static_cast<double>(run_index_));
     std::int64_t decision_ns = 0;
 
     // Pedestrian movement + handoff at GOP boundaries (not mid-GOP: block
@@ -525,8 +523,7 @@ SlotTallies SlotLoop::run(const EngineConfig& config,
 
     spectrum::SlotObservation obs;
     {
-      const util::ScopedTimer st(t_spectrum);
-      const util::ScopedSpan sp("sim.slot.spectrum");
+      const util::Scope scope(t_spectrum);
       obs = spectrum.observe_slot(t, spectrum_rng);
     }
     if (fault_plan_.enabled()) apply_spectrum_faults(t, obs);
@@ -554,11 +551,8 @@ SlotTallies SlotLoop::run(const EngineConfig& config,
       const core::SlotContext ctx = make_context(obs, graph, fading_rng, t);
       core::SlotAllocation alloc;
       {
-        // Manual stopwatch instead of a ScopedTimer: the same reading feeds
-        // the timer, the latency histogram, and the per-run SLO fold.
-        const util::ScopedSpan sp("sim.slot.allocate");
-        const bool timed = util::metrics_enabled() || util::trace_enabled();
-        const std::int64_t begin_ns = timed ? util::monotonic_now_ns() : 0;
+        // One reading feeds the timer, the span and the per-run SLO fold.
+        util::Scope scope(t_allocate);
         if (fault_plan_.enabled() && fault_plan_.control_loss(t)) {
           // Control/feedback loss: the coordinator's decision never reaches
           // the base stations this slot, and each falls back to the local
@@ -569,11 +563,9 @@ SlotTallies SlotLoop::run(const EngineConfig& config,
         } else {
           alloc = scheme_->allocate(ctx);
         }
-        if (timed) {
-          decision_ns = util::monotonic_now_ns() - begin_ns;
-          t_allocate.record_ns(decision_ns);
-          h_latency.observe(static_cast<double>(decision_ns));
-          latencies.push_back(decision_ns);
+        if (const auto ns = scope.stop()) {
+          decision_ns = *ns;
+          latencies.push_back(*ns);
         }
       }
 #if FEMTOCR_DCHECK_IS_ON()
@@ -597,8 +589,7 @@ SlotTallies SlotLoop::run(const EngineConfig& config,
         trace_entry.users.resize(sessions_.size());
       }
       {
-        const util::ScopedTimer deliver_timer(t_deliver);
-        const util::ScopedSpan deliver_span("sim.slot.deliver");
+        const util::Scope scope(t_deliver);
         deliver(t, ctx, alloc, obs,
                 trace != nullptr ? &trace_entry : nullptr, tallies);
       }
@@ -619,10 +610,10 @@ SlotTallies SlotLoop::run(const EngineConfig& config,
       gop_bump_sum = 0.0;
     }
 
-    // Close the slot span, then harvest: any anomaly note a fault or
+    // Close the slot scope, then harvest: any anomaly note a fault or
     // solver-fallback site tagged during this slot freezes the slot's span
     // subtree (sim.slot included) into the postmortem pool.
-    slot_span.reset();
+    slot_scope.stop();
     util::SlotPostmortemContext pm;
     pm.run = run_index_;
     pm.slot = t;

@@ -85,6 +85,16 @@ bool Args::get(const std::string& key, bool fallback) const {
                          it->second + "'");
 }
 
+std::size_t Args::get_count(const std::string& key, std::size_t fallback,
+                            std::size_t min) const {
+  const std::int64_t v = get(key, static_cast<std::int64_t>(fallback));
+  if (v < static_cast<std::int64_t>(min)) {
+    throw std::logic_error("--" + key + " must be at least " +
+                           std::to_string(min) + ", got " + std::to_string(v));
+  }
+  return static_cast<std::size_t>(v);
+}
+
 std::vector<std::string> Args::unconsumed() const {
   std::vector<std::string> out;
   for (const auto& [key, used] : consumed_) {

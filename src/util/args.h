@@ -5,6 +5,7 @@
 // external dependencies; order-independent.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -26,6 +27,11 @@ class Args {
   double get(const std::string& key, double fallback) const;
   std::int64_t get(const std::string& key, std::int64_t fallback) const;
   bool get(const std::string& key, bool fallback) const;
+
+  /// Integer getter for a count flag (--runs, --threads): also throws
+  /// std::logic_error, naming the flag, when the value is below `min`.
+  std::size_t get_count(const std::string& key, std::size_t fallback,
+                        std::size_t min) const;
 
   /// Keys present on the command line but never queried via get()/has().
   /// Call after all gets to implement strict unknown-flag rejection.

@@ -17,6 +17,7 @@
 #include "util/log.h"
 #include "util/parallel.h"
 #include "util/thread_annotations.h"
+#include "util/timer.h"
 
 namespace femtocr::util {
 
@@ -25,19 +26,30 @@ namespace metrics_detail {
 std::atomic<int> g_enabled{-1};
 
 bool enabled_slow() {
-  // Same precedence style as FEMTOCR_THREADS: the environment is consulted
-  // once, the first time any metric op runs, and cached; an explicit
-  // set_metrics_enabled() beforehand would already have filled g_enabled.
-  bool on = true;
-  if (const char* env = std::getenv("FEMTOCR_METRICS")) {
-    const std::string_view v(env);
-    if (v == "0" || v == "off" || v == "false" || v == "OFF" || v == "FALSE") {
-      on = false;
-    }
+  return resolve_switch(g_enabled, "FEMTOCR_METRICS", /*fallback=*/true);
+}
+
+int env_switch(const char* var) {
+  const char* env = std::getenv(var);
+  if (env == nullptr) return -1;
+  const std::string_view v(env);
+  if (v == "1" || v == "on" || v == "true" || v == "ON" || v == "TRUE") {
+    return 1;
   }
+  if (v == "0" || v == "off" || v == "false" || v == "OFF" || v == "FALSE") {
+    return 0;
+  }
+  return -1;
+}
+
+bool resolve_switch(std::atomic<int>& flag, const char* var, bool fallback) {
+  // Same precedence style as FEMTOCR_THREADS: the environment is consulted
+  // once, the first time an op needs the switch, and cached; an explicit
+  // set_*_enabled() beforehand would already have filled the flag.
+  const int v = env_switch(var);
   int expected = -1;
-  g_enabled.compare_exchange_strong(expected, on ? 1 : 0);
-  return g_enabled.load(std::memory_order_relaxed) != 0;
+  flag.compare_exchange_strong(expected, v < 0 ? int{fallback} : v);
+  return flag.load(std::memory_order_relaxed) != 0;
 }
 
 std::size_t shard_index() {
@@ -287,7 +299,7 @@ TimerStat& MetricsRegistry::timer(const std::string& name) {
   Impl& im = impl();
   MutexLock lock(im.mutex);
   auto& slot = im.timers[name];
-  if (!slot) slot = std::make_unique<TimerStat>();
+  if (!slot) slot = std::make_unique<TimerStat>(name);
   return *slot;
 }
 
@@ -299,6 +311,37 @@ void MetricsRegistry::reset() {
   for (auto& [name, t] : im.timers) t->reset();
 }
 
+namespace {
+
+/// The nonzero buckets of a folded Histogram / TimerStat bucket vector.
+std::vector<HistogramBucketSnapshot> nonzero_buckets(
+    const std::vector<std::uint64_t>& counts) {
+  std::vector<HistogramBucketSnapshot> out;
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    if (counts[b] == 0) continue;
+    out.push_back({Histogram::bucket_lo(b), Histogram::bucket_hi(b),
+                   counts[b]});
+  }
+  return out;
+}
+
+/// The `"buckets": [...]}` tail shared by histogram and timer entries.
+void write_buckets(std::ostream& os,
+                   const std::vector<HistogramBucketSnapshot>& buckets) {
+  os << ", \"buckets\": [";
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    if (b > 0) os << ", ";
+    os << "{\"lo\": ";
+    metrics_detail::json_number(os, buckets[b].lo);
+    os << ", \"hi\": ";
+    metrics_detail::json_number(os, buckets[b].hi);
+    os << ", \"count\": " << buckets[b].count << '}';
+  }
+  os << "]}";
+}
+
+}  // namespace
+
 MetricsSnapshot MetricsRegistry::snapshot() const {
   Impl& im = impl();
   MutexLock lock(im.mutex);
@@ -309,38 +352,25 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   }
   snap.histograms.reserve(im.histograms.size());
   for (const auto& [name, h] : im.histograms) {
-    HistogramSnapshot hs;
-    hs.count = h->count();
-    hs.sum = h->sum();
-    hs.min = h->min();
-    hs.max = h->max();
-    const std::vector<std::uint64_t> counts = h->bucket_counts();
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      if (counts[b] == 0) continue;
-      hs.buckets.push_back(
-          {Histogram::bucket_lo(b), Histogram::bucket_hi(b), counts[b]});
-    }
-    snap.histograms.emplace_back(name, std::move(hs));
+    snap.histograms.emplace_back(
+        name, HistogramSnapshot{h->count(), h->sum(), h->min(), h->max(),
+                                nonzero_buckets(h->bucket_counts())});
   }
   snap.timers.reserve(im.timers.size());
   for (const auto& [name, t] : im.timers) {
-    TimerSnapshot ts{t->count(), t->total_ns(), t->max_ns(), {}};
-    const std::vector<std::uint64_t> counts = t->bucket_counts();
-    for (std::size_t b = 0; b < counts.size(); ++b) {
-      if (counts[b] == 0) continue;
-      ts.buckets.push_back(
-          {Histogram::bucket_lo(b), Histogram::bucket_hi(b), counts[b]});
-    }
-    snap.timers.emplace_back(name, std::move(ts));
+    snap.timers.emplace_back(
+        name, TimerSnapshot{t->count(), t->total_ns(), t->max_ns(),
+                            nonzero_buckets(t->bucket_counts())});
   }
   return snap;
 }
 
 // ------------------------------------------------------------ JSON export ----
 
-namespace {
+namespace metrics_detail {
 
-void json_escape(std::ostream& os, std::string_view s) {
+void json_string(std::ostream& os, std::string_view s) {
+  os << '"';
   for (const char c : s) {
     switch (c) {
       case '"': os << "\\\""; break;
@@ -357,11 +387,6 @@ void json_escape(std::ostream& os, std::string_view s) {
         }
     }
   }
-}
-
-void json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  json_escape(os, s);
   os << '"';
 }
 
@@ -375,17 +400,47 @@ void json_number(std::ostream& os, double v) {
   }
 }
 
-const char* build_type_string() {
+void write_manifest(std::ostream& os, const MetricsManifest& manifest,
+                    const char* switch_key, bool switch_on) {
 #ifdef FEMTOCR_BUILD_TYPE
-  return FEMTOCR_BUILD_TYPE;
+  const char* build_type = FEMTOCR_BUILD_TYPE;
 #elif defined(NDEBUG)
-  return "optimized";
+  const char* build_type = "optimized";
 #else
-  return "debug";
+  const char* build_type = "debug";
 #endif
+  os << "  \"manifest\": {\n";
+  os << "    \"seed\": " << manifest.seed << ",\n";
+  os << "    \"threads\": " << manifest.threads << ",\n";
+  os << "    \"scheme\": ";
+  json_string(os, manifest.scheme);
+  os << ",\n    \"build_type\": ";
+  json_string(os, build_type);
+  os << ",\n    \"" << switch_key << "\": " << (switch_on ? "true" : "false");
+  os << ",\n    \"git_sha\": ";
+  json_string(os, manifest.git_sha);
+  os << ",\n    \"hostname\": ";
+  json_string(os, manifest.hostname);
+  os << ",\n    \"started_at\": ";
+  json_string(os, manifest.started_at);
+  os << ",\n    \"cli\": ";
+  json_string(os, manifest.cli);
+  os << "\n  },\n";
 }
 
-}  // namespace
+bool write_json_file(const std::string& path, const char* what,
+                     void (*write)(std::ostream&, const MetricsManifest&),
+                     const MetricsManifest& manifest) {
+  std::ofstream out(path);
+  if (!out) {
+    FEMTOCR_LOG_WARN << "cannot open " << what << " output file: " << path;
+    return false;
+  }
+  write(out, manifest);
+  return static_cast<bool>(out);
+}
+
+}  // namespace metrics_detail
 
 MetricsManifest make_metrics_manifest(int argc, const char* const* argv) {
   MetricsManifest m;
@@ -414,28 +469,15 @@ MetricsManifest make_metrics_manifest(int argc, const char* const* argv) {
 }
 
 void write_metrics_json(std::ostream& os, const MetricsManifest& manifest) {
+  using metrics_detail::json_number;
+  using metrics_detail::json_string;
   const MetricsSnapshot snap = metrics().snapshot();
   const auto old_precision =
       os.precision(std::numeric_limits<double>::max_digits10);
 
-  os << "{\n  \"manifest\": {\n";
-  os << "    \"seed\": " << manifest.seed << ",\n";
-  os << "    \"threads\": " << manifest.threads << ",\n";
-  os << "    \"scheme\": ";
-  json_string(os, manifest.scheme);
-  os << ",\n    \"build_type\": ";
-  json_string(os, build_type_string());
-  os << ",\n    \"metrics_enabled\": "
-     << (metrics_enabled() ? "true" : "false");
-  os << ",\n    \"git_sha\": ";
-  json_string(os, manifest.git_sha);
-  os << ",\n    \"hostname\": ";
-  json_string(os, manifest.hostname);
-  os << ",\n    \"started_at\": ";
-  json_string(os, manifest.started_at);
-  os << ",\n    \"cli\": ";
-  json_string(os, manifest.cli);
-  os << "\n  },\n";
+  os << "{\n";
+  metrics_detail::write_manifest(os, manifest, "metrics_enabled",
+                                 metrics_enabled());
 
   os << "  \"counters\": {";
   for (std::size_t i = 0; i < snap.counters.size(); ++i) {
@@ -456,16 +498,7 @@ void write_metrics_json(std::ostream& os, const MetricsManifest& manifest) {
     json_number(os, h.min);
     os << ", \"max\": ";
     json_number(os, h.max);
-    os << ", \"buckets\": [";
-    for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-      if (b > 0) os << ", ";
-      os << "{\"lo\": ";
-      json_number(os, h.buckets[b].lo);
-      os << ", \"hi\": ";
-      json_number(os, h.buckets[b].hi);
-      os << ", \"count\": " << h.buckets[b].count << '}';
-    }
-    os << "]}";
+    write_buckets(os, h.buckets);
   }
   os << (snap.histograms.empty() ? "},\n" : "\n  },\n");
 
@@ -475,16 +508,8 @@ void write_metrics_json(std::ostream& os, const MetricsManifest& manifest) {
     os << (i > 0 ? ",\n    " : "\n    ");
     json_string(os, name);
     os << ": {\"count\": " << t.count << ", \"total_ns\": " << t.total_ns
-       << ", \"max_ns\": " << t.max_ns << ", \"buckets\": [";
-    for (std::size_t b = 0; b < t.buckets.size(); ++b) {
-      if (b > 0) os << ", ";
-      os << "{\"lo\": ";
-      json_number(os, t.buckets[b].lo);
-      os << ", \"hi\": ";
-      json_number(os, t.buckets[b].hi);
-      os << ", \"count\": " << t.buckets[b].count << '}';
-    }
-    os << "]}";
+       << ", \"max_ns\": " << t.max_ns;
+    write_buckets(os, t.buckets);
   }
   os << (snap.timers.empty() ? "}\n" : "\n  }\n");
   os << "}\n";
@@ -493,13 +518,8 @@ void write_metrics_json(std::ostream& os, const MetricsManifest& manifest) {
 
 bool write_metrics_file(const std::string& path,
                         const MetricsManifest& manifest) {
-  std::ofstream out(path);
-  if (!out) {
-    FEMTOCR_LOG_WARN << "cannot open metrics output file: " << path;
-    return false;
-  }
-  write_metrics_json(out, manifest);
-  return static_cast<bool>(out);
+  return metrics_detail::write_json_file(path, "metrics", write_metrics_json,
+                                         manifest);
 }
 
 bool write_metrics_if_requested(const Args& args, int argc,

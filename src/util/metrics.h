@@ -33,7 +33,7 @@
 //   c_iters.add(iterations);
 //
 //   static util::TimerStat& t_solve = util::metrics().timer("core.dual.solve");
-//   util::ScopedTimer timer(t_solve);
+//   util::Scope scope(t_solve);  // util/trace.h: this timer + a same-name span
 #pragma once
 
 #include <atomic>
@@ -42,13 +42,14 @@
 #include <iosfwd>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
-
-#include "util/timer.h"
 
 namespace femtocr::util {
 
 class Args;
+struct MetricsManifest;
 
 /// Number of write shards per metric. Thread ids alias onto shards modulo
 /// this, so correctness never depends on the thread count; 32 covers the
@@ -62,6 +63,30 @@ extern std::atomic<int> g_enabled;
 
 /// Resolves FEMTOCR_METRICS once and caches the result in g_enabled.
 bool enabled_slow();
+
+/// The FEMTOCR_METRICS / FEMTOCR_TRACE switch parser: 1 when `var` holds
+/// 1/on/true, 0 when it holds 0/off/false (either all-lower or all-upper
+/// case), -1 when it is unset or holds anything else.
+int env_switch(const char* var);
+
+/// Fills an unresolved switch from env_switch(var), `fallback` when that is
+/// -1; a runtime set_*_enabled() that got there first wins. Returns the
+/// switch.
+bool resolve_switch(std::atomic<int>& flag, const char* var, bool fallback);
+
+/// The JSON writers shared by the metrics and trace dumps: a quoted,
+/// escaped string; a double (non-finite as null); the run manifest block,
+/// whose `switch_key` field reports the dump's own kill switch.
+void json_string(std::ostream& os, std::string_view s);
+void json_number(std::ostream& os, double v);
+void write_manifest(std::ostream& os, const MetricsManifest& manifest,
+                    const char* switch_key, bool switch_on);
+
+/// Opens `path` and runs `write` into it; logs a warning naming the `what`
+/// dump and returns false on I/O failure instead of throwing.
+bool write_json_file(const std::string& path, const char* what,
+                     void (*write)(std::ostream&, const MetricsManifest&),
+                     const MetricsManifest& manifest);
 
 /// Stable per-thread shard slot in [0, kMetricShards).
 std::size_t shard_index();
@@ -182,12 +207,17 @@ class Histogram {
 /// Accumulated wall-clock statistic: call count, total and max nanoseconds,
 /// plus log-bucketed duration counts (the Histogram bucketer applied to
 /// nanoseconds) so p50/p90/p99 are derivable from any dump. Values are
-/// nondeterministic by nature; they are exported to JSON only.
+/// nondeterministic by nature; they are exported to JSON only. Sites time
+/// a layer through util::Scope (util/trace.h), which also names its span
+/// after the timer.
 class TimerStat {
  public:
-  TimerStat() = default;
+  explicit TimerStat(std::string name) : name_(std::move(name)) {}
   TimerStat(const TimerStat&) = delete;
   TimerStat& operator=(const TimerStat&) = delete;
+
+  /// The registered name; lives as long as the registry (the process).
+  const char* name() const { return name_.c_str(); }
 
   void record_ns(std::int64_t ns) {
     if (!metrics_enabled()) return;
@@ -209,6 +239,7 @@ class TimerStat {
   void reset();
 
  private:
+  std::string name_;
   struct alignas(64) Shard {
     std::atomic<std::uint64_t> count{0};
     std::atomic<std::uint64_t> total_ns{0};
@@ -216,25 +247,6 @@ class TimerStat {
     std::atomic<std::uint64_t> buckets[Histogram::kNumBuckets]{};
   };
   Shard shards_[kMetricShards];
-};
-
-/// RAII wall-clock span feeding a TimerStat. When metrics are disabled at
-/// construction the clock is never read — the kill switch removes even the
-/// two monotonic_now_ns() calls from the hot path.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(TimerStat& stat)
-      : stat_(metrics_enabled() ? &stat : nullptr),
-        start_ns_(stat_ != nullptr ? monotonic_now_ns() : 0) {}
-  ~ScopedTimer() {
-    if (stat_ != nullptr) stat_->record_ns(monotonic_now_ns() - start_ns_);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimerStat* stat_;
-  std::int64_t start_ns_;
 };
 
 // --------------------------------------------------------------- snapshot ----

@@ -1,9 +1,7 @@
 #include "util/trace.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
-#include <fstream>
 #include <iomanip>
 #include <limits>
 #include <map>
@@ -11,8 +9,6 @@
 #include <ostream>
 #include <string_view>
 
-#include "util/log.h"
-#include "util/parallel.h"
 #include "util/thread_annotations.h"
 #include "util/timer.h"
 
@@ -22,31 +18,11 @@ namespace trace_detail {
 
 std::atomic<int> g_enabled{-1};
 
-namespace {
-
-/// True when the FEMTOCR_TRACE value is in the explicit "off" set (shared
-/// by enabled_slow and trace_env_disabled so the two can never disagree).
-bool is_off_value(std::string_view v) {
-  return v == "0" || v == "off" || v == "false" || v == "OFF" || v == "FALSE";
-}
-
-bool is_on_value(std::string_view v) {
-  return v == "1" || v == "on" || v == "true" || v == "ON" || v == "TRUE";
-}
-
-}  // namespace
-
 bool enabled_slow() {
-  // FEMTOCR_METRICS precedence style, but the default is OFF: recording a
-  // span costs two clock reads, so tracing is strictly opt-in (--trace-out
-  // or the environment). Unrecognized values stay off.
-  bool on = false;
-  if (const char* env = std::getenv("FEMTOCR_TRACE")) {
-    on = is_on_value(env);
-  }
-  int expected = -1;
-  g_enabled.compare_exchange_strong(expected, on ? 1 : 0);
-  return g_enabled.load(std::memory_order_relaxed) != 0;
+  // The default is OFF: recording a span costs a ring store per scope, so
+  // tracing is strictly opt-in (--trace-out or the environment).
+  return metrics_detail::resolve_switch(g_enabled, "FEMTOCR_TRACE",
+                                        /*fallback=*/false);
 }
 
 namespace {
@@ -88,7 +64,7 @@ struct TraceEvent {
   std::uint32_t tid = 0;
   std::uint32_t depth = 0;
   std::uint32_t num_args = 0;
-  ScopedSpan::Arg args[kMaxSpanArgs];
+  Scope::Arg args[kMaxSpanArgs];
 };
 
 /// Single-writer span ring plus the owning thread's span-stack depth and
@@ -138,8 +114,7 @@ TraceRegistry& registry() {
   return r;
 }
 
-}  // namespace
-
+/// The calling thread's ring, created and registered on first use.
 ThreadRing* this_thread_ring() {
   thread_local ThreadRing* ring = nullptr;
   if (ring == nullptr) {
@@ -153,6 +128,8 @@ ThreadRing* this_thread_ring() {
   return ring;
 }
 
+}  // namespace
+
 }  // namespace trace_detail
 
 void set_trace_enabled(bool on) {
@@ -160,34 +137,37 @@ void set_trace_enabled(bool on) {
 }
 
 bool trace_env_disabled() {
-  const char* env = std::getenv("FEMTOCR_TRACE");
-  return env != nullptr && trace_detail::is_off_value(env);
+  return metrics_detail::env_switch("FEMTOCR_TRACE") == 0;
 }
 
-// ------------------------------------------------------------------- span ----
+// ------------------------------------------------------------------ scope ----
 
-ScopedSpan::ScopedSpan(const char* name)
-    : ring_(trace_enabled() ? trace_detail::this_thread_ring() : nullptr),
-      name_(name) {
-  if (ring_ == nullptr) return;
-  depth_ = ring_->depth++;
+void Scope::open() {
+  open_ = true;
+  if (trace_enabled()) {
+    ring_ = trace_detail::this_thread_ring();
+    ++ring_->depth;
+  }
   begin_ns_ = monotonic_now_ns();
 }
 
-ScopedSpan::~ScopedSpan() {
-  if (ring_ == nullptr) return;
-  const std::int64_t end_ns = monotonic_now_ns();
+std::int64_t Scope::close() {
+  const std::int64_t ns = monotonic_now_ns() - begin_ns_;
+  open_ = false;
+  timer_.record_ns(ns);  // a no-op with metrics off
+  if (ring_ == nullptr) return ns;
   trace_detail::ThreadRing& r = *ring_;
-  --r.depth;
+  ring_ = nullptr;
   trace_detail::TraceEvent& e = r.events[r.head % r.capacity()];
-  e.name = name_;
+  e.name = timer_.name();
   e.begin_ns = begin_ns_;
-  e.dur_ns = end_ns - begin_ns_;
+  e.dur_ns = ns;
   e.tid = r.tid;
-  e.depth = depth_;
+  e.depth = --r.depth;  // scopes nest strictly: the depth it opened at
   e.num_args = num_args_;
-  for (std::uint32_t i = 0; i < num_args_; ++i) e.args[i] = args_[i];
+  std::copy_n(args_, num_args_, e.args);
   ++r.head;
+  return ns;
 }
 
 // -------------------------------------------------------- flight recorder ----
@@ -285,19 +265,33 @@ std::uint64_t trace_anomalies_total() {
 
 // ------------------------------------------------------- snapshot / export ---
 
-TraceCounts trace_counts() {
-  trace_detail::TraceRegistry& reg = trace_detail::registry();
-  MutexLock lock(reg.mutex);
+namespace {
+
+/// The one fold over the rings, under the registry lock: per-name counts
+/// and drops, with every resident event (tid order) also handed to `visit`.
+template <typename Visit>
+TraceCounts fold_rings(trace_detail::TraceRegistry& reg, Visit&& visit)
+    FEMTOCR_REQUIRES(reg.mutex) {
   std::map<std::string, std::uint64_t> by_name;
   TraceCounts out;
   for (const auto& ring : reg.rings) {
     out.dropped += ring->resident_begin();
     for (std::uint64_t seq = ring->resident_begin(); seq < ring->head; ++seq) {
-      ++by_name[ring->events[seq % ring->capacity()].name];
+      const trace_detail::TraceEvent& e = ring->events[seq % ring->capacity()];
+      ++by_name[e.name];
+      visit(e);
     }
   }
   out.per_name.assign(by_name.begin(), by_name.end());
   return out;
+}
+
+}  // namespace
+
+TraceCounts trace_counts() {
+  trace_detail::TraceRegistry& reg = trace_detail::registry();
+  MutexLock lock(reg.mutex);
+  return fold_rings(reg, [](const trace_detail::TraceEvent&) {});
 }
 
 void reset_trace() {
@@ -314,50 +308,8 @@ void reset_trace() {
 
 namespace {
 
-// Local copies of the metrics JSON helpers (theirs live in an anonymous
-// namespace by design — the writer is each subsystem's own business).
-void json_escape(std::ostream& os, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* kHex = "0123456789abcdef";
-          os << "\\u00" << kHex[(c >> 4) & 0xF] << kHex[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-}
-
-void json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  json_escape(os, s);
-  os << '"';
-}
-
-void json_number(std::ostream& os, double v) {
-  if (std::isfinite(v)) {
-    os << v;
-  } else {
-    os << "null";
-  }
-}
-
-const char* build_type_string() {
-#ifdef FEMTOCR_BUILD_TYPE
-  return FEMTOCR_BUILD_TYPE;
-#elif defined(NDEBUG)
-  return "optimized";
-#else
-  return "debug";
-#endif
-}
+using metrics_detail::json_number;
+using metrics_detail::json_string;
 
 /// Chrome wants microseconds; emit rebased nanoseconds as "us.nnn" in
 /// fixed-point so no float formatting can lose a nanosecond.
@@ -369,24 +321,13 @@ void json_us(std::ostream& os, std::int64_t ns) {
 
 void write_event(std::ostream& os, const trace_detail::TraceEvent& e,
                  std::int64_t t0, bool chrome_shape) {
-  os << '{';
-  if (chrome_shape) {
-    os << "\"name\": ";
-    json_string(os, e.name);
-    os << ", \"ph\": \"X\", \"ts\": ";
-    json_us(os, e.begin_ns - t0);
-    os << ", \"dur\": ";
-    json_us(os, e.dur_ns);
-    os << ", \"pid\": 1, \"tid\": " << e.tid;
-  } else {
-    os << "\"name\": ";
-    json_string(os, e.name);
-    os << ", \"ts\": ";
-    json_us(os, e.begin_ns - t0);
-    os << ", \"dur\": ";
-    json_us(os, e.dur_ns);
-    os << ", \"tid\": " << e.tid;
-  }
+  os << "{\"name\": ";
+  json_string(os, e.name);
+  os << (chrome_shape ? ", \"ph\": \"X\", \"ts\": " : ", \"ts\": ");
+  json_us(os, e.begin_ns - t0);
+  os << ", \"dur\": ";
+  json_us(os, e.dur_ns);
+  os << (chrome_shape ? ", \"pid\": 1, \"tid\": " : ", \"tid\": ") << e.tid;
   os << ", \"args\": {\"depth\": " << e.depth;
   for (std::uint32_t a = 0; a < e.num_args; ++a) {
     os << ", ";
@@ -417,31 +358,18 @@ void write_captured_slot(std::ostream& os, const trace_detail::CapturedSlot& c,
 
 void write_trace_json(std::ostream& os, const MetricsManifest& manifest) {
   // Snapshot under the registry lock: resident events per ring (tid
-  // order), both recorder pools, per-name counts, drop totals.
+  // order), per-name counts, drop totals and both recorder pools.
   std::vector<trace_detail::TraceEvent> events;
   std::vector<trace_detail::CapturedSlot> anomalies;
   std::vector<trace_detail::CapturedSlot> slow_slots;
-  std::map<std::string, std::uint64_t> span_counts;
-  std::uint64_t dropped = 0;
+  TraceCounts counts;
   std::uint64_t anomalies_total = 0;
   {
     trace_detail::TraceRegistry& reg = trace_detail::registry();
     MutexLock lock(reg.mutex);
-    std::size_t resident = 0;
-    for (const auto& ring : reg.rings) {
-      resident += static_cast<std::size_t>(ring->head -
-                                           ring->resident_begin());
-    }
-    events.reserve(resident);
-    for (const auto& ring : reg.rings) {
-      dropped += ring->resident_begin();
-      for (std::uint64_t seq = ring->resident_begin(); seq < ring->head;
-           ++seq) {
-        const trace_detail::TraceEvent& e = ring->events[seq % ring->capacity()];
-        events.push_back(e);
-        ++span_counts[e.name];
-      }
-    }
+    counts = fold_rings(reg, [&](const trace_detail::TraceEvent& e) {
+      events.push_back(e);
+    });
     anomalies = reg.anomalies;
     slow_slots = reg.slow_slots;
     anomalies_total = reg.anomalies_total;
@@ -455,11 +383,10 @@ void write_trace_json(std::ostream& os, const MetricsManifest& manifest) {
   // Rebase timestamps to the earliest event so viewers start near zero.
   std::int64_t t0 = std::numeric_limits<std::int64_t>::max();
   for (const auto& e : events) t0 = std::min(t0, e.begin_ns);
-  for (const auto& c : anomalies) {
-    for (const auto& e : c.events) t0 = std::min(t0, e.begin_ns);
-  }
-  for (const auto& c : slow_slots) {
-    for (const auto& e : c.events) t0 = std::min(t0, e.begin_ns);
+  for (const auto* pool : {&anomalies, &slow_slots}) {
+    for (const auto& c : *pool) {
+      for (const auto& e : c.events) t0 = std::min(t0, e.begin_ns);
+    }
   }
   if (t0 == std::numeric_limits<std::int64_t>::max()) t0 = 0;
 
@@ -473,34 +400,18 @@ void write_trace_json(std::ostream& os, const MetricsManifest& manifest) {
   os << (events.empty() ? "],\n" : "\n],\n");
   os << "\"displayTimeUnit\": \"ns\",\n";
 
-  os << "\"femtocr\": {\n  \"manifest\": {\n";
-  os << "    \"seed\": " << manifest.seed << ",\n";
-  os << "    \"threads\": " << manifest.threads << ",\n";
-  os << "    \"scheme\": ";
-  json_string(os, manifest.scheme);
-  os << ",\n    \"build_type\": ";
-  json_string(os, build_type_string());
-  os << ",\n    \"trace_enabled\": " << (trace_enabled() ? "true" : "false");
-  os << ",\n    \"git_sha\": ";
-  json_string(os, manifest.git_sha);
-  os << ",\n    \"hostname\": ";
-  json_string(os, manifest.hostname);
-  os << ",\n    \"started_at\": ";
-  json_string(os, manifest.started_at);
-  os << ",\n    \"cli\": ";
-  json_string(os, manifest.cli);
-  os << "\n  },\n";
+  os << "\"femtocr\": {\n";
+  metrics_detail::write_manifest(os, manifest, "trace_enabled",
+                                 trace_enabled());
 
   os << "  \"span_counts\": {";
-  bool first = true;
-  for (const auto& [name, n] : span_counts) {
-    os << (first ? "\n    " : ",\n    ");
-    first = false;
-    json_string(os, name);
-    os << ": " << n;
+  for (std::size_t i = 0; i < counts.per_name.size(); ++i) {
+    os << (i > 0 ? ",\n    " : "\n    ");
+    json_string(os, counts.per_name[i].first);
+    os << ": " << counts.per_name[i].second;
   }
-  os << (span_counts.empty() ? "},\n" : "\n  },\n");
-  os << "  \"dropped_events\": " << dropped << ",\n";
+  os << (counts.per_name.empty() ? "},\n" : "\n  },\n");
+  os << "  \"dropped_events\": " << counts.dropped << ",\n";
 
   os << "  \"flight_recorder\": {\n";
   os << "    \"anomalies_total\": " << anomalies_total << ",\n";
@@ -522,13 +433,8 @@ void write_trace_json(std::ostream& os, const MetricsManifest& manifest) {
 
 bool write_trace_file(const std::string& path,
                       const MetricsManifest& manifest) {
-  std::ofstream out(path);
-  if (!out) {
-    FEMTOCR_LOG_WARN << "cannot open trace output file: " << path;
-    return false;
-  }
-  write_trace_json(out, manifest);
-  return static_cast<bool>(out);
+  return metrics_detail::write_json_file(path, "trace", write_trace_json,
+                                         manifest);
 }
 
 }  // namespace femtocr::util

@@ -1,14 +1,16 @@
 // Structured span tracing: scoped request-level spans recorded into
 // per-thread ring buffers and exported as Chrome trace-event JSON that
-// Perfetto / chrome://tracing load directly.
+// Perfetto / chrome://tracing load directly. A site instruments its layer
+// with one util::Scope, which feeds the layer's metrics timer and a span
+// of the same name from one pair of clock reads.
 //
 // Design contract (the metrics layer's, applied to spans):
 //
 //  * **Per-thread rings.** Each thread owns one ring buffer; a span write
-//    is two monotonic_now_ns() calls plus one in-place slot store — no
-//    locks, no allocation on the steady state. Rings keep the newest
-//    events; overwritten history is counted and exported as
-//    `dropped_events`, never silently lost.
+//    is one in-place slot store on top of the scope's two
+//    monotonic_now_ns() calls — no locks, no allocation on the steady
+//    state. Rings keep the newest events; overwritten history is counted
+//    and exported as `dropped_events`, never silently lost.
 //  * **Kill switch.** FEMTOCR_TRACE (off by default; "1"/"on"/"true"
 //    enables) parsed once like FEMTOCR_METRICS. When off every trace op —
 //    spans, anomaly notes, flight recording — is a relaxed load and a
@@ -33,15 +35,17 @@
 //
 // Span catalogue and JSON schema: docs/OBSERVABILITY.md. Typical usage:
 //
-//   util::ScopedSpan span("core.dual.solve");
+//   static util::TimerStat& t_solve = util::metrics().timer("core.dual.solve");
+//   util::Scope scope(t_solve);
 //   ...
-//   span.arg("iterations", static_cast<double>(result.iterations));
+//   scope.arg("iterations", static_cast<double>(result.iterations));
 #pragma once
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,13 +67,10 @@ bool enabled_slow();
 
 struct ThreadRing;
 
-/// The calling thread's ring, created and registered on first use.
-ThreadRing* this_thread_ring();
-
 }  // namespace trace_detail
 
 /// True when FEMTOCR_TRACE=1/on/true or set_trace_enabled(true). Unlike
-/// metrics, tracing defaults OFF — recording costs clock reads per span.
+/// metrics, tracing defaults OFF — recording costs a ring store per scope.
 inline bool trace_enabled() {
   const int e = trace_detail::g_enabled.load(std::memory_order_relaxed);
   return e >= 0 ? e != 0 : trace_detail::enabled_slow();
@@ -84,38 +85,57 @@ void set_trace_enabled(bool on);
 /// trivial to script.
 bool trace_env_disabled();
 
-// ------------------------------------------------------------------- span ----
+// ------------------------------------------------------------------ scope ----
 
-/// RAII span. When tracing is disabled at construction the clock is never
-/// read and the destructor is a null check. `name` (and every arg key)
-/// must point at storage that outlives the process — string literals.
-class ScopedSpan {
+/// One instrumented layer, RAII over the site's cached TimerStat: the
+/// timer's registered name is also the span's, so the two cannot drift.
+/// One pair of clock reads feeds the timer (when metrics are on) and a
+/// span (when tracing was on at construction). With both switches off,
+/// construction is two relaxed loads and a branch: no call, no clock read.
+class Scope {
  public:
   struct Arg {
-    const char* key = nullptr;
-    double value = 0.0;
+    const char* key;
+    double value;
   };
 
-  explicit ScopedSpan(const char* name);
-  ~ScopedSpan();
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
+  explicit Scope(TimerStat& timer) : timer_(timer) {
+    if (metrics_enabled() || trace_enabled()) open();
+  }
+  ~Scope() {
+    if (open_) close();
+  }
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
-  /// Attaches a numeric arg (exported under "args" in the trace JSON).
-  /// No-op when the span is disabled or kMaxSpanArgs are already set.
+  /// Closes the scope now instead of at scope exit and returns its
+  /// duration in ns; nullopt when nothing was timed (both switches off at
+  /// construction, or already stopped).
+  std::optional<std::int64_t> stop() {
+    if (!open_) return std::nullopt;
+    return close();
+  }
+
+  /// Attaches a numeric arg to the span (exported under "args"); `key`
+  /// must be a string literal. No-op unless the span is recording and has
+  /// fewer than kMaxSpanArgs.
   void arg(const char* key, double value) {
     if (ring_ == nullptr || num_args_ >= kMaxSpanArgs) return;
-    args_[num_args_].key = key;
-    args_[num_args_].value = value;
-    ++num_args_;
+    args_[num_args_++] = {key, value};
   }
 
  private:
-  trace_detail::ThreadRing* ring_;  ///< null when disabled at construction
-  const char* name_;
+  void open();
+  std::int64_t close();
+
+  TimerStat& timer_;
+  bool open_ = false;
+  trace_detail::ThreadRing* ring_ = nullptr;  ///< null unless tracing
   std::int64_t begin_ns_ = 0;
-  std::uint32_t depth_ = 0;
   std::uint32_t num_args_ = 0;
+  // Left uninitialized on purpose: only the first num_args_ are ever read,
+  // and zeroing all six would cost every scope a 96-byte fill even with
+  // both switches off.
   Arg args_[kMaxSpanArgs];
 };
 

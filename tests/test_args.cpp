@@ -5,6 +5,7 @@
 // load-bearing behavior, not a convenience.
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -35,6 +36,20 @@ TEST(Args, RejectsMalformedTokensAndValues) {
   const Args args = make_args({"--runs=ten", "--eta=0.5x"});
   EXPECT_THROW(args.get("runs", std::int64_t{0}), std::logic_error);
   EXPECT_THROW(args.get("eta", 0.0), std::logic_error);
+}
+
+TEST(Args, CountFlagsRejectValuesBelowTheirMinimum) {
+  const Args args = make_args({"--runs=0", "--threads=-1", "--gops=3"});
+  EXPECT_THROW(args.get_count("threads", 0, 0), std::logic_error);
+  EXPECT_EQ(args.get_count("gops", 1, 1), 3u);
+  EXPECT_EQ(args.get_count("absent", 10, 1), 10u);
+  try {
+    (void)args.get_count("runs", 10, 1);
+    ADD_FAILURE() << "--runs=0 accepted";
+  } catch (const std::logic_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--runs"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Args, UnconsumedListsOnlyUnqueriedKeys) {

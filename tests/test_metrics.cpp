@@ -1,16 +1,21 @@
 // Metrics layer contracts: sharded counters/histograms fold to
 // thread-count-invariant totals, log-bucket boundaries are exact at powers
-// of two, the FEMTOCR_METRICS kill switch really is a no-op, and the JSON
-// export carries every section of the documented schema.
+// of two, the FEMTOCR_METRICS kill switch really is a no-op (and
+// util::Scope honours both kill switches), and the JSON export carries
+// every section of the documented schema.
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "util/metrics.h"
 #include "util/parallel.h"
+#include "util/trace.h"
 
 namespace {
 
@@ -116,7 +121,6 @@ TEST(Metrics, KillSwitchMakesOpsNoOps) {
   c.add(5);
   h.observe(1.5);
   t.record_ns(1000);
-  { const util::ScopedTimer scoped(t); }
   EXPECT_EQ(c.total(), 0u);
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(t.count(), 0u);
@@ -126,10 +130,52 @@ TEST(Metrics, KillSwitchMakesOpsNoOps) {
   util::set_metrics_enabled(true);
   c.add(5);
   h.observe(1.5);
-  { const util::ScopedTimer scoped(t); }
+  t.record_ns(1000);
   EXPECT_EQ(c.total(), 5u);
   EXPECT_EQ(h.count(), 1u);
   EXPECT_EQ(t.count(), 1u);
+}
+
+TEST(Metrics, ScopeFollowsBothKillSwitches) {
+  // util::Scope under the four switch settings: the timer follows
+  // FEMTOCR_METRICS, a span of the timer's name follows FEMTOCR_TRACE, and
+  // one reading feeds both.
+  MetricsEnabledGuard guard;
+  const bool prev_trace = util::trace_enabled();
+  util::TimerStat& t = util::metrics().timer("test.metrics.scope_timer");
+  const auto scoped = [&](bool metrics_on, bool trace_on) {
+    util::set_metrics_enabled(metrics_on);
+    util::set_trace_enabled(trace_on);
+    t.reset();
+    util::reset_trace();
+    util::Scope scope(t);
+    const std::optional<std::int64_t> ns = scope.stop();
+    EXPECT_FALSE(scope.stop().has_value()) << "a scope closes once";
+    return ns;
+  };
+  using SpanCounts = std::vector<std::pair<std::string, std::uint64_t>>;
+  const SpanCounts one_span = {{"test.metrics.scope_timer", 1}};
+
+  EXPECT_FALSE(scoped(false, false).has_value());
+  EXPECT_EQ(t.count(), 0u);
+  EXPECT_TRUE(util::trace_counts().per_name.empty());
+
+  EXPECT_TRUE(scoped(true, false).has_value());
+  EXPECT_EQ(t.count(), 1u);
+  EXPECT_TRUE(util::trace_counts().per_name.empty());
+
+  EXPECT_TRUE(scoped(false, true).has_value());
+  EXPECT_EQ(t.count(), 0u);
+  EXPECT_EQ(util::trace_counts().per_name, one_span);
+
+  const std::optional<std::int64_t> ns = scoped(true, true);
+  ASSERT_TRUE(ns.has_value());
+  EXPECT_EQ(t.count(), 1u);
+  EXPECT_EQ(t.total_ns(), static_cast<std::uint64_t>(*ns));
+  EXPECT_EQ(util::trace_counts().per_name, one_span);
+
+  util::set_trace_enabled(prev_trace);
+  util::reset_trace();
 }
 
 TEST(Metrics, SnapshotIsNameSortedAndComplete) {

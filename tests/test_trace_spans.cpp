@@ -14,11 +14,15 @@
 
 #include <gtest/gtest.h>
 
+#include "core/exact.h"
+#include "core/protocol.h"
 #include "sim/config_io.h"
 #include "sim/experiment.h"
 #include "sim/scenario.h"
+#include "test_helpers.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
+#include "util/rng.h"
 #include "util/trace.h"
 
 namespace {
@@ -151,6 +155,45 @@ TEST(TraceSpans, SpanCountsInvariantAcrossThreadCounts) {
   for (std::size_t r = 1; r < counts.size(); ++r) {
     EXPECT_EQ(counts[r], counts[0]) << "thread run " << r;
   }
+}
+
+TEST(TraceSpans, EverySpanIsATimerOfTheSameName) {
+  // One util::Scope per layer: a span name is always a timer name with the
+  // same count, and every timer that ran left a span per call. Covers the
+  // slot loop, the greedy path of an interfering deployment, and the two
+  // solvers the simulator never calls.
+  ThreadDefaultGuard guard;
+  TraceGuard trace_guard;
+  const bool prev_metrics = util::metrics_enabled();
+  util::set_metrics_enabled(true);
+  util::set_trace_enabled(true);
+  util::metrics().reset();
+  util::reset_trace();
+  util::set_default_threads(2);
+
+  (void)sim::run_all_schemes(small_scenario(), 2);
+  sim::Scenario interfering = sim::interfering_scenario(/*seed=*/3);
+  interfering.num_gops = 1;
+  interfering.finalize();
+  (void)sim::run_all_schemes(interfering, 1);
+  util::Rng rng(17);
+  const test::ContextFixture f = test::random_context(rng, 4, 2, 2);
+  (void)core::exact_allocate(f.ctx);
+  (void)core::protocol::run_protocol(
+      f.ctx, std::vector<double>(2, f.ctx.total_expected_channels()));
+
+  const std::uint64_t dropped = util::trace_counts().dropped;
+  std::map<std::string, std::uint64_t> timers;
+  for (const auto& [name, t] : util::metrics().snapshot().timers) {
+    if (t.count > 0) timers[name] = t.count;
+  }
+  util::set_metrics_enabled(prev_metrics);
+  ASSERT_EQ(dropped, 0u);
+  for (const char* layer : {"sim.slot", "core.greedy.allocate",
+                            "core.exact.allocate", "core.protocol.run"}) {
+    EXPECT_EQ(timers.count(layer), 1u) << layer;
+  }
+  EXPECT_EQ(span_count_map(), timers);
 }
 
 TEST(TraceSpans, DisabledTracingRecordsNothing) {

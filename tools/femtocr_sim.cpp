@@ -214,8 +214,7 @@ int main(int argc, char** argv) {
       std::cout << kHelp;
       return 0;
     }
-    util::set_default_threads(
-        static_cast<std::size_t>(args.get("threads", std::int64_t{0})));
+    util::set_default_threads(args.get_count("threads", 0, /*min=*/0));
 
     sim::Scenario scenario;
     const std::string config = args.get("config", std::string());
@@ -250,8 +249,7 @@ int main(int argc, char** argv) {
     }
 
     const std::string save = args.get("save-config", std::string());
-    const auto runs =
-        static_cast<std::size_t>(args.get("runs", std::int64_t{10}));
+    const std::size_t runs = args.get_count("runs", 10, /*min=*/1);
     const std::string metrics_path = args.get("metrics-out", std::string());
     const std::string trace_path = args.get("trace-out", std::string());
 

@@ -217,15 +217,12 @@ def lint_file(path: Path, layer: str | None) -> list[Violation]:
         "parallel.h",
         "parallel.cpp",
     )
-    # util/timer.* is the sanctioned raw-clock site; util/trace.* is the
-    # span layer built directly on top of it (event timestamps), and is
-    # exempt so the rule keeps banning clock reads — and hence ad-hoc span
-    # emission — everywhere else in the tree.
+    # util/timer.* is the one sanctioned raw-clock site; every other file,
+    # the span layer in util/trace.* included, reads time through
+    # util::monotonic_now_ns() / util::Stopwatch.
     clock_exempt = path.parent.name == "util" and path.name in (
         "timer.h",
         "timer.cpp",
-        "trace.h",
-        "trace.cpp",
     )
     # The annotated Mutex wrapper itself owns the one raw std::mutex.
     mutex_exempt = (
@@ -404,10 +401,9 @@ def self_test(fixture_src: Path) -> int:
             # util/timer.cpp (the sanctioned raw-clock site) is seeded with
             # a steady_clock::now() and must stay at zero via the exemption.
             ("sim/bad_clock.cpp", "no-raw-chrono-clock"): 3,
-            # util/trace.cpp (the span layer) is seeded the same way and is
-            # pinned at zero: trace emission is exempt only inside
-            # util/trace.* / util/timer.*, banned everywhere else.
-            ("util/trace.cpp", "no-raw-chrono-clock"): 0,
+            # util/trace.cpp (the span layer) is seeded the same way and
+            # fires: the exemption covers util/timer.* only.
+            ("util/trace.cpp", "no-raw-chrono-clock"): 1,
             # Tagged inner-loop TU: two seeded constructions fire, the
             # reference binding and the lint-allow'd line stay silent.
             ("core/bad_hot_alloc.cpp", "no-hot-loop-alloc"): 2,

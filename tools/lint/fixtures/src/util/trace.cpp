@@ -1,8 +1,7 @@
 // Seeded fixture: a raw clock read inside util/trace.cpp — the span layer,
-// sanctioned alongside util/timer.* . The self-test pins
-// no-raw-chrono-clock at ZERO here (exemption path): span timestamps may
-// only be taken inside util/trace.* / util/timer.*, so ad-hoc trace
-// emission anywhere else in the tree still trips the rule.
+// which is NOT exempt. The self-test pins no-raw-chrono-clock at ONE here:
+// util/timer.* is the only sanctioned raw-clock site, and the span layer
+// takes its timestamps through util::monotonic_now_ns() like everyone else.
 #include <chrono>
 
 namespace femtocr::util {
