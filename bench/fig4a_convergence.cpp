@@ -15,7 +15,9 @@
 #include "sim/scenario.h"
 #include "sim/simulator.h"
 #include "spectrum/spectrum_manager.h"
+#include "util/metrics.h"
 #include "util/table.h"
+#include "util/trace.h"
 
 int main(int argc, char** argv) {
   using namespace femtocr;
@@ -58,8 +60,21 @@ int main(int argc, char** argv) {
   opts.initial_lambda = 0.08;  // start visibly away from the optimum
   const std::vector<double> gt = {ctx.total_expected_channels()};
   core::SlotCache cache;
-  cache.build(ctx);
-  const core::DualResult res = core::solve_dual(ctx, cache, gt, opts);
+  core::DualResult res;
+  {
+    // The bench drives core::solve_dual directly, so it synthesizes the
+    // simulator's sim.slot / sim.slot.allocate scope envelope itself (as
+    // bench/stress_scale does); trace tooling then applies the same nesting
+    // checks to this trace as to simulator traces.
+    static util::TimerStat& t_slot = util::metrics().timer("sim.slot");
+    static util::TimerStat& t_allocate =
+        util::metrics().timer("sim.slot.allocate");
+    util::Scope slot_scope(t_slot);
+    slot_scope.arg("slot", 0.0);
+    const util::Scope allocate_scope(t_allocate);
+    cache.build(ctx);
+    res = core::solve_dual(ctx, cache, gt, opts);
+  }
 
   std::cout << "Fig. 4(a) — convergence of the dual variables (Table I), "
                "single-FBS slot 0\n"

@@ -4,7 +4,9 @@
 #include "core/greedy.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <utility>
 
@@ -66,13 +68,15 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
     // water-fill memo scope. Those climbs differ only in that FBS's g, so
     // they share most resource solves; the scope starts empty, so the work
     // — and every counter — does not depend on which worker runs the task.
-    // Workers fill only their own slots of the objective buffer (with their
-    // own thread-local scratch), and the argmax below folds the buffer
-    // serially in candidate order — the same first-strict-maximum the
-    // sequential scan produced.
+    // A candidate whose trial g an earlier one of its task already had has
+    // the same trial vector, hence the same Q, and can never be a strict
+    // maximum: the task skips it. Each task keeps its first strict maximum
+    // and that climb's assignment in its own slot of gs.best (with its own
+    // thread-local scratch), and the fold below takes the first strict
+    // maximum over the tasks in task order — the same first-strict-maximum
+    // in candidate order the sequential scan produced.
     const std::size_t n_candidates = gs.candidates.size();
     c_cand_evals.add(n_candidates);
-    gs.objectives.resize(n_candidates);
     gs.tasks.clear();
     for (std::size_t k = 0; k < n_candidates; ++k) {
       if (k == 0 || gs.candidates[k].first != gs.candidates[k - 1].first) {
@@ -80,37 +84,55 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
       }
     }
     gs.tasks.push_back(n_candidates);
-    util::parallel_for(gs.tasks.size() - 1, [&](std::size_t t) {
+    const std::size_t n_tasks = gs.tasks.size() - 1;
+    gs.best.resize(n_tasks);
+    util::parallel_for(n_tasks, [&](std::size_t t) {
       const MemoScope memo;
-      std::vector<double>& trial = slot_scratch().greedy.trial;
+      GreedyScratch& ws = slot_scratch().greedy;
+      GreedyScratch::TaskBest& best = gs.best[t];
+      best.objective = -std::numeric_limits<double>::infinity();
+      best.candidate = gs.tasks[t];
+      ws.tried.clear();
       for (std::size_t k = gs.tasks[t]; k < gs.tasks[t + 1]; ++k) {
         const auto [i, a] = gs.candidates[k];
-        trial.assign(gs.gt.begin(), gs.gt.end());
-        trial[i] += ctx.posterior[a];
-        gs.objectives[k] = waterfill_solve_objective(ctx, cache, trial);
+        ws.trial.assign(gs.gt.begin(), gs.gt.end());
+        ws.trial[i] += ctx.posterior[a];
+        const auto g_bits = std::bit_cast<std::uint64_t>(ws.trial[i]);
+        if (std::find(ws.tried.begin(), ws.tried.end(), g_bits) !=
+            ws.tried.end()) {
+          continue;
+        }
+        ws.tried.push_back(g_bits);
+        const double q =
+            waterfill_solve_objective(ctx, cache, ws.trial, ws.use_mbs);
+        if (q > best.objective) {
+          best.objective = q;
+          best.candidate = k;
+          best.use_mbs = ws.use_mbs;
+        }
       }
     });
 
-    double best_q = -std::numeric_limits<double>::infinity();
-    std::size_t best_idx = 0;
-    for (std::size_t k = 0; k < n_candidates; ++k) {
-      if (gs.objectives[k] > best_q) {
-        best_q = gs.objectives[k];
-        best_idx = k;
-      }
+    std::size_t win = 0;
+    for (std::size_t t = 1; t < n_tasks; ++t) {
+      if (gs.best[t].objective > gs.best[win].objective) win = t;
     }
+    const GreedyScratch::TaskBest& best = gs.best[win];
+    FEMTOCR_CHECK_FINITE(best.objective, "candidate objective must be finite");
 
-    // Re-materialize the winner: the solve is deterministic, so this is the
-    // bit-exact allocation behind gs.objectives[best_idx].
-    const auto [bi, ba] = gs.candidates[best_idx];
+    // Materialize the winner from the assignment its climb kept: the same
+    // evaluation waterfill_solve ends with, so this is the bit-exact
+    // allocation behind best.objective.
+    const auto [bi, ba] = gs.candidates[best.candidate];
     gs.trial.assign(gs.gt.begin(), gs.gt.end());
     gs.trial[bi] += ctx.posterior[ba];
-    SlotAllocation best_alloc = waterfill_solve(ctx, cache, gs.trial);
+    SlotAllocation best_alloc =
+        waterfill_evaluate(ctx, cache, gs.trial, best.use_mbs);
 
     GreedyStep step;
     step.fbs = bi;
     step.channel = ctx.available[ba];
-    step.delta = best_q - current.objective;
+    step.delta = best.objective - current.objective;
     step.degree = ctx.graph->degree(bi);
     result.steps.push_back(step);
 

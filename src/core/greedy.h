@@ -38,10 +38,14 @@ struct GreedyResult {
 /// Runs Table III on the slot context, against the slot's cache
 /// (core/slot_cache.h), which must be built for `ctx`. FBSs with no
 /// associated users are skipped (allocating them channels cannot increase
-/// the objective). The candidate argmax of each round evaluates Q(c + e)
-/// for the surviving pairs through util::parallel_for (objective-only
-/// solves into an index-addressed buffer, argmax folded serially in
-/// candidate order), so results do not depend on the thread count.
+/// the objective). Each round's argmax of Q(c + e) over the surviving pairs
+/// fans out through util::parallel_for in scan tasks, one per FBS. A task
+/// climbs its candidates in order, once per distinct trial vector (a
+/// repeat has the same Q, so it can never be a strict maximum), and keeps
+/// its first strict maximum with that climb's assignment. The task bests
+/// are folded serially in task order, which gives the first strict maximum
+/// in candidate order, so results do not depend on the thread count. The
+/// winner is materialized by water-filling the assignment its climb kept.
 GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache);
 
 }  // namespace femtocr::core

@@ -20,7 +20,7 @@
 //   * slot_scratch() is thread-local. Workers inside util::parallel_for
 //     each see their own arena, so parallel candidate evaluation needs no
 //     locking; a coordinator may hand out index-addressed slices of its
-//     own buffers (e.g. GreedyScratch::objectives) for workers to fill.
+//     own buffers (e.g. GreedyScratch::best) for workers to fill.
 //   * Scratch never survives a call as *data* — only as capacity. No
 //     routine may read a field it did not fill in the same invocation.
 //   * The one exception is `memo`, and it is bounded by a scope: the memo
@@ -95,18 +95,22 @@ struct DualScratch {
 /// contributes up to two events — the level where its share leaves the cap
 /// and the level where it turns off — swept in descending-level order.
 struct ResourceScratch {
+  /// One event's sort key: its water level and its build index.
+  struct Event {
+    double level = 0.0;
+    std::uint32_t index = 0;
+  };
   std::vector<double> pr;            ///< W / rate per member (usable only)
   std::vector<unsigned char> usable; ///< rate > 0 && success > 0
-  std::vector<double> ev_lambda;     ///< event water level
+  std::vector<Event> ev_order;       ///< keys, sorted level desc, index asc
   std::vector<double> ev_ds;         ///< ΔS crossing the event downward
   std::vector<double> ev_dpr;        ///< Δ(W/rate) crossing downward
   std::vector<double> ev_dcap;       ///< Δ(capped-member count), 0 or 1
-  std::vector<std::uint32_t> ev_order;  ///< sort permutation, level desc
 };
 
 /// The climb's and the evaluators' working set: one resource's members at
-/// a time, and the per-user objective terms of the accepted and the trial
-/// assignment.
+/// a time, the per-resource member masks and the per-user objective terms
+/// of the accepted assignment, and the per-user terms of the trial one.
 struct AssignScratch {
   std::vector<std::size_t> members;  ///< one resource's members, ascending
   std::vector<double> successes;     ///< their success probabilities
@@ -114,6 +118,7 @@ struct AssignScratch {
   std::vector<double> term;          ///< their objective terms
   std::vector<double> check_rho;     ///< memo-hit re-solve (DCHECK builds)
   std::vector<double> check_term;
+  std::vector<std::uint64_t> masks;  ///< member mask per resource, accepted
   std::vector<double> terms;         ///< per-user terms, accepted assignment
   std::vector<double> trial_terms;   ///< per-user terms, trial assignment
   std::vector<unsigned char> use_mbs;  ///< assignment (bit-twiddle-free)
@@ -123,9 +128,10 @@ struct AssignScratch {
 /// resource solved in the current scope (see the file comment), keyed by
 /// the resource index (0 = MBS, i + 1 = FBS i), the bit pattern of g_i
 /// (FBSs only) and the member set as a 64-bit mask. Fixed-capacity open
-/// addressing with linear probing; the values sit in a bump-allocated pool
-/// of (share, term) pairs. When either the table reaches half load or the
-/// pool is full, clear() empties the memo in O(1) by bumping `generation`:
+/// addressing with linear probing; the values sit in a bump-allocated pool,
+/// an entry's n shares followed by its n terms, in member order. When
+/// either the table reaches half load or the pool is full, clear() empties
+/// the memo in O(1) by bumping `generation`:
 /// an entry is live iff its generation matches. 64 KB per thread (a 16 KB
 /// table, a 48 KB pool), taken on the first clear; on the city grid's large
 /// components the pool fills first, and a smaller memo re-solves more.
@@ -152,14 +158,22 @@ struct WaterfillMemo {
   void clear();
 };
 
-/// greedy_allocate's working set: the candidate list, the per-candidate
-/// objective buffer the parallel evaluation fills, the scan-task bounds,
-/// and per-thread trial expected-channel vectors.
+/// greedy_allocate's working set: the candidate list, the scan-task
+/// bounds, the per-task best the parallel scan fills, and per-thread trial
+/// vectors, climb assignments and solved-trial lists.
 struct GreedyScratch {
+  /// A scan task's first strict maximum and its climb's assignment.
+  struct TaskBest {
+    double objective = 0.0;
+    std::size_t candidate = 0;
+    std::vector<bool> use_mbs;
+  };
   std::vector<std::pair<std::size_t, std::size_t>> candidates;
-  std::vector<double> objectives;  ///< slot k = candidate k's Q, fold serial
   std::vector<std::size_t> tasks;  ///< first candidate of each task, + end
+  std::vector<TaskBest> best;      ///< slot t = task t's best, fold serial
   std::vector<double> trial;       ///< per-thread trial G vector
+  std::vector<std::uint64_t> tried;  ///< per-thread trial g_i bits, one task
+  std::vector<bool> use_mbs;       ///< per-thread climb assignment
   std::vector<double> gt;          ///< accumulated expected channel counts
 };
 

@@ -36,6 +36,7 @@ void SlotCache::build(const SlotContext& ctx) {
   pr_mbs.resize(K);
   hi_mbs.resize(K);
   can_mbs.resize(K);
+  fbs_position.resize(K);
 
   for (auto& list : users_by_fbs) list.clear();
   users_by_fbs.resize(ctx.num_fbs);
@@ -53,6 +54,7 @@ void SlotCache::build(const SlotContext& ctx) {
     can_mbs[j] = usable ? 1 : 0;
     pr_mbs[j] = usable ? u.psnr / u.rate_mbs : 0.0;
     hi_mbs[j] = u.rate_mbs > 0.0 ? u.success_mbs * u.rate_mbs / u.psnr : 0.0;
+    fbs_position[j] = users_by_fbs[u.fbs].size();
     users_by_fbs[u.fbs].push_back(j);
     fbs_has_users[u.fbs] = 1;
   }

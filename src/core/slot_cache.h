@@ -45,6 +45,9 @@ struct SlotCache {
   /// evaluate_assignment's full scan produced).
   std::vector<std::vector<std::size_t>> users_by_fbs;
   std::vector<unsigned char> fbs_has_users;
+  /// Position of user j in users_by_fbs[ctx.users[j].fbs]: the user's bit
+  /// in its FBS's member mask (core/waterfill.cpp).
+  std::vector<std::size_t> fbs_position;
 
   std::size_t num_users = 0;
   std::size_t num_fbs = 0;

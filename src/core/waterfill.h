@@ -49,26 +49,32 @@ double waterfill_resource_reference(const SlotContext& ctx,
 
 /// Solves the slot problem for given expected channel counts per FBS,
 /// against the slot's cache (core/slot_cache.h), which must be built for
-/// `ctx` and may be shared read-only by concurrent callers (greedy
-/// candidate evaluation). Assignment is found by best-response iteration
-/// (tracks and returns the best objective seen, so cycling cannot degrade
-/// the result).
+/// `ctx` and may be shared read-only by concurrent callers. The assignment
+/// is found by a hill climb over single-user flips and pair swaps that
+/// keeps a move only if it strictly gains (simultaneous best response
+/// would oscillate; see the .cpp); the shares are then water-filled for
+/// that assignment.
 SlotAllocation waterfill_solve(const SlotContext& ctx, const SlotCache& cache,
                                const std::vector<double>& gt_per_fbs);
 
-/// The objective of waterfill_solve without materializing the allocation:
-/// the hill climb over assignments only ever compares Q values, so trial
-/// candidates (greedy's inner loop) skip building the K-sized share
-/// vectors. Bit-identical to waterfill_solve(...).objective. Inside an
-/// open MemoScope (a greedy scan task) it shares that scope's memo.
+/// waterfill_solve's climb without materializing the allocation: returns
+/// the objective and leaves the assignment in `use_mbs`, bit-identical to
+/// waterfill_solve(...).objective and .use_mbs. The climb only ever
+/// compares Q values, so trial candidates (greedy's inner loop) skip
+/// building the K-sized share vectors, and waterfill_evaluate on the
+/// assignment materializes the allocation waterfill_solve would return.
+/// Inside an open MemoScope (a greedy scan task) it shares that scope's
+/// memo.
 double waterfill_solve_objective(const SlotContext& ctx,
                                  const SlotCache& cache,
-                                 const std::vector<double>& gt_per_fbs);
+                                 const std::vector<double>& gt_per_fbs,
+                                 std::vector<bool>& use_mbs);
 
 /// Water-fills every resource for a FIXED base-station assignment and
 /// returns the completed allocation (objective included). The optimum over
 /// shares given the assignment; the KKT certifier's flip tests evaluate
-/// many assignments against one cache.
+/// many assignments against one cache, and the greedy materializes each
+/// round's winner from the assignment its climb kept.
 SlotAllocation waterfill_evaluate(const SlotContext& ctx,
                                   const SlotCache& cache,
                                   const std::vector<double>& gt_per_fbs,

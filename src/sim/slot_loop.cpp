@@ -471,6 +471,7 @@ SlotTallies SlotLoop::run(const EngineConfig& config,
   // only when metrics or tracing are on, never printed to stdout.
   std::vector<std::int64_t> latencies;
 
+  const std::size_t initial_sessions = sessions_.size();
   // The initial population's lifetimes come from the churn stream, drawn
   // serially before the first slot.
   if (config.churn.enabled()) {
@@ -620,6 +621,18 @@ SlotTallies SlotLoop::run(const EngineConfig& config,
     pm.latency_ns = decision_ns;
     util::trace_flight_record_slot(pm, slot_mark);
   }
+
+  // Session conservation: every arrival was admitted or refused exactly
+  // once, and only admissions and departures moved the live population.
+  FEMTOCR_CHECK(report.arrivals == report.admitted +
+                                       report.rejected_capacity +
+                                       report.rejected_qos,
+                "arrivals must equal admitted + rejected");
+  FEMTOCR_CHECK(sessions_.size() ==
+                        initial_sessions + report.admitted -
+                            report.departures &&
+                    topology_.num_users() == sessions_.size(),
+                "live sessions must equal initial + admitted - departures");
 
   if (report.completed_gops > 0) {
     report.mean_psnr = psnr_sum / static_cast<double>(report.completed_gops);

@@ -7,6 +7,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -219,60 +221,74 @@ TEST(Determinism, GreedyWaterfillCountersInvariantAcrossThreadCounts) {
   // A top-level greedy_allocate fans its scan tasks out over the pool.
   // (The test above runs the greedy inside replication workers, where its
   // fan-out runs inline, so it cannot see this.) Each task water-fills
-  // under its own memo scope, which starts empty, so the solve counters
-  // are a function of the work: identical at 1, 2 and 8 threads and
-  // across repeats, as is the allocation.
+  // under its own memo scope, which starts empty, skips the candidates
+  // whose trial vector it already climbed, and keeps its own best; so every
+  // counter is a function of the work: identical at 1, 2 and 8 threads and
+  // across repeats, as is the allocation. The second context repeats its
+  // posteriors, so the skip and the per-task fold run under the fan-out.
   ThreadDefaultGuard guard;
   const bool prev_enabled = util::metrics_enabled();
   util::set_metrics_enabled(true);
   const sim::Scenario s = sim::interfering_scenario(/*seed=*/1);
   const net::Topology topo(s.mbs, s.fbss, s.users, s.radio);
-  util::Rng rng(4242);
-  core::SlotContext ctx;
-  ctx.num_fbs = topo.num_fbs();
-  ctx.graph = &topo.graph();
-  for (std::size_t m = 0; m < 8; ++m) {
-    ctx.available.push_back(m);
-    ctx.posterior.push_back(rng.uniform(0.4, 1.0));
-  }
-  for (std::size_t j = 0; j < topo.num_users(); ++j) {
-    core::UserState u;
-    u.psnr = rng.uniform(28.0, 40.0);
-    u.set_link_success(topo.mbs_link(j).success_probability(),
-                       topo.fbs_link(j).success_probability());
-    u.rate_mbs = rng.uniform(0.45, 0.7);
-    u.rate_fbs = rng.uniform(0.45, 0.7);
-    u.fbs = topo.user(j).fbs;
-    ctx.users.push_back(u);
-  }
-  ASSERT_GT(ctx.graph->num_edges(), 0u);  // the greedy path, not edgeless
-  core::SlotCache cache;
-  cache.build(ctx);
-
   util::Counter& levels = util::metrics().counter("core.waterfill.level_solves");
-  util::Counter& bp_solves =
-      util::metrics().counter("core.waterfill.breakpoint.solves");
   util::Counter& bp_events =
       util::metrics().counter("core.waterfill.breakpoint.events");
-  std::vector<std::vector<std::uint64_t>> totals;
-  std::vector<double> objectives;
-  for (const std::size_t threads :
-       {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      util::set_default_threads(threads);
-      util::metrics().reset();
-      const core::GreedyResult g = core::greedy_allocate(ctx, cache);
-      totals.push_back({levels.total(), bp_solves.total(), bp_events.total()});
-      objectives.push_back(g.allocation.objective);
+  util::Counter& solves = util::metrics().counter("core.waterfill.solves");
+  util::Counter& evals = util::metrics().counter("core.greedy.candidate_evals");
+  for (const bool repeated : {false, true}) {
+    util::Rng rng(4242);
+    core::SlotContext ctx;
+    ctx.num_fbs = topo.num_fbs();
+    ctx.graph = &topo.graph();
+    for (std::size_t m = 0; m < 8; ++m) {
+      ctx.available.push_back(m);
+      ctx.posterior.push_back(rng.uniform(0.4, 1.0));
+      if (repeated && m >= 3) ctx.posterior[m] = ctx.posterior[m % 3];
+    }
+    for (std::size_t j = 0; j < topo.num_users(); ++j) {
+      core::UserState u;
+      u.psnr = rng.uniform(28.0, 40.0);
+      u.set_link_success(topo.mbs_link(j).success_probability(),
+                         topo.fbs_link(j).success_probability());
+      u.rate_mbs = rng.uniform(0.45, 0.7);
+      u.rate_fbs = rng.uniform(0.45, 0.7);
+      u.fbs = topo.user(j).fbs;
+      ctx.users.push_back(u);
+    }
+    ASSERT_GT(ctx.graph->num_edges(), 0u);  // the greedy path, not edgeless
+    core::SlotCache cache;
+    cache.build(ctx);
+
+    std::vector<std::vector<std::pair<std::string, std::uint64_t>>> counters;
+    std::vector<double> objectives;
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      for (int repeat = 0; repeat < 2; ++repeat) {
+        util::set_default_threads(threads);
+        util::metrics().reset();
+        const core::GreedyResult g = core::greedy_allocate(ctx, cache);
+        counters.push_back(util::metrics().snapshot().counters);
+        objectives.push_back(g.allocation.objective);
+      }
+    }
+    // The registry still holds the last run. One solve for Q(empty), then
+    // one climb per distinct trial: repeated posteriors must skip climbs,
+    // distinct ones none.
+    EXPECT_GT(levels.total(), 0u);
+    EXPECT_GT(bp_events.total(), 0u);
+    if (repeated) {
+      EXPECT_LT(solves.total(), 1 + evals.total());
+    } else {
+      EXPECT_EQ(solves.total(), 1 + evals.total());
+    }
+    for (std::size_t r = 1; r < counters.size(); ++r) {
+      EXPECT_EQ(counters[r], counters[0])
+          << "run " << r << (repeated ? ", repeated posteriors" : "");
+      EXPECT_EQ(objectives[r], objectives[0]) << "run " << r;
     }
   }
   util::set_metrics_enabled(prev_enabled);
-  EXPECT_GT(totals[0][0], 0u);
-  EXPECT_GT(totals[0][2], 0u);
-  for (std::size_t r = 1; r < totals.size(); ++r) {
-    EXPECT_EQ(totals[r], totals[0]) << "run " << r;
-    EXPECT_EQ(objectives[r], objectives[0]) << "run " << r;
-  }
 }
 
 // ----------------------------------------------- shard equivalence tier ----

@@ -3,12 +3,19 @@
 // feasibility, near-optimality against brute force, and bound validity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "core/bounds.h"
 #include "core/exact.h"
 #include "core/greedy.h"
 #include "core/objective.h"
 #include "core/waterfill.h"
 #include "test_helpers.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace femtocr::core {
@@ -189,6 +196,189 @@ TEST(Greedy, SkipsFbssWithoutUsers) {
   auto f = test::random_context(rng, 2, 3, 3, kPathEdges);  // FBS 2 unused
   const GreedyResult r = greedy_allocate(f.ctx, test::cache_for(f.ctx));
   EXPECT_TRUE(r.allocation.channels[2].empty());
+}
+
+// ------------------------------------------------- differential tier ----
+//
+// greedy_allocate skips a candidate whose trial vector an earlier one of
+// its scan task already had, keeps each task's first strict maximum with
+// its climb's assignment, and materializes the winner from that
+// assignment. The reference below is Table III as written: every round
+// climbs every surviving candidate with waterfill_solve and takes the
+// first strict maximum in candidate order. Every output must agree bit for
+// bit at 1, 2 and 8 threads.
+
+struct ReferenceScan {
+  GreedyResult result;
+  std::size_t repeats = 0;  ///< candidates repeating a task's earlier trial
+  std::size_t fbs_ties = 0;  ///< exact Q ties with a best of another FBS
+};
+
+ReferenceScan reference_greedy(const SlotContext& ctx,
+                               const SlotCache& cache) {
+  ReferenceScan ref;
+  GreedyResult& r = ref.result;
+  std::vector<std::pair<std::size_t, std::size_t>> cands;
+  for (std::size_t i = 0; i < ctx.num_fbs; ++i) {
+    if (cache.fbs_has_users[i] == 0) continue;
+    for (std::size_t a = 0; a < ctx.available.size(); ++a) {
+      cands.emplace_back(i, a);
+    }
+  }
+  std::vector<double> gt(ctx.num_fbs, 0.0);
+  std::vector<std::vector<std::size_t>> channels(ctx.num_fbs);
+  SlotAllocation current = waterfill_solve(ctx, cache, gt);
+  r.q_empty = current.objective;
+  while (!cands.empty()) {
+    double best_q = -std::numeric_limits<double>::infinity();
+    std::size_t best = 0;
+    SlotAllocation best_alloc;
+    for (std::size_t k = 0; k < cands.size(); ++k) {
+      const auto [i, a] = cands[k];
+      for (std::size_t e = 0; e < k; ++e) {
+        if (cands[e].first == i &&
+            ctx.posterior[cands[e].second] == ctx.posterior[a]) {
+          ++ref.repeats;
+          break;
+        }
+      }
+      std::vector<double> trial = gt;
+      trial[i] += ctx.posterior[a];
+      SlotAllocation alloc = waterfill_solve(ctx, cache, trial);
+      if (alloc.objective == best_q && cands[best].first != i) {
+        ++ref.fbs_ties;
+      }
+      if (alloc.objective > best_q) {
+        best_q = alloc.objective;
+        best = k;
+        best_alloc = std::move(alloc);
+      }
+    }
+    const auto [bi, ba] = cands[best];
+    r.steps.push_back({bi, ctx.available[ba], best_q - current.objective,
+                       ctx.graph->degree(bi)});
+    gt[bi] += ctx.posterior[ba];
+    channels[bi].push_back(ctx.available[ba]);
+    current = std::move(best_alloc);
+    const auto& nbrs = ctx.graph->neighbors(bi);
+    std::erase_if(cands, [&](const auto& cand) {
+      if (cand.second != ba) return false;
+      if (cand.first == bi) return true;
+      return std::find(nbrs.begin(), nbrs.end(), cand.first) != nbrs.end();
+    });
+  }
+  current.channels = std::move(channels);
+  current.expected_channels = gt;
+  r.d_bar = delta_weighted_degree(r.steps);
+  r.bound_tight = upper_bound_tight(current.objective, r.q_empty, r.d_bar);
+  r.bound_dmax = upper_bound_dmax(current.objective, r.q_empty,
+                                  ctx.graph->max_degree());
+  current.upper_bound = r.bound_tight;
+  current.objective_empty = r.q_empty;
+  r.allocation = std::move(current);
+  return ref;
+}
+
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+void expect_bitwise_equal(const GreedyResult& got, const GreedyResult& want,
+                          const std::string& where) {
+  ASSERT_EQ(got.steps.size(), want.steps.size()) << where;
+  for (std::size_t l = 0; l < want.steps.size(); ++l) {
+    EXPECT_EQ(got.steps[l].fbs, want.steps[l].fbs) << where << " step " << l;
+    EXPECT_EQ(got.steps[l].channel, want.steps[l].channel)
+        << where << " step " << l;
+    EXPECT_EQ(bits(got.steps[l].delta), bits(want.steps[l].delta))
+        << where << " step " << l;
+    EXPECT_EQ(got.steps[l].degree, want.steps[l].degree)
+        << where << " step " << l;
+  }
+  const SlotAllocation& a = got.allocation;
+  const SlotAllocation& b = want.allocation;
+  EXPECT_EQ(a.channels, b.channels) << where;
+  EXPECT_EQ(bits(a.expected_channels), bits(b.expected_channels)) << where;
+  EXPECT_EQ(bits(a.rho_mbs), bits(b.rho_mbs)) << where;
+  EXPECT_EQ(bits(a.rho_fbs), bits(b.rho_fbs)) << where;
+  EXPECT_EQ(a.use_mbs, b.use_mbs) << where;
+  EXPECT_EQ(bits(a.objective), bits(b.objective)) << where;
+  EXPECT_EQ(bits(a.objective_empty), bits(b.objective_empty)) << where;
+  EXPECT_EQ(bits(a.upper_bound), bits(b.upper_bound)) << where;
+  EXPECT_EQ(bits(got.q_empty), bits(want.q_empty)) << where;
+  EXPECT_EQ(bits(got.d_bar), bits(want.d_bar)) << where;
+  EXPECT_EQ(bits(got.bound_tight), bits(want.bound_tight)) << where;
+  EXPECT_EQ(bits(got.bound_dmax), bits(want.bound_dmax)) << where;
+}
+
+/// Seeded context `c` for the scan. Cases 0 and 1 have K = 70 and K = 66
+/// users, past the 64 a member mask holds (the MBS, and in case 1 the
+/// single FBS group too, bypass the memo). The rest are small, with random
+/// interference edges, and cycle through four posterior patterns: as
+/// drawn; all equal; pairwise bit-identical (channel m repeats channel
+/// m % 2, so every FBS's task sees repeats); and two FBSs whose users mirror
+/// each other, which gives exact Q ties between FBSs.
+test::ContextFixture greedy_case(int c) {
+  util::Rng rng(7001 + static_cast<std::uint64_t>(c));
+  if (c == 0) return test::random_context(rng, 70, 2, 2, {{0, 1}});
+  if (c == 1) return test::random_context(rng, 66, 1, 2);
+  const int pattern = c % 4;
+  const std::size_t fbss = pattern == 3 ? 2 : 1 + rng.index(4);
+  const std::size_t users =
+      pattern == 3 ? 2 * (1 + rng.index(3)) : 1 + rng.index(12);
+  const std::size_t channels = 1 + rng.index(6);
+  std::vector<std::pair<std::size_t, std::size_t>> edges;
+  for (std::size_t i = 0; i < fbss; ++i) {
+    for (std::size_t i2 = i + 1; i2 < fbss; ++i2) {
+      if (rng.index(2) == 0) edges.emplace_back(i, i2);
+    }
+  }
+  test::ContextFixture f =
+      test::random_context(rng, users, fbss, channels, edges);
+  std::vector<double>& post = f.ctx.posterior;
+  for (std::size_t m = 0; m < post.size(); ++m) {
+    if (pattern == 1) post[m] = post[0];
+    if (pattern >= 2) post[m] = post[m % 2];
+  }
+  if (pattern == 3) {
+    for (std::size_t j = 1; j < users; j += 2) {
+      f.ctx.users[j] = f.ctx.users[j - 1];
+      f.ctx.users[j].fbs = 1;
+    }
+  }
+  return f;
+}
+
+struct ThreadDefaultGuard {
+  ~ThreadDefaultGuard() { util::set_default_threads(0); }
+};
+
+TEST(GreedyDifferential, ScanMatchesFullTableIIIBitwise) {
+  ThreadDefaultGuard guard;
+  std::size_t repeats = 0;
+  std::size_t fbs_ties = 0;
+  for (int c = 0; c < 120; ++c) {
+    const test::ContextFixture f = greedy_case(c);
+    SlotCache cache;
+    cache.build(f.ctx);
+    const ReferenceScan ref = reference_greedy(f.ctx, cache);
+    repeats += ref.repeats;
+    fbs_ties += ref.fbs_ties;
+    for (const std::size_t threads :
+         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+      util::set_default_threads(threads);
+      expect_bitwise_equal(greedy_allocate(f.ctx, cache), ref.result,
+                           "case " + std::to_string(c) + " at " +
+                               std::to_string(threads) + " threads");
+    }
+  }
+  // The corpus must reach the paths the scan's shortcuts take.
+  EXPECT_GT(repeats, 0u) << "no candidate repeated a trial vector";
+  EXPECT_GT(fbs_ties, 0u) << "no exact Q tie between FBSs";
 }
 
 }  // namespace

@@ -278,8 +278,11 @@ TEST(WaterfillDifferential, ClimbMatchesFullReevaluationBitwise) {
     const std::uint32_t gen_after = slot_scratch().memo.generation;
     EXPECT_EQ(a.use_mbs, ref.use_mbs) << "case " << c;
     EXPECT_EQ(a.objective, ref.objective) << "case " << c;  // same bits
-    EXPECT_EQ(waterfill_solve_objective(d.f.ctx, cache, d.gt), ref.objective)
+    std::vector<bool> climbed;
+    EXPECT_EQ(waterfill_solve_objective(d.f.ctx, cache, d.gt, climbed),
+              ref.objective)
         << "case " << c;
+    EXPECT_EQ(climbed, ref.use_mbs) << "case " << c;
     EXPECT_TRUE(a.feasible(d.f.ctx)) << "case " << c;
     if (c == 2) {
       // One generation for the solve's own scope; any more are clears
