@@ -2,8 +2,9 @@
 //
 // Sweeps users x FBSs x channels well past the paper's figure scenarios —
 // up to 500 users / 50 FBSs / 64 licensed channels on the non-interfering
-// dual-decomposition path (each replication a warm-started chain of
-// drifting slots, so the warm-start hit rate is exercised at bench scale),
+// dual-decomposition path (each replication a chain of drifting slots
+// through the Proposed scheme, so its warm-start carry is exercised at
+// bench scale),
 // and ring-interference cells up to 50 FBSs on
 // the greedy + water-filling path (the greedy's candidate argmax is the
 // intra-slot parallel section, so the interfering cells are the ones that
@@ -34,6 +35,7 @@
 #include "common.h"
 #include "core/dual_solver.h"
 #include "core/greedy.h"
+#include "core/scheme.h"
 #include "core/shard.h"
 #include "core/slot_cache.h"
 #include "core/types.h"
@@ -250,51 +252,34 @@ int main(int argc, char** argv) {
     for (std::size_t rep = 0; rep < harness.runs(); ++rep) {
       ++replications;
       if (std::string(cell.kind) == "dual") {
-        // Warm-started slot chain: the fixture drifts a little per slot
-        // and the previous slot's converged prices seed the next solve —
-        // the live warm-start regime of core/scheme.cpp. Slot 0 is the
-        // chain's one (counted) cold miss; every later slot should be a
-        // core.dual.warm_start.hit.
+        // A chain of drifting slots through the Proposed scheme's
+        // distributed path, so its price carry seeds each slot from the
+        // previous one. Slot 0 is the chain's one (counted) cold miss;
+        // every later slot should be a core.dual.warm_start.hit.
         constexpr std::size_t kChainSlots = 6;
         Fixture f = make_fixture(cell, /*ring=*/false, rep);
         util::Rng drift_rng(0x5eed5u + 1000003u * rep + 31u * cell.users +
                             17u * cell.fbs + 13u * cell.channels);
-        core::SlotCache cache;
         core::DualOptions opts;
         // Bound the subgradient so the 500-user cells stay bench-sized;
         // the result is deterministic either way.
         opts.max_iterations = 20000;
-        opts.warm_start_enabled = true;
-        std::vector<double> warm;
+        core::ProposedScheme scheme(opts, /*use_distributed_solver=*/true);
         for (std::size_t slot = 0; slot < kChainSlots; ++slot) {
           if (slot > 0) drift_fixture(f, drift_rng);
-          // The bench drives core::solve_dual directly, so it synthesizes
-          // the simulator's sim.slot / sim.slot.allocate scope envelope
-          // itself; trace tooling then applies the same nesting checks to
-          // bench traces as to simulator traces.
+          // The bench drives the scheme directly, so it synthesizes the
+          // simulator's sim.slot / sim.slot.allocate scope envelope itself;
+          // trace tooling then applies the same nesting checks to bench
+          // traces as to simulator traces.
           util::Scope slot_scope(t_slot);
           slot_scope.arg("slot", static_cast<double>(slot));
           slot_scope.arg("run", static_cast<double>(rep));
-          const std::vector<double> gt(cell.fbs,
-                                       f.ctx.total_expected_channels());
-          if (warm.size() == cell.fbs + 1) {
-            opts.warm_start = warm;
-          } else {
-            opts.warm_start.reset();
-          }
           c_solves.add();
           const util::Scope allocate_scope(t_allocate);
-          cache.build(f.ctx);
           const util::Scope solve_scope(t_solve);
-          const core::DualResult res =
-              core::solve_dual(f.ctx, cache, gt, opts);
-          if (res.converged) {
-            warm = res.lambda;
-          } else {
-            warm.clear();  // never carry a degraded price vector
-          }
-          sum_objective += res.allocation.objective;
-          work += res.iterations;
+          const core::SlotAllocation alloc = scheme.allocate(f.ctx);
+          sum_objective += alloc.objective;
+          work += alloc.dual_iterations;
         }
       } else {
         Fixture f = make_fixture(cell, /*ring=*/true, rep);

@@ -311,10 +311,9 @@ void project_to_budgets(const SlotContext& ctx, SlotAllocation& alloc) {
 DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
                       const std::vector<double>& gt_per_fbs,
                       const DualOptions& options) {
-  // core.dual.iterations counts dual-price iterations across both solvers
-  // of problem (12): subgradient passes here and water-level bisection
-  // steps in waterfill_resource — the water level is the same Lagrange
-  // dual variable (see docs/OBSERVABILITY.md).
+  // core.dual.iterations counts the subgradient passes of this solver only;
+  // the water-filling solver's level solves have their own counters
+  // (docs/OBSERVABILITY.md).
   static util::Counter& c_solves = util::metrics().counter("core.dual.solves");
   static util::Counter& c_iters =
       util::metrics().counter("core.dual.iterations");
@@ -322,10 +321,6 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
       util::metrics().counter("core.dual.price_updates");
   static util::Counter& c_converged =
       util::metrics().counter("core.dual.converged");
-  static util::Counter& c_warm_hits =
-      util::metrics().counter("core.dual.warm_start.hits");
-  static util::Counter& c_warm_misses =
-      util::metrics().counter("core.dual.warm_start.misses");
   static util::Histogram& h_iters =
       util::metrics().histogram("core.dual.iterations_per_solve");
   static util::TimerStat& t_solve = util::metrics().timer("core.dual.solve");
@@ -347,13 +342,6 @@ DualResult solve_dual(const SlotContext& ctx, const SlotCache& cache,
   const std::size_t K = ctx.users.size();
   const std::size_t num_prices = ctx.num_fbs + 1;
   c_solves.add();
-  if (options.warm_start) {
-    c_warm_hits.add();
-  } else if (options.warm_start_enabled) {
-    // Only chained callers count misses — a one-shot solve with the warm
-    // start feature off is a cold solve, not a missed warm start.
-    c_warm_misses.add();
-  }
 
   DualScratch& ds = slot_scratch().dual;
   ds.lambda.assign(num_prices, options.initial_lambda);

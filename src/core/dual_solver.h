@@ -41,15 +41,10 @@ struct DualOptions {
 
   /// Warm start: prices from a previous solve (size num_fbs + 1). Beliefs
   /// and fading drift slowly across slots, so a carried price lands near
-  /// the new optimum and cuts iterations by an order of magnitude.
+  /// the new optimum and cuts iterations by an order of magnitude. The
+  /// hit rate is counted where the carry is consumed (solve_component in
+  /// core/shard.h), not here.
   std::optional<std::vector<double>> warm_start;
-  /// Set by callers that run a warm-start chain (solve_component in
-  /// core/shard.cpp, the stress bench): a solve entered without carried
-  /// prices then counts a core.dual.warm_start.miss. When false (default)
-  /// a priceless solve is just a cold solve and counts neither, keeping
-  /// one-shot callers out of the hit-rate denominator. Passing
-  /// `warm_start` always counts a hit.
-  bool warm_start_enabled = false;
 
   /// Graceful-degradation knobs. Every sampled price vector is scored by
   /// the *same* primal recovery used at exit (best responses + budget

@@ -1,47 +1,14 @@
 #include "core/multistage.h"
 
+#include <algorithm>
 #include <cmath>
 
-#include "core/subproblem.h"
+#include "core/waterfill.h"
 #include "util/check.h"
 
 namespace femtocr::core {
 
 namespace {
-
-/// Single-resource water-filling on raw (w, s, r) vectors: returns the
-/// optimal shares for max sum_j [s log(w + rho r) + (1-s) log w],
-/// sum rho <= 1, rho in [0, kRhoCap].
-std::vector<double> waterfill_raw(const std::vector<double>& w,
-                                  const std::vector<double>& s,
-                                  const std::vector<double>& r) {
-  const std::size_t n = w.size();
-  std::vector<double> rho(n, 0.0);
-  auto shares_at = [&](double lambda) {
-    double sum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      rho[j] = best_share(s[j], w[j], r[j], lambda);
-      sum += rho[j];
-    }
-    return sum;
-  };
-  double hi = 0.0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (r[j] > 0.0) hi = std::max(hi, s[j] * r[j] / w[j]);
-  }
-  if (hi <= 0.0) {
-    shares_at(1.0);
-    return rho;
-  }
-  if (shares_at(1e-12) <= 1.0) return rho;  // caps bind, price 0
-  double lo = 1e-12;
-  for (int iter = 0; iter < 100; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    (shares_at(mid) > 1.0 ? lo : hi) = mid;
-  }
-  shares_at(hi);
-  return rho;
-}
 
 double stage_value(const std::vector<double>& w, const std::vector<double>& s,
                    const std::vector<double>& r,
@@ -77,7 +44,8 @@ double TwoStageResult::relative_gap() const {
 
 double second_stage_value(const TwoStageInstance& inst,
                           const std::vector<double>& w) {
-  const std::vector<double> rho = waterfill_raw(w, inst.success, inst.rate);
+  std::vector<double> rho;
+  waterfill_shares(w, inst.rate, inst.success, 1.0, rho);
   return stage_value(w, inst.success, inst.rate, rho);
 }
 
@@ -106,8 +74,8 @@ TwoStageResult analyze_two_stage(const TwoStageInstance& inst,
 
   // Myopic (the paper's decomposition): water-fill stage one on the
   // current objective, then play the exact second stage.
-  const std::vector<double> myopic_rho =
-      waterfill_raw(inst.psnr, inst.success, inst.rate);
+  std::vector<double> myopic_rho;
+  waterfill_shares(inst.psnr, inst.rate, inst.success, 1.0, myopic_rho);
   result.myopic_value = lookahead_value(inst, myopic_rho);
 
   // Optimal first stage: exhaustive simplex grid (the budget binds at the

@@ -9,56 +9,16 @@
 #include "core/waterfill.h"
 #include "util/check.h"
 #include "util/mathx.h"
+#include "util/metrics.h"
+#include "util/trace.h"
 
 namespace femtocr::core {
-
-namespace {
-
-/// Water-fills the residual budget of one resource above fixed floor
-/// shares: maximize sum_j S_j log(W_j + (floor_j + rho'_j) R_j) with
-/// sum rho' <= budget, rho' >= 0. Equivalent to plain water-filling from
-/// the floor-advanced states.
-void residual_waterfill(const SlotContext& ctx,
-                        const std::vector<std::size_t>& users,
-                        const std::vector<double>& rates,
-                        const std::vector<double>& successes,
-                        const std::vector<double>& floors, double budget,
-                        std::vector<double>& rho_out) {
-  rho_out.assign(users.size(), 0.0);
-  if (users.empty() || budget <= 0.0) return;
-
-  auto shares_at = [&](double lambda) {
-    double sum = 0.0;
-    for (std::size_t k = 0; k < users.size(); ++k) {
-      const double w = ctx.users[users[k]].psnr + floors[k] * rates[k];
-      rho_out[k] = best_share(successes[k], w, rates[k], lambda);
-      sum += rho_out[k];
-    }
-    return sum;
-  };
-  double hi = 0.0;
-  for (std::size_t k = 0; k < users.size(); ++k) {
-    const double w = ctx.users[users[k]].psnr + floors[k] * rates[k];
-    if (rates[k] > 0.0) hi = std::max(hi, successes[k] * rates[k] / w);
-  }
-  if (hi <= 0.0) {
-    shares_at(1.0);
-    return;
-  }
-  if (shares_at(1e-12) <= budget) return;  // caps bind below the budget
-  double lo = 1e-12;
-  for (int iter = 0; iter < 100; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    (shares_at(mid) > budget ? lo : hi) = mid;
-  }
-  shares_at(hi);
-}
-
-}  // namespace
 
 QosPlan qos_solve(const SlotContext& ctx, const std::vector<double>& gt_per_fbs,
                   const std::vector<double>& min_psnr,
                   std::size_t slots_remaining) {
+  static util::TimerStat& t_solve = util::metrics().timer("core.qos.solve");
+  const util::Scope scope(t_solve);
   SlotCache cache;
   cache.build(ctx);  // validates the context
   FEMTOCR_CHECK(min_psnr.size() == ctx.users.size(),
@@ -127,25 +87,32 @@ QosPlan qos_solve(const SlotContext& ctx, const std::vector<double>& gt_per_fbs,
   alloc.expected_channels = gt_per_fbs;
   alloc.channels = base.channels;
 
+  // The residual budget above the floors: maximize
+  // sum_j S_j log(W_j + (floor_j + rho'_j) R_j) with sum rho' <= budget,
+  // which is plain water-filling from the floor-advanced states.
   auto fill_resource = [&](bool mbs_side, std::size_t fbs_index) {
     std::vector<std::size_t> users;
-    std::vector<double> rates, successes, floors;
+    std::vector<double> advanced, rates, successes, floors;
     double floor_total = 0.0;
     for (std::size_t j = 0; j < K; ++j) {
       const UserState& u = ctx.users[j];
       const bool member = mbs_side ? base.use_mbs[j]
                                    : (!base.use_mbs[j] && u.fbs == fbs_index);
       if (!member) continue;
+      const double rate =
+          mbs_side ? u.rate_mbs : u.rate_fbs * gt_per_fbs[fbs_index];
       users.push_back(j);
-      rates.push_back(mbs_side ? u.rate_mbs
-                               : u.rate_fbs * gt_per_fbs[fbs_index]);
+      advanced.push_back(u.psnr + plan.floor_shares[j] * rate);
+      rates.push_back(rate);
       successes.push_back(mbs_side ? u.success_mbs : u.success_fbs);
       floors.push_back(plan.floor_shares[j]);
       floor_total += plan.floor_shares[j];
     }
-    std::vector<double> extra;
-    residual_waterfill(ctx, users, rates, successes, floors,
-                       1.0 - floor_total, extra);
+    const double budget = 1.0 - floor_total;
+    std::vector<double> extra(users.size(), 0.0);
+    if (!users.empty() && budget > 0.0) {
+      waterfill_shares(advanced, rates, successes, budget, extra);
+    }
     for (std::size_t k = 0; k < users.size(); ++k) {
       const double share =
           std::min(floors[k] + extra[k], kRhoCap);

@@ -1,6 +1,7 @@
 #include "core/scheme.h"
 
 #include <utility>
+#include <vector>
 
 #include "core/heuristics.h"
 #include "core/shard.h"
@@ -31,67 +32,55 @@ const ShardPlan& ProposedScheme::shard_plan(
   return plan_;
 }
 
+const std::vector<double>* ProposedScheme::warm_seed(
+    ShardPlan::ComponentKey key) const {
+  for (const WarmEntry& e : warm_) {
+    if (e.key == key) return &e.lambda;
+  }
+  return nullptr;
+}
+
+void ProposedScheme::carry(ShardPlan::ComponentKey key,
+                           ComponentOutcome& outcome) {
+  std::erase_if(warm_, [&](const WarmEntry& e) { return e.key == key; });
+  // Only converged prices are worth carrying: a degraded solve's final
+  // prices can sit anywhere in the orbit and would poison the next seed.
+  if (outcome.converged) warm_.push_back({key, std::move(outcome.lambda), 0});
+}
+
 SlotAllocation ProposedScheme::allocate(const SlotContext& ctx) {
   // One cache build covers every solve this slot makes — including all of
   // the greedy's candidate evaluations — and validates the context once.
   cache_.build(ctx);
-  // Every slot ages BOTH price carries, including slots that never reach
-  // the path that would consume them (interfering slots for the global
-  // carry, edgeless slots for the shard carry, fault bypasses in the
-  // simulator are invisible here but show up as non-refreshing slots too):
-  // the staleness bound is on wall-clock slots, not on solver calls.
-  ++warm_age_;
-  ++shard_warm_age_;
-  if (warm_age_ > kMaxWarmAgeSlots) warm_lambda_.clear();
-  if (shard_warm_age_ > kMaxWarmAgeSlots) shard_warm_.clear();
-  // Edgeless slots and connected interfering graphs are solved whole (the
-  // edgeless dual path carries one global price vector); when the graph
-  // splits into several components the slot decomposes and the shard
-  // engine solves the components concurrently (core/shard.h), carrying one
-  // price vector per component fingerprint on the distributed path.
+  // Every slot ages every carried entry, including slots that never reach
+  // the solve that would consume it: the staleness bound is on wall-clock
+  // slots, not on solver calls.
+  for (WarmEntry& e : warm_) ++e.age;
+  std::erase_if(warm_,
+                [](const WarmEntry& e) { return e.age > kMaxWarmAgeSlots; });
+  // Edgeless slots and connected interfering graphs are solved whole; when
+  // the graph splits into several components the slot decomposes and the
+  // shard engine solves the components concurrently (core/shard.h).
   const ShardPlan* plan =
       ctx.graph->num_edges() == 0 ? nullptr : &shard_plan(*ctx.graph);
   if (plan == nullptr || plan->num_components() <= 1) {
-    // The staleness sweep above already dropped an over-age carry, so a
-    // surviving shape-matched seed is fresh enough to use.
+    const ShardPlan::ComponentKey key{0, ctx.num_fbs};
     ComponentOutcome outcome;
     SlotAllocation alloc =
-        solve_component(ctx, cache_, options_, &warm_lambda_, outcome);
-    if (outcome.dual_path) {
-      // Only converged prices are worth carrying (outcome.lambda is empty
-      // otherwise): a degraded solve's final prices can sit anywhere in
-      // the orbit and would poison the next slot's seed.
-      warm_lambda_ = std::move(outcome.lambda);
-      if (outcome.converged) warm_age_ = 0;
-    }
+        solve_component(ctx, cache_, options_, warm_seed(key), outcome);
+    if (outcome.dual_path) carry(key, outcome);
     return alloc;
   }
-  // Route each carried price vector to the component that owns its
-  // fingerprint. Components whose fingerprint has no carry (membership
-  // changed, component is new, last solve did not converge) start cold —
-  // never seeded from a same-position or same-count stranger.
-  shard_seed_.resize(plan->num_components());
-  for (std::size_t c = 0; c < plan->num_components(); ++c) {
-    shard_seed_[c].clear();
-    const ShardPlan::ComponentKey key = plan->key(c);
-    for (const ShardCarry& carry : shard_warm_) {
-      if (carry.key == key) {
-        shard_seed_[c] = carry.lambda;
-        break;
-      }
-    }
+  // The seeds point into the carry, which stays untouched until every
+  // component is solved.
+  std::vector<const std::vector<double>*> seeds(plan->num_components());
+  for (std::size_t c = 0; c < seeds.size(); ++c) {
+    seeds[c] = warm_seed(plan->key(c));
   }
-  ShardResult res = sharded_allocate(ctx, *plan, options_, &shard_seed_);
-  shard_warm_.resize(plan->num_components());
+  ShardResult res = sharded_allocate(ctx, *plan, options_, seeds);
   for (std::size_t c = 0; c < res.outcomes.size(); ++c) {
-    shard_warm_[c].key = plan->key(c);
-    if (res.outcomes[c].dual_path && res.outcomes[c].converged) {
-      shard_warm_[c].lambda = std::move(res.outcomes[c].lambda);
-    } else {
-      shard_warm_[c].lambda.clear();  // never carry a degraded price vector
-    }
+    if (res.outcomes[c].dual_path) carry(plan->key(c), res.outcomes[c]);
   }
-  if (options_.use_distributed_solver) shard_warm_age_ = 0;
   return std::move(res.allocation);
 }
 

@@ -5,8 +5,9 @@
 // optimum-achieving dual algorithm when no FBSs interfere (Sections
 // IV-A/B), the greedy channel allocation plus inner solve when they do
 // (Section IV-C). Heuristics 1 and 2 are the comparison baselines of
-// Section V. Schemes may keep state across slots (the Proposed scheme warm
-// starts its dual prices from the previous slot).
+// Section V. Schemes may keep state across slots (on the distributed path
+// the Proposed scheme warm starts each dual solve from the prices its FBS
+// set last converged to).
 #pragma once
 
 #include <cstdint>
@@ -47,14 +48,22 @@ const char* scheme_name(SchemeKind kind);
 /// with the exact water-filling solver (same optimum as the distributed
 /// subgradient of Tables I/II — tests pin the agreement — at a fraction of
 /// the iterations). Construct with `use_distributed_solver = true` to run
-/// the literal Table I/II message-passing algorithm instead, warm-starting
-/// the prices from the previous slot.
+/// the literal Table I/II message-passing algorithm instead.
+///
+/// On that path the scheme keeps one warm-start carry: per FBS set, the
+/// prices its last dual-path solve converged to. A dual-path solve is either
+/// the whole slot (key {0, num_fbs}) or a singleton component of a sharded
+/// slot (key {i, 1}), so a key names its FBS set exactly and one set's
+/// prices never seed another's solve. A solve replaces its key's entry with
+/// its converged prices, or erases it when it did not converge; water-
+/// filling and greedy solves leave the carry alone.
 class ProposedScheme final : public Scheme {
  public:
-  /// Staleness bound on the carried prices: a seed older than this many
-  /// allocate() calls (slots the dual path did not refresh it — fault
-  /// bypasses, interfering slots, non-converged solves) is discarded and
-  /// the next solve starts cold, so churn cannot poison the seed price.
+  /// Staleness bound on the carried prices: every allocate() ages every
+  /// entry, and an entry older than this many calls (slots that did not
+  /// refresh it — fault bypasses, interfering slots, slots in which its
+  /// FBS was not a singleton) is dropped, so the next solve of its FBS set
+  /// starts cold and churn cannot poison the seed price.
   static constexpr std::size_t kMaxWarmAgeSlots = 8;
 
   explicit ProposedScheme(DualOptions options = {},
@@ -63,14 +72,17 @@ class ProposedScheme final : public Scheme {
   SlotAllocation allocate(const SlotContext& ctx) override;
 
  private:
-  /// One component's carried prices plus the fingerprint they belong to.
-  /// A seed is consumed only by a component with the *same* fingerprint
-  /// (smallest global FBS + size) — matching on component count alone let
-  /// mobility/churn feed prices for one set of femtocells into another.
-  struct ShardCarry {
+  /// The converged prices of one FBS set's last dual-path solve.
+  struct WarmEntry {
     ShardPlan::ComponentKey key;
-    std::vector<double> lambda;  ///< empty = nothing carried for this key
+    std::vector<double> lambda;
+    std::size_t age = 0;  ///< allocate() calls since the solve
   };
+
+  /// The carried prices of `key`, or null.
+  const std::vector<double>* warm_seed(ShardPlan::ComponentKey key) const;
+  /// Records the dual-path solve `outcome` of `key`.
+  void carry(ShardPlan::ComponentKey key, ComponentOutcome& outcome);
 
   /// Decomposition of `graph`, cached across slots keyed on the graph's
   /// (pointer, version) pair. The version stamp is process-unique per
@@ -80,14 +92,7 @@ class ProposedScheme final : public Scheme {
   const ShardPlan& shard_plan(const net::InterferenceGraph& graph);
 
   ShardOptions options_;  ///< solver choice + dual options, every path
-  std::vector<double> warm_lambda_;  ///< prices carried across slots
-  std::size_t warm_age_ = 0;  ///< allocate() calls since the carry was fresh
-  /// Sharded-slot warm prices, fingerprint-keyed (see ShardCarry). Aged
-  /// every allocate() call — the kMaxWarmAgeSlots bound is wall-clock
-  /// slots, symmetric with warm_lambda_'s.
-  std::vector<ShardCarry> shard_warm_;
-  std::size_t shard_warm_age_ = 0;
-  std::vector<std::vector<double>> shard_seed_;  ///< per-slot scratch, reused
+  std::vector<WarmEntry> warm_;  ///< the carry, at most one entry per key
   const net::InterferenceGraph* plan_graph_ = nullptr;
   std::uint64_t plan_version_ = 0;
   ShardPlan plan_;

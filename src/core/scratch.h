@@ -1,7 +1,7 @@
 // Reusable per-thread scratch arena for the per-slot solve hot paths.
 //
 // The dual-decomposition iteration (solve_dual), the water-filling
-// evaluator (waterfill_resource / evaluate_assignment) and the Table III
+// evaluator (waterfill_shares / evaluate_assignment) and the Table III
 // greedy all used to heap-allocate their working vectors on every call —
 // for the greedy that means thousands of allocations per slot, inside the
 // innermost loops. SlotScratch keeps one high-water-mark buffer set per

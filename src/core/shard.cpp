@@ -46,10 +46,18 @@ SlotAllocation solve_component(const SlotContext& ctx, const SlotCache& cache,
     // apply and achieve the optimum.
     const std::vector<double> gt(ctx.num_fbs, ctx.total_expected_channels());
     if (options.use_distributed_solver) {
+      // The carry is consumed here, so this is where the warm-start hit
+      // rate is counted: every dual-path solve is a hit or a miss.
+      static util::Counter& c_warm_hits =
+          util::metrics().counter("core.dual.warm_start.hits");
+      static util::Counter& c_warm_misses =
+          util::metrics().counter("core.dual.warm_start.misses");
       DualOptions opts = options.dual;
-      opts.warm_start_enabled = true;
       if (warm != nullptr && warm->size() == ctx.num_fbs + 1) {
         opts.warm_start = *warm;
+        c_warm_hits.add();
+      } else {
+        c_warm_misses.add();
       }
       // Fault-injection budget squeeze (sim/faults.h): the solve must land
       // inside the slot, so an injected cap bounds the subgradient budget
@@ -170,7 +178,7 @@ SlotAllocation fold_component_allocations(
 
 ShardResult sharded_allocate(
     const SlotContext& ctx, const ShardPlan& plan, const ShardOptions& options,
-    const std::vector<std::vector<double>>* warm_prices) {
+    const std::vector<const std::vector<double>*>& seeds) {
   ShardMetrics& metrics = shard_metrics();
   util::Scope scope(metrics.solve);
 
@@ -208,11 +216,8 @@ ShardResult sharded_allocate(
     }
     SlotCache cache;
     cache.build(sub);
-    const std::vector<double>* warm =
-        (warm_prices != nullptr && c < warm_prices->size())
-            ? &(*warm_prices)[c]
-            : nullptr;
-    subs[c] = solve_component(sub, cache, options, warm, result.outcomes[c]);
+    const std::vector<double>* seed = c < seeds.size() ? seeds[c] : nullptr;
+    subs[c] = solve_component(sub, cache, options, seed, result.outcomes[c]);
   });
 
   result.allocation = fold_component_allocations(ctx, problems, subs);

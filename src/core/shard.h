@@ -18,10 +18,11 @@
 // Determinism contract (pinned by the shard-equivalence tier of
 // tests/test_determinism.cpp): workers write only their component's slots
 // of pre-sized buffers; every fold walks components in index order; each
-// component has its own SlotCache and — on the distributed path — its own
-// warm-start price vector, and the per-thread scratch arenas of
-// core/scratch.h keep concurrent component solves from aliasing. Results
-// are bitwise identical for any --threads value and with FEMTOCR_METRICS=0.
+// component has its own SlotCache and — on the distributed path — reads
+// its own warm-start seed, which the caller keeps (ProposedScheme's one
+// carry), and the per-thread scratch arenas of core/scratch.h keep
+// concurrent component solves from aliasing. Results are bitwise identical
+// for any --threads value and with FEMTOCR_METRICS=0.
 //
 // Observability: core.shard.* counters/timer, rows in docs/OBSERVABILITY.md.
 // Registered lazily on the first sharded solve so runs that never shard
@@ -44,10 +45,12 @@ struct SlotCache;
 /// defines (ascending by smallest vertex, members ascending).
 struct ShardPlan {
   /// Identity of one component across slots: its smallest global FBS index
-  /// plus its size. Warm-start carries key their cached prices by this, so
+  /// plus its size. ProposedScheme keys its warm-start carry by this (the
+  /// whole slot is {0, num_fbs}). Only singletons and whole edgeless slots
+  /// take the dual path, and for them the key names the FBS set exactly, so
   /// a graph that keeps its component *count* but shuffles membership
-  /// (mobility, churn) reads as a different decomposition and goes cold
-  /// instead of seeding stale prices into the wrong component.
+  /// (mobility, churn) goes cold instead of seeding stale prices into the
+  /// wrong component.
   struct ComponentKey {
     std::size_t min_vertex = 0;
     std::size_t size = 0;
@@ -122,8 +125,10 @@ struct ShardResult {
 /// with users: an edgeless graph takes the optimal water-filling (or, with
 /// use_distributed_solver, the subgradient, seeded from `warm` iff its
 /// size is num_fbs + 1 and capped by ctx.solver_iteration_cap), an
-/// interfering graph takes the Table III greedy. `cache` must be built for
-/// `ctx`; `outcome` reports the dual path's convergence and prices.
+/// interfering graph takes the Table III greedy. Each subgradient solve
+/// counts a core.dual.warm_start.hit when seeded and a .miss otherwise.
+/// `cache` must be built for `ctx`; `outcome` reports the dual path's
+/// convergence and prices.
 SlotAllocation solve_component(const SlotContext& ctx, const SlotCache& cache,
                                const ShardOptions& options,
                                const std::vector<double>* warm,
@@ -138,14 +143,14 @@ SlotAllocation fold_component_allocations(
     const SlotContext& ctx, const std::vector<ComponentProblem>& problems,
     const std::vector<SlotAllocation>& subs);
 
-/// Solves the slot by components, concurrently. `warm_prices`, when given,
-/// seeds the distributed path per component id (entry c is used iff its
-/// size matches component c's price-vector shape); converged prices come
-/// back in ShardResult::outcomes for the caller to carry. Deterministic for
-/// any thread count.
+/// Solves the slot by components, concurrently. On the distributed path
+/// `seeds[c]`, when present and non-null, is component c's warm-start seed
+/// (see solve_component); it must stay valid until the call returns.
+/// Converged prices come back in ShardResult::outcomes for the caller to
+/// carry. Deterministic for any thread count.
 ShardResult sharded_allocate(
     const SlotContext& ctx, const ShardPlan& plan,
     const ShardOptions& options = {},
-    const std::vector<std::vector<double>>* warm_prices = nullptr);
+    const std::vector<const std::vector<double>*>& seeds = {});
 
 }  // namespace femtocr::core

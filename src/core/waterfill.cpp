@@ -47,15 +47,15 @@ double shares_at_level(const double* successes, const double* pr,
 /// Reference bisection on the budget-binding bracket [kLevelLo, hi] — the
 /// pre-breakpoint level solver, kept verbatim as the analytic solver's
 /// numerical fallback and as the equivalence-test oracle
-/// (waterfill_resource_reference). Only called when the budget binds.
+/// (waterfill_shares_reference). Only called when the budget binds.
 double bisect_level(const double* successes, const double* pr,
                     const unsigned char* usable, std::size_t n, double hi,
-                    double* rho_out) {
+                    double budget, double* rho_out) {
   double lo = kLevelLo;
   constexpr int kBisectionSteps = 100;
   for (int iter = 0; iter < kBisectionSteps; ++iter) {
     const double mid = 0.5 * (lo + hi);
-    if (shares_at_level(successes, pr, usable, n, mid, rho_out) > 1.0) {
+    if (shares_at_level(successes, pr, usable, n, mid, rho_out) > budget) {
       lo = mid;
     } else {
       hi = mid;
@@ -67,7 +67,8 @@ double bisect_level(const double* successes, const double* pr,
 /// Analytic water-level core shared by the public entry point and the
 /// per-resource solve. `pr[k]` must equal W_k / rate_k for usable members
 /// and `usable[k]` the rate > 0 && success > 0 gate, both hoisted out of
-/// the solve; `hi` is the max usable S R / W. `count` feeds the
+/// the solve; `hi` is the max usable S R / W; `budget` in [0, 1] is what
+/// the shares may sum to (1 in the slot solve). `count` feeds the
 /// core.waterfill.level_solves / breakpoint.* counters; the DCHECK re-solve
 /// of a memo hit passes false, so checking never moves them.
 ///
@@ -76,16 +77,17 @@ double bisect_level(const double* successes, const double* pr,
 /// per member: λ_on = S/pr (the share turns on below it) and
 /// λ_cap = S/(pr + cap) (the share saturates below it). Between
 /// breakpoints g(λ) = A/λ − B + C·cap with A = Σ_active S, B = Σ_active pr
-/// and C the capped count, so the binding level solves g(λ*) = 1 in closed
-/// form: λ* = A / (1 + B − C·cap). One descending sweep over the sorted
-/// events finds the interval containing the crossing; a single Newton
-/// polish (an exact reclassification at the candidate, then the closed
-/// form again) removes the streaming-prefix rounding. Replaces the
+/// and C the capped count, so the binding level solves g(λ*) = budget in
+/// closed form: λ* = A / (budget + B − C·cap). One descending sweep over
+/// the sorted events finds the interval containing the crossing; a single
+/// Newton polish (an exact reclassification at the candidate, then the
+/// closed form again) removes the streaming-prefix rounding. Replaces the
 /// 100-step bisection PR 4 inherited — which therefore no longer feeds
 /// core.dual.iterations (docs/OBSERVABILITY.md).
 double waterfill_level(const double* successes, const double* pr,
                        const unsigned char* usable, std::size_t n, double hi,
-                       double* rho_out, ResourceScratch& rs, bool count) {
+                       double budget, double* rho_out, ResourceScratch& rs,
+                       bool count) {
   static util::Counter& c_level_solves =
       util::metrics().counter("core.waterfill.level_solves");
   static util::Counter& c_bp_solves =
@@ -106,7 +108,8 @@ double waterfill_level(const double* successes, const double* pr,
     return 0.0;
   }
 
-  if (shares_at_level(successes, pr, usable, n, kLevelLo, rho_out) <= 1.0) {
+  if (shares_at_level(successes, pr, usable, n, kLevelLo, rho_out) <=
+      budget) {
     // Budget slack even at (almost) zero price: caps bind, lambda* = 0.
     return 0.0;
   }
@@ -155,20 +158,25 @@ double waterfill_level(const double* successes, const double* pr,
 
   // Descending sweep: in each interval (bot, top] the closed-form
   // candidate is accepted iff it lands inside the interval. g is
-  // continuous, non-increasing, and g(kLevelLo) > 1 was established
+  // continuous, non-increasing, and g(kLevelLo) > budget was established
   // above — but not strictly decreasing: with the cap equal to the whole
   // budget, one saturated member makes g ≡ 1 across a flat region whose
   // every boundary interval accepts. The canonical level is the LOWEST
   // accepted candidate (the infimum of {λ : g(λ) <= 1}), which is the
   // point the reference bisection converges to; candidates only shrink as
-  // the sweep descends, so the last acceptance wins.
+  // the sweep descends, so the last acceptance wins. The candidate below
+  // the region can round just above its interval's top and be rejected;
+  // the sweep then keeps the region's upper end. Every level of the region
+  // is a multiplier of the same shares (up to rounding), so the returned
+  // level, not the allocation, differs from the bisection's
+  // (tests/test_waterfill_breakpoint.cpp pins such a case).
   double level = -1.0;
   double top = std::numeric_limits<double>::infinity();
   std::size_t e = 0;
   while (true) {
     const double bot = e < m ? rs.ev_order[e].level : kLevelLo;
     if (A > 0.0) {
-      const double denom = 1.0 + B - C * kRhoCap;
+      const double denom = budget + B - C * kRhoCap;
       if (denom > 0.0) {
         const double cand = A / denom;
         if (cand >= bot && cand <= top) level = cand;
@@ -202,7 +210,7 @@ double waterfill_level(const double* successes, const double* pr,
         pb += pr[k];
       }
     }
-    const double denom = 1.0 + pb - pc * kRhoCap;
+    const double denom = budget + pb - pc * kRhoCap;
     if (pa > 0.0 && denom > 0.0) {
       const double polished = pa / denom;
       if (std::isfinite(polished) && polished > 0.0) {
@@ -215,7 +223,7 @@ double waterfill_level(const double* successes, const double* pr,
   double sum = level > 0.0
                    ? shares_at_level(successes, pr, usable, n, level, rho_out)
                    : 2.0;  // force the fallback
-  if (!(sum <= 1.0 + 1e-9)) {
+  if (!(sum <= budget + 1e-9)) {
     // Numerical corner: when the price offsets W/R dwarf the level, the
     // share S/λ − W/R cancels catastrophically and the closed-form level
     // can overspend the budget by more than the guard. It does happen —
@@ -229,13 +237,14 @@ double waterfill_level(const double* successes, const double* pr,
       c_bp_fallback.add();
       util::trace_note_anomaly("core.waterfill.breakpoint.bisect_fallback");
     }
-    level = bisect_level(successes, pr, usable, n, hi, rho_out);
+    level = bisect_level(successes, pr, usable, n, hi, budget, rho_out);
     sum = shares_at_level(successes, pr, usable, n, level, rho_out);
   }
   // KKT exit contracts: a finite positive water level and a primal point
-  // inside the slot budget.
+  // inside the budget.
   FEMTOCR_CHECK_FINITE(level, "water-filling level must be finite");
-  FEMTOCR_DCHECK_LE(sum, 1.0 + 1e-9, "water-filled shares exceed the slot");
+  FEMTOCR_DCHECK_LE(sum, budget + 1e-9,
+                    "water-filled shares exceed the budget");
   FEMTOCR_DCHECK_GE(level, 0.0, "water-filling price must be nonnegative");
   return level;
 }
@@ -279,7 +288,7 @@ void solve_members(const SlotContext& ctx, const SlotCache& cache,
       if (u.rate_mbs > 0.0) hi = std::max(hi, cache.hi_mbs[j]);
     }
     waterfill_level(as.successes.data(), rs.pr.data(), rs.usable.data(), n,
-                    hi, rho, rs, count);
+                    hi, 1.0, rho, rs, count);
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t j = as.members[k];
       const UserState& u = ctx.users[j];
@@ -300,7 +309,7 @@ void solve_members(const SlotContext& ctx, const SlotCache& cache,
     if (rate > 0.0) hi = std::max(hi, u.success_fbs * rate / u.psnr);
   }
   waterfill_level(as.successes.data(), rs.pr.data(), rs.usable.data(), n, hi,
-                  rho, rs, count);
+                  1.0, rho, rs, count);
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t j = as.members[k];
     const UserState& u = ctx.users[j];
@@ -659,84 +668,72 @@ void check_cache_matches(const SlotContext& ctx, const SlotCache& cache,
                 "need one expected channel count per FBS");
 }
 
-}  // namespace
-
-namespace {
-
-/// Shared prologue of waterfill_resource and its bisection reference:
-/// validates the lists and hoists the price offsets, usable gate, and the
-/// price upper bound (above max_k S_k R_k / W_k every share is zero) into
-/// the scratch arena. Returns `hi`.
-double prepare_resource(const SlotContext& ctx,
-                        const std::vector<std::size_t>& users,
-                        const std::vector<double>& rates,
-                        const std::vector<double>& successes,
-                        ResourceScratch& rs) {
-  FEMTOCR_CHECK(users.size() == rates.size() && users.size() == successes.size(),
-                "user, rate and success lists must align");
+/// waterfill_shares and its reference: validates the lists, hoists the
+/// price offsets W/R, the usable gate and the price upper bound (above
+/// max_k S_k R_k / W_k every share is zero) into the scratch arena, then
+/// solves the level analytically, or by plain bisection for the reference.
+double solve_shares(const std::vector<double>& psnr,
+                    const std::vector<double>& rates,
+                    const std::vector<double>& successes, double budget,
+                    std::vector<double>& rho_out, bool reference) {
+  FEMTOCR_CHECK(psnr.size() == rates.size() && psnr.size() == successes.size(),
+                "state, rate and success lists must align");
+  FEMTOCR_CHECK(budget >= 0.0 && budget <= 1.0, "budget must lie in [0, 1]");
+  const std::size_t n = psnr.size();
 #if FEMTOCR_DCHECK_IS_ON()
-  for (std::size_t k = 0; k < users.size(); ++k) {
+  for (std::size_t k = 0; k < n; ++k) {
+    FEMTOCR_DCHECK(psnr[k] > 0.0, "PSNR state must be positive");
     FEMTOCR_DCHECK_PROB(successes[k], "success probability out of range");
     FEMTOCR_DCHECK_GE(rates[k], 0.0, "effective rate must be nonnegative");
     FEMTOCR_DCHECK_FINITE(rates[k], "effective rate must be finite");
   }
 #endif
-  const std::size_t n = users.size();
+  ResourceScratch& rs = slot_scratch().resource;
   rs.pr.resize(n);
   rs.usable.resize(n);
   double hi = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    const UserState& u = ctx.users[users[k]];
     const bool ok = rates[k] > 0.0 && successes[k] > 0.0;
     rs.usable[k] = ok ? 1 : 0;
-    rs.pr[k] = ok ? u.psnr / rates[k] : 0.0;
-    if (rates[k] > 0.0) {
-      hi = std::max(hi, successes[k] * rates[k] / u.psnr);
-    }
+    rs.pr[k] = ok ? psnr[k] / rates[k] : 0.0;
+    if (rates[k] > 0.0) hi = std::max(hi, successes[k] * rates[k] / psnr[k]);
   }
-  return hi;
+  rho_out.resize(n);
+  const double* s = successes.data();
+  if (!reference) {
+    return waterfill_level(s, rs.pr.data(), rs.usable.data(), n, hi, budget,
+                           rho_out.data(), rs, true);
+  }
+  std::fill(rho_out.begin(), rho_out.end(), 0.0);
+  if (n == 0) return 0.0;
+  if (hi <= 0.0) {
+    shares_at_level(s, rs.pr.data(), rs.usable.data(), n, 1.0, rho_out.data());
+    return 0.0;
+  }
+  if (shares_at_level(s, rs.pr.data(), rs.usable.data(), n, kLevelLo,
+                      rho_out.data()) <= budget) {
+    return 0.0;
+  }
+  const double level = bisect_level(s, rs.pr.data(), rs.usable.data(), n, hi,
+                                    budget, rho_out.data());
+  shares_at_level(s, rs.pr.data(), rs.usable.data(), n, level, rho_out.data());
+  return level;
 }
 
 }  // namespace
 
-double waterfill_resource(const SlotContext& ctx,
-                          const std::vector<std::size_t>& users,
-                          const std::vector<double>& rates,
-                          const std::vector<double>& successes,
-                          std::vector<double>& rho_out) {
-  ResourceScratch& rs = slot_scratch().resource;
-  const double hi = prepare_resource(ctx, users, rates, successes, rs);
-  const std::size_t n = users.size();
-  rho_out.resize(n);
-  return waterfill_level(successes.data(), rs.pr.data(), rs.usable.data(), n,
-                         hi, rho_out.data(), rs, true);
+double waterfill_shares(const std::vector<double>& psnr,
+                        const std::vector<double>& rates,
+                        const std::vector<double>& successes, double budget,
+                        std::vector<double>& rho_out) {
+  return solve_shares(psnr, rates, successes, budget, rho_out, false);
 }
 
-double waterfill_resource_reference(const SlotContext& ctx,
-                                    const std::vector<std::size_t>& users,
-                                    const std::vector<double>& rates,
-                                    const std::vector<double>& successes,
-                                    std::vector<double>& rho_out) {
-  ResourceScratch& rs = slot_scratch().resource;
-  const double hi = prepare_resource(ctx, users, rates, successes, rs);
-  const std::size_t n = users.size();
-  rho_out.resize(n);
-  std::fill(rho_out.begin(), rho_out.end(), 0.0);
-  if (n == 0) return 0.0;
-  if (hi <= 0.0) {
-    shares_at_level(successes.data(), rs.pr.data(), rs.usable.data(), n, 1.0,
-                    rho_out.data());
-    return 0.0;
-  }
-  if (shares_at_level(successes.data(), rs.pr.data(), rs.usable.data(), n,
-                      kLevelLo, rho_out.data()) <= 1.0) {
-    return 0.0;
-  }
-  const double level = bisect_level(successes.data(), rs.pr.data(),
-                                    rs.usable.data(), n, hi, rho_out.data());
-  shares_at_level(successes.data(), rs.pr.data(), rs.usable.data(), n, level,
-                  rho_out.data());
-  return level;
+double waterfill_shares_reference(const std::vector<double>& psnr,
+                                  const std::vector<double>& rates,
+                                  const std::vector<double>& successes,
+                                  double budget, std::vector<double>& rho_out) {
+  return solve_shares(psnr, rates, successes, budget, rho_out, true);
 }
 
 SlotAllocation waterfill_evaluate(const SlotContext& ctx,

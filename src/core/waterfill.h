@@ -4,15 +4,19 @@
 // one concave single-resource problem per base station whose KKT point is a
 // water-filling: shares rho_j = [S_j/lambda - W_j/R_j]^+ with lambda chosen
 // analytically (sorted clamp breakpoints + one closed-form step per
-// interval, Newton-polished) so the slot budget binds. The binary assignment (Theorem 1)
-// is then improved by a hill climb over single-user flips and pair swaps
-// until no move gains. This solves the same convex program as the paper's
-// distributed subgradient (Tables I/II) but converges in a handful of
-// rounds, which matters inside the greedy allocator where Q(c) is evaluated
-// hundreds of times per slot: a climb trial re-solves only the resources
-// its move touches, and resource solves are memoised within one scope
-// (core/scratch.h). Tests verify it agrees with both the subgradient
-// solver and brute-force assignment enumeration.
+// interval, Newton-polished) so the budget binds. This is the repo's one
+// water-level solver: the slot solve runs it at budget 1, and
+// waterfill_shares exposes it on raw vectors for the QoS residual fills
+// (core/qos.h) and the two-stage analysis (core/multistage.h). Its
+// numerical fallback is a bisection, which is also the test oracle.
+// The binary assignment (Theorem 1) is then improved by a hill climb over
+// single-user flips and pair swaps until no move gains. This solves the
+// same convex program as the paper's distributed subgradient (Tables I/II)
+// but converges in a handful of rounds, which matters inside the greedy
+// allocator where Q(c) is evaluated hundreds of times per slot: a climb
+// trial re-solves only the resources its move touches, and resource solves
+// are memoised within one scope (core/scratch.h). Tests verify it agrees
+// with both the subgradient solver and brute-force assignment enumeration.
 #pragma once
 
 #include <vector>
@@ -24,28 +28,27 @@ namespace femtocr::core {
 struct SlotCache;
 
 /// Water-fills one resource: chooses lambda >= 0 so that the shares
-/// rho_j = clamp(S_j/lambda - W_j/R_j, 0, cap) sum to at most 1 (binding
-/// whenever possible). `users` lists indices into ctx.users; `rates[k]` and
-/// `successes[k]` are the effective rate and success probability of
-/// users[k] on this resource (R_0j and S_0j for the MBS, G_i * R_ij and
-/// S_ij for an FBS). Returns lambda; writes shares via `rho_out` aligned
-/// with `users`.
-double waterfill_resource(const SlotContext& ctx,
-                          const std::vector<std::size_t>& users,
-                          const std::vector<double>& rates,
-                          const std::vector<double>& successes,
-                          std::vector<double>& rho_out);
+/// rho_k = clamp(S_k/lambda - W_k/R_k, 0, cap) sum to at most `budget`
+/// (binding whenever possible). `psnr[k]`, `rates[k]` and `successes[k]`
+/// are member k's state W_k > 0, effective rate R_k and success
+/// probability S_k on this resource. Rejects misaligned lists and budgets
+/// outside [0, 1]. Returns lambda; writes the shares to `rho_out`, aligned
+/// with the lists. Counted like a slot-solve level solve
+/// (core.waterfill.level_solves, core.waterfill.breakpoint.*).
+double waterfill_shares(const std::vector<double>& psnr,
+                        const std::vector<double>& rates,
+                        const std::vector<double>& successes, double budget,
+                        std::vector<double>& rho_out);
 
 /// Reference level solver: the pre-breakpoint 100-step bisection, same
-/// contract and share expressions as waterfill_resource. Kept as the
-/// oracle for the breakpoint-equivalence tests (≤ 1e-9 relative level
-/// error) and as the analytic solver's internal numerical fallback; not a
-/// hot path.
-double waterfill_resource_reference(const SlotContext& ctx,
-                                    const std::vector<std::size_t>& users,
-                                    const std::vector<double>& rates,
-                                    const std::vector<double>& successes,
-                                    std::vector<double>& rho_out);
+/// contract and share expressions as waterfill_shares. Kept as the oracle
+/// for the breakpoint-equivalence tests (≤ 1e-9 relative level error); the
+/// same bisection is the analytic solver's internal numerical fallback.
+/// Counts nothing; not a hot path.
+double waterfill_shares_reference(const std::vector<double>& psnr,
+                                  const std::vector<double>& rates,
+                                  const std::vector<double>& successes,
+                                  double budget, std::vector<double>& rho_out);
 
 /// Solves the slot problem for given expected channel counts per FBS,
 /// against the slot's cache (core/slot_cache.h), which must be built for

@@ -446,6 +446,8 @@ SlotTallies SlotLoop::run(const EngineConfig& config,
       util::metrics().timer("sim.slot.spectrum");
   static util::TimerStat& t_allocate =
       util::metrics().timer("sim.slot.allocate");
+  static util::TimerStat& t_context =
+      util::metrics().timer("sim.slot.context");
   static util::TimerStat& t_deliver = util::metrics().timer("sim.slot.deliver");
   static util::Histogram& h_gap =
       util::metrics().histogram("sim.slot.bound_gap");
@@ -549,7 +551,10 @@ SlotTallies SlotLoop::run(const EngineConfig& config,
       // Nothing to serve: the spectrum keeps evolving, the slot is free.
       ++report.idle_slots;
     } else {
-      const core::SlotContext ctx = make_context(obs, graph, fading_rng, t);
+      const core::SlotContext ctx = [&] {
+        const util::Scope scope(t_context);
+        return make_context(obs, graph, fading_rng, t);
+      }();
       core::SlotAllocation alloc;
       {
         // One reading feeds the timer, the span and the per-run SLO fold.

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "core/qos.h"
+#include "core/subproblem.h"
 #include "core/waterfill.h"
 #include "sim/scenario.h"
 #include "sim/simulator.h"
@@ -89,6 +90,62 @@ TEST(Qos, ObjectiveNeverExceedsUnconstrained) {
     const double optimum =
         waterfill_solve(f.ctx, test::cache_for(f.ctx), gt).objective;
     EXPECT_LE(plan.allocation.objective, optimum + 1e-6);
+  }
+}
+
+TEST(Qos, SharesAreFloorsPlusTheReferenceResidualFill) {
+  // Above binding floors each resource's leftover budget is water-filled
+  // from the floor-advanced states W + floor * R. Every share must equal
+  // min(floor + extra, cap), with `extra` the bisection reference's fill of
+  // the budget 1 - sum(floor) on those states.
+  util::Rng rng(1317);
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t num_fbs = 1 + rng.index(3);
+    auto f = test::random_context(rng, 2 + rng.index(7), num_fbs, 3);
+    const std::vector<double> gt(num_fbs, f.ctx.total_expected_channels());
+    // User 0 and about half of the others get a floor above their state;
+    // the rest a vacuous one.
+    std::vector<double> floors;
+    for (const UserState& u : f.ctx.users) {
+      floors.push_back(floors.empty() || rng.uniform(0.0, 1.0) < 0.5
+                           ? u.psnr + rng.uniform(0.1, 1.5)
+                           : 1.0);
+    }
+    const QosPlan plan = qos_solve(f.ctx, gt, floors, 1 + rng.index(8));
+    const SlotAllocation& a = plan.allocation;
+    double floor_sum = 0.0;
+    for (const double s : plan.floor_shares) floor_sum += s;
+    ASSERT_GT(floor_sum, 0.0) << "trial " << trial;  // some floor binds
+
+    // Resource 0 is the MBS, resource i + 1 is FBS i.
+    for (std::size_t r = 0; r <= num_fbs; ++r) {
+      std::vector<std::size_t> members;
+      std::vector<double> advanced, rates, successes;
+      double budget = 1.0;
+      for (std::size_t j = 0; j < f.ctx.users.size(); ++j) {
+        const UserState& u = f.ctx.users[j];
+        if (r == 0 ? !a.use_mbs[j] : (a.use_mbs[j] || u.fbs != r - 1)) {
+          continue;
+        }
+        const double rate = r == 0 ? u.rate_mbs : u.rate_fbs * gt[r - 1];
+        members.push_back(j);
+        advanced.push_back(u.psnr + plan.floor_shares[j] * rate);
+        rates.push_back(rate);
+        successes.push_back(r == 0 ? u.success_mbs : u.success_fbs);
+        budget -= plan.floor_shares[j];
+      }
+      std::vector<double> extra(members.size(), 0.0);
+      if (!members.empty() && budget > 0.0) {
+        waterfill_shares_reference(advanced, rates, successes, budget, extra);
+      }
+      for (std::size_t k = 0; k < members.size(); ++k) {
+        const std::size_t j = members[k];
+        const double expected =
+            std::min(plan.floor_shares[j] + extra[k], kRhoCap);
+        EXPECT_NEAR(r == 0 ? a.rho_mbs[j] : a.rho_fbs[j], expected, 1e-6)
+            << "trial " << trial << ", resource " << r << ", user " << j;
+      }
+    }
   }
 }
 

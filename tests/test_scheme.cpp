@@ -1,7 +1,7 @@
 // Tests for the Scheme dispatch layer: correct algorithm selection per
 // topology, agreement between the fast and distributed solvers inside the
-// Proposed scheme, factory behaviour, and the shard warm-start carry
-// discipline (fingerprint keying + wall-clock expiry regressions).
+// Proposed scheme, factory behaviour, and the warm-start carry discipline
+// (keying, wall-clock expiry, and counting where the carry is consumed).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -108,11 +108,11 @@ TEST(Scheme, ProposedObjectiveDominatesHeuristicsInterfering) {
   }
 }
 
-// ----------------------------------------- shard warm-start regressions ----
+// ----------------------------------------------- warm-start carry ----
 //
-// Both tests measure core.dual.warm_start.hits deltas: on the distributed
-// path every edgeless component's solve runs with warm_start_enabled, so a
-// hit means a carried price vector was actually consumed as a seed.
+// These tests measure core.dual.warm_start.hits deltas: on the distributed
+// path every dual-path solve counts a hit when a carried price vector
+// seeds it and a miss otherwise, so a hit means a carry was consumed.
 
 TEST(Scheme, ShardWarmStartCarriesAcrossStableComponents) {
   // Positive control for the regressions below: when the component
@@ -149,7 +149,7 @@ TEST(Scheme, ShardWarmStartGoesColdWhenComponentMembershipChanges) {
 }
 
 TEST(Scheme, ShardWarmPricesExpireOnWallClockSlots) {
-  // Regression: shard_warm_age_ only advanced on interfering slots, so a
+  // Regression: the shard carry once aged only on interfering slots, so a
   // carry could survive an arbitrarily long edgeless stretch and seed a
   // far-stale solve. The contract is wall-clock slots: within
   // kMaxWarmAgeSlots the carry survives intervening edgeless slots, past
@@ -177,9 +177,9 @@ TEST(Scheme, ShardWarmPricesExpireOnWallClockSlots) {
 }
 
 TEST(Scheme, GlobalWarmPricesExpireOnWallClockSlots) {
-  // Symmetric check for the global edgeless carry: a connected interfering
-  // graph takes the monolithic greedy (no dual solves at all), so it never
-  // refreshes warm_lambda_ — but it must still age it.
+  // Symmetric check for the whole-slot edgeless carry: a connected
+  // interfering graph takes the monolithic greedy (no dual solves at all),
+  // so it never refreshes that carry — but it must still age it.
   util::Rng rng(839);
   auto edgeless = test::random_context(rng, 8, 4, 3);
   auto connected =
@@ -201,6 +201,64 @@ TEST(Scheme, GlobalWarmPricesExpireOnWallClockSlots) {
     (void)scheme.allocate(edgeless.ctx);  // age 10 > 8: must go cold
     EXPECT_EQ(hits.total(), h0);
   }
+}
+
+TEST(Scheme, SingletonCarrySurvivesSlotsThatMergeItsFbs) {
+  // A singleton's carry survives slots in which its FBS sits in a larger
+  // component, aging like any other entry. Slot A's components are
+  // {0} {1} {2,3}; slot B's are {0,1} {2} {3}, so B solves FBSs 0 and 1
+  // by the greedy and seeds nothing for them. Back on A, both singletons
+  // are seeded again while their carries are at most kMaxWarmAgeSlots old,
+  // and start cold past that.
+  util::Rng rng(841);
+  auto a = test::random_context(rng, 8, 4, 3, {{2, 3}});
+  auto b = test::random_context(rng, 8, 4, 3, {{0, 1}});
+  util::Counter& hits = util::metrics().counter("core.dual.warm_start.hits");
+  constexpr std::size_t kMaxAge = ProposedScheme::kMaxWarmAgeSlots;
+  {
+    ProposedScheme scheme(DualOptions{}, /*use_distributed_solver=*/true);
+    (void)scheme.allocate(a.ctx);
+    for (std::size_t t = 1; t < kMaxAge; ++t) (void)scheme.allocate(b.ctx);
+    const std::uint64_t h0 = hits.total();
+    (void)scheme.allocate(a.ctx);  // age kMaxAge: both carries still live
+    EXPECT_EQ(hits.total(), h0 + 2);
+  }
+  {
+    ProposedScheme scheme(DualOptions{}, /*use_distributed_solver=*/true);
+    (void)scheme.allocate(a.ctx);
+    for (std::size_t t = 0; t < kMaxAge; ++t) (void)scheme.allocate(b.ctx);
+    const std::uint64_t h0 = hits.total();
+    (void)scheme.allocate(a.ctx);  // age kMaxAge + 1: both must go cold
+    EXPECT_EQ(hits.total(), h0);
+  }
+}
+
+TEST(Scheme, WarmStartCountsEveryDualPathSolveOnce) {
+  // Hits and misses are counted where the carry is consumed, once per
+  // dual-path solve: a whole edgeless slot is one solve, a sharded slot
+  // one per singleton component, a connected interfering slot none.
+  util::Rng rng(843);
+  auto edgeless = test::random_context(rng, 8, 4, 3);
+  auto a = test::random_context(rng, 8, 4, 3, {{2, 3}});  // {0} {1} {2,3}
+  auto b = test::random_context(rng, 8, 4, 3, {{0, 1}});  // {0,1} {2} {3}
+  auto connected =
+      test::random_context(rng, 8, 4, 3, {{0, 1}, {1, 2}, {2, 3}});
+  util::Counter& hits = util::metrics().counter("core.dual.warm_start.hits");
+  util::Counter& misses =
+      util::metrics().counter("core.dual.warm_start.misses");
+  util::Counter& solves = util::metrics().counter("core.dual.solves");
+  const std::uint64_t h0 = hits.total();
+  const std::uint64_t m0 = misses.total();
+  const std::uint64_t s0 = solves.total();
+  ProposedScheme scheme(DualOptions{}, /*use_distributed_solver=*/true);
+  std::uint64_t dual_path_solves = 0;
+  for (const auto* f : {&edgeless, &a, &b, &edgeless, &connected, &a, &b}) {
+    (void)scheme.allocate(f->ctx);
+    dual_path_solves += f == &edgeless ? 1 : f == &connected ? 0 : 2;
+  }
+  EXPECT_EQ(solves.total() - s0, dual_path_solves);
+  EXPECT_EQ((hits.total() - h0) + (misses.total() - m0), dual_path_solves);
+  EXPECT_GT(hits.total(), h0);
 }
 
 }  // namespace

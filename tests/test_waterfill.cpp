@@ -21,24 +21,22 @@ namespace femtocr::core {
 namespace {
 
 TEST(WaterfillResource, EmptyResource) {
-  util::Rng rng(401);
-  auto f = test::random_context(rng, 2, 1, 2);
   std::vector<double> rho;
-  EXPECT_DOUBLE_EQ(waterfill_resource(f.ctx, {}, {}, {}, rho), 0.0);
+  EXPECT_DOUBLE_EQ(waterfill_shares({}, {}, {}, 1.0, rho), 0.0);
   EXPECT_TRUE(rho.empty());
 }
 
 TEST(WaterfillResource, BindsTheBudgetWhenContended) {
   util::Rng rng(403);
   auto f = test::random_context(rng, 4, 1, 3);
-  std::vector<std::size_t> users = {0, 1, 2, 3};
-  std::vector<double> rates, successes;
-  for (std::size_t j : users) {
-    rates.push_back(f.ctx.users[j].rate_mbs);
-    successes.push_back(f.ctx.users[j].success_mbs);
+  std::vector<double> psnr, rates, successes;
+  for (const UserState& u : f.ctx.users) {
+    psnr.push_back(u.psnr);
+    rates.push_back(u.rate_mbs);
+    successes.push_back(u.success_mbs);
   }
   std::vector<double> rho;
-  const double lambda = waterfill_resource(f.ctx, users, rates, successes, rho);
+  const double lambda = waterfill_shares(psnr, rates, successes, 1.0, rho);
   double sum = 0.0;
   for (double r : rho) {
     EXPECT_GE(r, 0.0);
@@ -55,20 +53,18 @@ TEST(WaterfillResource, KktStationarity) {
   util::Rng rng(407);
   for (int trial = 0; trial < 20; ++trial) {
     auto f = test::random_context(rng, 5, 1, 2);
-    std::vector<std::size_t> users = {0, 1, 2, 3, 4};
-    std::vector<double> rates, successes;
-    for (std::size_t j : users) {
-      rates.push_back(f.ctx.users[j].rate_fbs * 2.0);
-      successes.push_back(f.ctx.users[j].success_fbs);
+    std::vector<double> psnr, rates, successes;
+    for (const UserState& u : f.ctx.users) {
+      psnr.push_back(u.psnr);
+      rates.push_back(u.rate_fbs * 2.0);
+      successes.push_back(u.success_fbs);
     }
     std::vector<double> rho;
-    const double lambda =
-        waterfill_resource(f.ctx, users, rates, successes, rho);
+    const double lambda = waterfill_shares(psnr, rates, successes, 1.0, rho);
     ASSERT_GT(lambda, 0.0);
-    for (std::size_t k = 0; k < users.size(); ++k) {
-      const UserState& u = f.ctx.users[users[k]];
+    for (std::size_t k = 0; k < psnr.size(); ++k) {
       const double marginal =
-          successes[k] * rates[k] / (u.psnr + rho[k] * rates[k]);
+          successes[k] * rates[k] / (psnr[k] + rho[k] * rates[k]);
       if (rho[k] > 1e-9 && rho[k] < kRhoCap - 1e-9) {
         EXPECT_NEAR(marginal, lambda, 1e-5 * lambda);
       } else if (rho[k] <= 1e-9) {
@@ -82,9 +78,9 @@ TEST(WaterfillResource, SingleUserTakesTheCap) {
   util::Rng rng(409);
   auto f = test::random_context(rng, 1, 1, 2);
   std::vector<double> rho;
-  const double lambda = waterfill_resource(
-      f.ctx, {0}, {f.ctx.users[0].rate_mbs}, {f.ctx.users[0].success_mbs},
-      rho);
+  const UserState& u = f.ctx.users[0];
+  const double lambda =
+      waterfill_shares({u.psnr}, {u.rate_mbs}, {u.success_mbs}, 1.0, rho);
   // One user cannot exceed rho = 1 = the whole budget, so the budget is
   // slack at the cap and the price settles at zero.
   EXPECT_DOUBLE_EQ(rho[0], kRhoCap);

@@ -1,12 +1,14 @@
 // Equivalence suite for the analytic breakpoint water-level solver:
-// waterfill_resource (sorted breakpoints + closed form + Newton polish)
-// against waterfill_resource_reference (the pre-breakpoint 100-step
-// bisection, kept verbatim as the oracle). Over random cells and the
-// degenerate edges, the two levels must agree to <= 1e-9 relative error
-// and the share vectors to the propagated tolerance.
+// waterfill_shares (sorted breakpoints + closed form + Newton polish)
+// against waterfill_shares_reference (the pre-breakpoint 100-step
+// bisection, kept verbatim as the oracle). Over random cells — at the slot
+// budget 1 and at a random budget in (0, 1) — and the degenerate edges,
+// the two levels must agree to <= 1e-9 relative error and the share
+// vectors to the propagated tolerance.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "core/subproblem.h"
@@ -24,47 +26,53 @@ constexpr double kLevelTol = 1e-9;  ///< relative level tolerance (the pin)
 // point (W/R <= ~100). One order of margin on top.
 constexpr double kShareTol = 1e-6;
 
+/// One resource's members: state W, effective rate R, success S.
 struct ResourceLists {
-  std::vector<std::size_t> users;
+  std::vector<double> psnr;
   std::vector<double> rates;
   std::vector<double> successes;
 };
 
-/// The MBS-side lists of a random context (every user, R_0j / S_0j).
+/// The MBS-side lists of a random context (every user, W_j / R_0j / S_0j).
 ResourceLists mbs_lists(const test::ContextFixture& f) {
   ResourceLists r;
-  for (std::size_t j = 0; j < f.ctx.users.size(); ++j) {
-    r.users.push_back(j);
-    r.rates.push_back(f.ctx.users[j].rate_mbs);
-    r.successes.push_back(f.ctx.users[j].success_mbs);
+  for (const UserState& u : f.ctx.users) {
+    r.psnr.push_back(u.psnr);
+    r.rates.push_back(u.rate_mbs);
+    r.successes.push_back(u.success_mbs);
   }
   return r;
 }
 
-void expect_equivalent(const SlotContext& ctx, const ResourceLists& r) {
+void expect_equivalent(const ResourceLists& r, double budget = 1.0) {
   std::vector<double> rho_bp, rho_ref;
   const double lvl_bp =
-      waterfill_resource(ctx, r.users, r.rates, r.successes, rho_bp);
-  const double lvl_ref = waterfill_resource_reference(ctx, r.users, r.rates,
-                                                      r.successes, rho_ref);
-  EXPECT_NEAR(lvl_bp, lvl_ref, kLevelTol * std::max(1.0, std::abs(lvl_ref)));
+      waterfill_shares(r.psnr, r.rates, r.successes, budget, rho_bp);
+  const double lvl_ref = waterfill_shares_reference(r.psnr, r.rates,
+                                                    r.successes, budget,
+                                                    rho_ref);
+  EXPECT_NEAR(lvl_bp, lvl_ref, kLevelTol * std::max(1.0, std::abs(lvl_ref)))
+      << "budget " << budget;
   ASSERT_EQ(rho_bp.size(), rho_ref.size());
   double sum = 0.0;
   for (std::size_t k = 0; k < rho_bp.size(); ++k) {
-    EXPECT_NEAR(rho_bp[k], rho_ref[k], kShareTol) << "share " << k;
+    EXPECT_NEAR(rho_bp[k], rho_ref[k], kShareTol)
+        << "share " << k << ", budget " << budget;
     EXPECT_GE(rho_bp[k], 0.0);
     EXPECT_LE(rho_bp[k], kRhoCap);
     sum += rho_bp[k];
   }
-  EXPECT_LE(sum, 1.0 + 1e-9);
+  EXPECT_LE(sum, budget + 1e-9);
 }
 
 TEST(WaterfillBreakpoint, MatchesBisectionOverFiftyRandomCells) {
   util::Rng rng(8101);
+  util::Rng budget_rng(8102);  // its own stream: the cells stay as drawn
   for (int cell = 0; cell < 50; ++cell) {
     const std::size_t users = 1 + rng.index(40);
     auto f = test::random_context(rng, users, 1, 2);
-    expect_equivalent(f.ctx, mbs_lists(f));
+    expect_equivalent(mbs_lists(f));
+    expect_equivalent(mbs_lists(f), budget_rng.uniform(0.0, 1.0));
   }
 }
 
@@ -72,17 +80,19 @@ TEST(WaterfillBreakpoint, MatchesBisectionOnFbsSideRates) {
   // FBS-side operands (R_ij scaled by an expected channel count) push the
   // breakpoints into a different range than the MBS lists above.
   util::Rng rng(8111);
+  util::Rng budget_rng(8112);  // its own stream: the cells stay as drawn
   for (int cell = 0; cell < 50; ++cell) {
     const std::size_t users = 1 + rng.index(24);
     auto f = test::random_context(rng, users, 1, 2);
     const double g = rng.uniform(0.5, 6.0);
     ResourceLists r;
-    for (std::size_t j = 0; j < users; ++j) {
-      r.users.push_back(j);
-      r.rates.push_back(f.ctx.users[j].rate_fbs * g);
-      r.successes.push_back(f.ctx.users[j].success_fbs);
+    for (const UserState& u : f.ctx.users) {
+      r.psnr.push_back(u.psnr);
+      r.rates.push_back(u.rate_fbs * g);
+      r.successes.push_back(u.success_fbs);
     }
-    expect_equivalent(f.ctx, r);
+    expect_equivalent(r);
+    expect_equivalent(r, budget_rng.uniform(0.0, 1.0));
   }
 }
 
@@ -94,9 +104,9 @@ TEST(WaterfillBreakpoint, SingleUserEdge) {
   ResourceLists r = mbs_lists(f);
   std::vector<double> rho_bp, rho_ref;
   const double lvl_bp =
-      waterfill_resource(f.ctx, r.users, r.rates, r.successes, rho_bp);
-  const double lvl_ref = waterfill_resource_reference(f.ctx, r.users, r.rates,
-                                                      r.successes, rho_ref);
+      waterfill_shares(r.psnr, r.rates, r.successes, 1.0, rho_bp);
+  const double lvl_ref =
+      waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
   EXPECT_DOUBLE_EQ(lvl_bp, lvl_ref);
   EXPECT_DOUBLE_EQ(lvl_bp, 0.0);
   EXPECT_DOUBLE_EQ(rho_bp[0], rho_ref[0]);
@@ -114,9 +124,9 @@ TEST(WaterfillBreakpoint, AllClampedEdge) {
   for (std::size_t k = 1; k < r.rates.size(); ++k) r.rates[k] = 0.0;
   std::vector<double> rho_bp, rho_ref;
   const double lvl_bp =
-      waterfill_resource(f.ctx, r.users, r.rates, r.successes, rho_bp);
-  const double lvl_ref = waterfill_resource_reference(f.ctx, r.users, r.rates,
-                                                      r.successes, rho_ref);
+      waterfill_shares(r.psnr, r.rates, r.successes, 1.0, rho_bp);
+  const double lvl_ref =
+      waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
   EXPECT_DOUBLE_EQ(lvl_bp, 0.0);
   EXPECT_DOUBLE_EQ(lvl_ref, 0.0);
   for (std::size_t k = 0; k < rho_bp.size(); ++k) {
@@ -134,9 +144,9 @@ TEST(WaterfillBreakpoint, ZeroBudgetEdge) {
   for (double& rate : r.rates) rate = 0.0;
   std::vector<double> rho_bp, rho_ref;
   const double lvl_bp =
-      waterfill_resource(f.ctx, r.users, r.rates, r.successes, rho_bp);
-  const double lvl_ref = waterfill_resource_reference(f.ctx, r.users, r.rates,
-                                                      r.successes, rho_ref);
+      waterfill_shares(r.psnr, r.rates, r.successes, 1.0, rho_bp);
+  const double lvl_ref =
+      waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
   EXPECT_DOUBLE_EQ(lvl_bp, 0.0);
   EXPECT_DOUBLE_EQ(lvl_ref, 0.0);
   for (std::size_t k = 0; k < rho_bp.size(); ++k) {
@@ -157,7 +167,37 @@ TEST(WaterfillBreakpoint, CappedNeighborInterval) {
   f.ctx.users[1].psnr = 42.0;
   f.ctx.users[1].rate_mbs = 0.45;    // weak: interior share
   f.ctx.users[1].success_mbs = 0.60;
-  expect_equivalent(f.ctx, mbs_lists(f));
+  expect_equivalent(mbs_lists(f));
+}
+
+TEST(WaterfillBreakpoint, FlatRegionSharesMatchAtAnyOfItsLevels) {
+  // With the cap equal to the budget, a strong member saturated while the
+  // weak one is still off makes g ≡ 1 over [lo, hi]: lo is the weak
+  // member's turn-on S/pr, hi the strong member's saturation S/(pr + cap).
+  // Every level in between is a KKT multiplier with the same shares. The
+  // bisection converges to lo. In this cell the sweep's candidate on the
+  // piece below the region, S/((1 + pr) - cap), rounds just above lo and
+  // is rejected, so the sweep returns hi. The shares still agree bitwise.
+  ResourceLists r;
+  r.psnr = {0x1.1334488550051p+5, 0x1.182d42d27e569p+5};
+  r.rates = {0x1.0484650a63e43p+0, 0x1.2063960b7b854p+0};
+  r.successes = {0x1.f2cb1be28715p-1, 0x1.8d7c1723420f7p-1};
+  const double lo = r.successes[1] / (r.psnr[1] / r.rates[1]);
+  const double hi = r.successes[0] / (r.psnr[0] / r.rates[0] + kRhoCap);
+  ASSERT_LT(lo, hi);
+  std::vector<double> rho_bp, rho_ref;
+  const double lvl_bp =
+      waterfill_shares(r.psnr, r.rates, r.successes, 1.0, rho_bp);
+  const double lvl_ref =
+      waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
+  EXPECT_DOUBLE_EQ(lvl_ref, lo);
+  EXPECT_GE(lvl_bp, lo);
+  EXPECT_LE(lvl_bp, hi);
+  for (std::size_t k = 0; k < 2; ++k) {
+    EXPECT_EQ(rho_bp[k], rho_ref[k]) << "share " << k;
+  }
+  EXPECT_EQ(rho_bp[0], kRhoCap);
+  EXPECT_EQ(rho_bp[1], 0.0);
 }
 
 TEST(WaterfillBreakpoint, FallbackFiresWhenPriceOffsetsDwarfTheLevel) {
@@ -170,32 +210,23 @@ TEST(WaterfillBreakpoint, FallbackFiresWhenPriceOffsetsDwarfTheLevel) {
   // the reference level.
   const bool prev_enabled = util::metrics_enabled();
   util::set_metrics_enabled(true);
-  SlotContext ctx;
   ResourceLists r;
-  const double psnr[] = {0x1.ee66f55d1c72dp+4, 0x1.0f165a0ac46bp+5,
-                         0x1.0dfdc1c92a0ffp+5};
+  r.psnr = {0x1.ee66f55d1c72dp+4, 0x1.0f165a0ac46bp+5, 0x1.0dfdc1c92a0ffp+5};
   r.rates = {0x1.3a02fa0b64ee1p-21, 0x1.4ff58e05cbe12p-21,
              0x1.53675e4313a22p-21};
   r.successes = {0x1.cd44591eacf96p-1, 0x1.ecdf649767056p-1,
                  0x1.cdc20a016381dp-1};
-  for (std::size_t k = 0; k < 3; ++k) {
-    UserState u;
-    u.psnr = psnr[k];
-    ctx.users.push_back(u);
-    r.users.push_back(k);
-  }
   util::Counter& c_fallback =
       util::metrics().counter("core.waterfill.breakpoint.bisect_fallback");
   const std::uint64_t before = c_fallback.total();
   std::vector<double> rho, rho_ref;
-  const double lvl =
-      waterfill_resource(ctx, r.users, r.rates, r.successes, rho);
+  const double lvl = waterfill_shares(r.psnr, r.rates, r.successes, 1.0, rho);
   const std::uint64_t fired = c_fallback.total() - before;
   util::set_metrics_enabled(prev_enabled);
   EXPECT_EQ(fired, 1u);
 
   const double lvl_ref =
-      waterfill_resource_reference(ctx, r.users, r.rates, r.successes, rho_ref);
+      waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
   EXPECT_GT(lvl, 1e-8);
   EXPECT_NEAR(lvl, lvl_ref, kLevelTol * lvl_ref);
   double sum = 0.0;
@@ -219,9 +250,53 @@ TEST(WaterfillBreakpoint, NoBisectionFallbackOnRandomCells) {
     auto f = test::random_context(rng, users, 1, 2);
     std::vector<double> rho;
     ResourceLists r = mbs_lists(f);
-    waterfill_resource(f.ctx, r.users, r.rates, r.successes, rho);
+    waterfill_shares(r.psnr, r.rates, r.successes, 1.0, rho);
   }
   EXPECT_EQ(c_fallback.total(), before);
+}
+
+TEST(WaterfillBreakpoint, BudgetThatCoversEveryCapLeavesThePriceAtZero) {
+  // The budget enters the slack test: a lone member takes a binding share
+  // equal to any budget below its cap, and at the budget equal to its cap
+  // it sits at the cap with the price at zero, in both solvers.
+  util::Rng rng(8171);
+  auto f = test::random_context(rng, 1, 1, 2);
+  const ResourceLists r = mbs_lists(f);
+  std::vector<double> rho, rho_ref;
+  EXPECT_GT(waterfill_shares(r.psnr, r.rates, r.successes, 0.5, rho), 0.0);
+  EXPECT_NEAR(rho[0], 0.5, 1e-9);
+  expect_equivalent(r, 0.5);
+  EXPECT_DOUBLE_EQ(
+      waterfill_shares(r.psnr, r.rates, r.successes, kRhoCap, rho), 0.0);
+  EXPECT_DOUBLE_EQ(waterfill_shares_reference(r.psnr, r.rates, r.successes,
+                                              kRhoCap, rho_ref),
+                   0.0);
+  EXPECT_DOUBLE_EQ(rho[0], kRhoCap);
+  EXPECT_DOUBLE_EQ(rho_ref[0], kRhoCap);
+}
+
+TEST(WaterfillBreakpoint, RejectsMisalignedListsAndOutOfRangeBudgets) {
+  util::Rng rng(8181);
+  auto f = test::random_context(rng, 3, 1, 2);
+  const ResourceLists r = mbs_lists(f);
+  std::vector<double> rho;
+  const std::vector<double> short_list(r.psnr.begin(), r.psnr.end() - 1);
+  EXPECT_THROW(waterfill_shares(short_list, r.rates, r.successes, 1.0, rho),
+               std::logic_error);
+  EXPECT_THROW(waterfill_shares(r.psnr, short_list, r.successes, 1.0, rho),
+               std::logic_error);
+  EXPECT_THROW(waterfill_shares(r.psnr, r.rates, short_list, 1.0, rho),
+               std::logic_error);
+  for (const double budget : {-1e-12, 1.0 + 1e-12, std::nan("")}) {
+    EXPECT_THROW(waterfill_shares(r.psnr, r.rates, r.successes, budget, rho),
+                 std::logic_error)
+        << budget;
+    EXPECT_THROW(
+        waterfill_shares_reference(r.psnr, r.rates, r.successes, budget, rho),
+        std::logic_error)
+        << budget;
+  }
+  EXPECT_NO_THROW(waterfill_shares(r.psnr, r.rates, r.successes, 0.0, rho));
 }
 
 }  // namespace
