@@ -26,6 +26,8 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
       util::metrics().counter("core.greedy.allocations");
   static util::Counter& c_cand_evals =
       util::metrics().counter("core.greedy.candidate_evals");
+  static util::Counter& c_tier_refused =
+      util::metrics().counter("core.greedy.tier_refused");
   static util::Histogram& h_gap =
       util::metrics().histogram("core.greedy.bound_gap");
   static util::TimerStat& t_alloc =
@@ -57,7 +59,16 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
   gs.gt.assign(ctx.num_fbs, 0.0);
   std::vector<std::vector<std::size_t>> channels(ctx.num_fbs);  // lint-allow: no-hot-loop-alloc (once per slot)
 
-  SlotAllocation current = waterfill_solve(ctx, cache, gs.gt);
+  // The call's memo tier (core/scratch.h) starts empty and is seeded with
+  // the empty-channel solve, so round 1's tasks find its resources.
+  gs.tier.reset();
+  gs.tier.open(1);
+  SlotAllocation current;
+  {
+    const TierScope tier(gs.tier, 0);
+    current = waterfill_solve(ctx, cache, gs.gt);
+  }
+  c_tier_refused.add(gs.tier.merge());
   result.q_empty = current.objective;
 
   while (!gs.candidates.empty()) {
@@ -74,7 +85,11 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
     // and that climb's assignment in its own slot of gs.best (with its own
     // thread-local scratch), and the fold below takes the first strict
     // maximum over the tasks in task order — the same first-strict-maximum
-    // in candidate order the sequential scan produced.
+    // in candidate order the sequential scan produced. Behind each task's
+    // memo sits the call's tier, frozen for the round: it holds what the
+    // earlier rounds solved (only the winner's g changed since), and each
+    // task stages its own solves in its slice, merged in task order after
+    // the round.
     const std::size_t n_candidates = gs.candidates.size();
     c_cand_evals.add(n_candidates);
     gs.tasks.clear();
@@ -86,7 +101,9 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
     gs.tasks.push_back(n_candidates);
     const std::size_t n_tasks = gs.tasks.size() - 1;
     gs.best.resize(n_tasks);
+    gs.tier.open(n_tasks);
     util::parallel_for(n_tasks, [&](std::size_t t) {
+      const TierScope tier(gs.tier, t);
       const MemoScope memo;
       GreedyScratch& ws = slot_scratch().greedy;
       GreedyScratch::TaskBest& best = gs.best[t];
@@ -112,6 +129,7 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
         }
       }
     });
+    c_tier_refused.add(gs.tier.merge());
 
     std::size_t win = 0;
     for (std::size_t t = 1; t < n_tasks; ++t) {

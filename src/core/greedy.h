@@ -46,6 +46,12 @@ struct GreedyResult {
 /// are folded serially in task order, which gives the first strict maximum
 /// in candidate order, so results do not depend on the thread count. The
 /// winner is materialized by water-filling the assignment its climb kept.
+/// The call shares its resource solves across rounds through a memo tier
+/// (core/scratch.h): seeded by the empty-channel solve, frozen while a
+/// round's tasks read it, and grown between rounds by merging what each
+/// task solved in task order; core.greedy.tier_refused counts the solves
+/// it has no room for. What a task finds is a function of the round, so
+/// every counter is thread-count invariant too.
 GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache);
 
 }  // namespace femtocr::core

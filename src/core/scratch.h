@@ -30,6 +30,12 @@
 //     So an entry never outlives the context it was solved for, and the
 //     memo's hit pattern — hence every counter — is a function of the work
 //     alone, not of which thread ran which task.
+//   * Behind the memo of a scan task sits its greedy call's MemoTier
+//     (`greedy.tier`), bounded by the call: reset when greedy_allocate
+//     starts, read-only while a round's tasks run, and grown only by the
+//     call's coordinator between rounds, merging the tasks' slices in task
+//     order. What a task finds there depends only on the round, so the
+//     counters stay schedule-independent.
 #pragma once
 
 #include <cstddef>
@@ -124,6 +130,8 @@ struct AssignScratch {
   std::vector<unsigned char> use_mbs;  ///< assignment (bit-twiddle-free)
 };
 
+struct MemoTier;
+
 /// The water-fill memo: the members' shares and objective terms of every
 /// resource solved in the current scope (see the file comment), keyed by
 /// the resource index (0 = MBS, i + 1 = FBS i), the bit pattern of g_i
@@ -152,15 +160,90 @@ struct WaterfillMemo {
   std::size_t live = 0;  ///< entries of the current generation
   std::size_t used = 0;  ///< values of the current generation
   bool scoped = false;   ///< a MemoScope is open on this thread
+  /// The greedy call's tier this thread's misses go to, bound by a
+  /// TierScope (null outside one), and the slice they are staged in.
+  MemoTier* tier = nullptr;
+  std::size_t slice = 0;
 
   /// Empties the memo in O(1) (O(kSlots) once per 2^32 clears, when the
   /// generation wraps).
   void clear();
 };
 
+/// The memo's and the tier's hash of a (resource, g bits, mask) key:
+/// splitmix64's finalizer over the mixed key fields.
+inline std::uint64_t memo_hash(std::uint32_t resource, std::uint64_t g_bits,
+                               std::uint64_t mask) {
+  std::uint64_t h = mask ^ (g_bits * 0x9E3779B97F4A7C15ULL) ^
+                    (std::uint64_t{resource} * 0xC2B2AE3D27D4EB4FULL);
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
+  return h ^ (h >> 31);
+}
+
+/// The water-fill solves one greedy_allocate call shares across its rounds:
+/// the members' objective terms of a resource solve, keyed like the memo.
+/// Only the climb reads the tier, and it reads only terms, so shares are
+/// not kept. A record is its key — the member mask, the bits of g_i and
+/// the resource index in the high half of a word whose low half is the
+/// member count n, each word's bits held in a double — followed by the n
+/// terms in member order. A fixed 36 KB per thread (a 4 KB index, a 32 KB
+/// pool), taken on the first reset: open addressing over record offsets
+/// with linear probing, never more than half full.
+///
+/// The lifetime is one greedy call (reset()). Each round open()s one slice
+/// of the free pool per scan task; during the round the records are
+/// read-only and a task stages the solves it performs in its own slice,
+/// as far as they fit. merge() then keeps, walking the slices in task
+/// order, every record whose key is absent, until the index holds
+/// kMaxRecords. A solve that finds no room at either step is refused
+/// (core.greedy.tier_refused). The size is a measured trade against peak
+/// memory, since every pool thread that runs a greedy call holds a tier:
+/// fig6a's and churn's calls nearly fit, while the city grid's large
+/// components overflow it (docs/DEVELOPING.md).
+struct MemoTier {
+  static constexpr std::size_t kSlots = 1024;  ///< power of two
+  static constexpr std::size_t kMaxRecords = kSlots / 2;
+  static constexpr std::size_t kPool = 4096;  ///< doubles
+  static constexpr std::size_t kKeyWords = 3;
+  /// One scan task's part of the free pool: [begin, end), filled to next.
+  struct Slice {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+    std::size_t next = 0;
+    std::size_t refused = 0;  ///< solves that did not fit
+  };
+  std::vector<std::uint32_t> index;  ///< record offset + 1; 0 = empty
+  std::vector<double> pool;
+  std::vector<Slice> slices;
+  std::size_t records = 0;
+  std::size_t used = 0;  ///< the merged records' doubles, from offset 0
+
+  /// Empties the tier (allocating it on first use).
+  void reset();
+  /// Splits the free pool into `tasks` equal slices, in task order; none
+  /// has room when the index is full.
+  void open(std::size_t tasks);
+  /// The merged record's terms for the key, or null.
+  const double* find(std::uint32_t resource, std::uint64_t g_bits,
+                     std::uint64_t mask) const;
+  /// Appends a record to slice `s` if it fits, else counts it refused.
+  void stage(std::size_t s, std::uint32_t resource, std::uint64_t g_bits,
+             std::uint64_t mask, const double* terms, std::size_t n);
+  /// Merges the slices opened last, in task order; returns the number of
+  /// solves refused since then.
+  std::size_t merge();
+
+ private:
+  /// The index slot holding the key, or the empty slot where it belongs.
+  std::size_t probe(std::uint32_t resource, std::uint64_t g_bits,
+                    std::uint64_t mask) const;
+};
+
 /// greedy_allocate's working set: the candidate list, the scan-task
-/// bounds, the per-task best the parallel scan fills, and per-thread trial
-/// vectors, climb assignments and solved-trial lists.
+/// bounds, the per-task best the parallel scan fills, the call's memo
+/// tier, and per-thread trial vectors, climb assignments and solved-trial
+/// lists.
 struct GreedyScratch {
   /// A scan task's first strict maximum and its climb's assignment.
   struct TaskBest {
@@ -171,6 +254,7 @@ struct GreedyScratch {
   std::vector<std::pair<std::size_t, std::size_t>> candidates;
   std::vector<std::size_t> tasks;  ///< first candidate of each task, + end
   std::vector<TaskBest> best;      ///< slot t = task t's best, fold serial
+  MemoTier tier;                   ///< the call's shared solves
   std::vector<double> trial;       ///< per-thread trial G vector
   std::vector<std::uint64_t> tried;  ///< per-thread trial g_i bits, one task
   std::vector<bool> use_mbs;       ///< per-thread climb assignment
@@ -205,6 +289,23 @@ class MemoScope {
  private:
   WaterfillMemo& memo_;
   bool outer_;
+};
+
+/// Binds the calling thread's memo to slice `slice` of a greedy call's
+/// tier for one scan task or the call's empty-channel solve: the climb's
+/// memo misses look in the tier before they solve, and stage what they
+/// solve in the slice. Restores the thread's previous binding on exit.
+class TierScope {
+ public:
+  TierScope(MemoTier& tier, std::size_t slice);
+  ~TierScope();
+  TierScope(const TierScope&) = delete;
+  TierScope& operator=(const TierScope&) = delete;
+
+ private:
+  WaterfillMemo& memo_;
+  MemoTier* prev_tier_;
+  std::size_t prev_slice_;
 };
 
 }  // namespace femtocr::core

@@ -325,14 +325,9 @@ void solve_members(const SlotContext& ctx, const SlotCache& cache,
 /// terminates.
 WaterfillMemo::Entry& memo_probe(WaterfillMemo& memo, std::uint32_t resource,
                                  std::uint64_t g_bits, std::uint64_t mask) {
-  // splitmix64's finalizer over the mixed key fields.
-  std::uint64_t h = mask ^ (g_bits * 0x9E3779B97F4A7C15ULL) ^
-                    (std::uint64_t{resource} * 0xC2B2AE3D27D4EB4FULL);
-  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  h = (h ^ (h >> 27)) * 0x94D049BB133111EBULL;
-  h ^= h >> 31;
   constexpr std::size_t kMask = WaterfillMemo::kSlots - 1;
-  for (std::size_t s = h & kMask;; s = (s + 1) & kMask) {
+  for (std::size_t s = memo_hash(resource, g_bits, mask) & kMask;;
+       s = (s + 1) & kMask) {
     WaterfillMemo::Entry& e = memo.entries[s];
     if (e.generation != memo.generation) return e;
     if (e.mask == mask && e.g_bits == g_bits && e.resource == resource) {
@@ -400,13 +395,48 @@ void gather_assignment(const SlotCache& cache, const unsigned char* use_mbs,
   }
 }
 
-/// The n members' shares, then their n objective terms, of keyed resource r
-/// with the nonempty member mask `mask`: found in the memo when this scope
-/// already solved the same (r, g_r, member set), otherwise water-filled now
-/// straight into the memo's pool.
-const double* memo_solve(const SlotContext& ctx, const SlotCache& cache,
-                         const std::vector<double>& gt_per_fbs, std::size_t r,
-                         std::uint64_t mask, std::size_t n, SlotScratch& sc) {
+#if FEMTOCR_DCHECK_IS_ON()
+/// A hit must be exactly the solve it replaces: re-solves keyed resource
+/// r's `mask` uncounted and compares its terms, and its shares unless
+/// `rho` is null, bitwise.
+void check_hit(const SlotContext& ctx, const SlotCache& cache,
+               const std::vector<double>& gt_per_fbs, std::size_t r,
+               std::uint64_t mask, std::size_t n, SlotScratch& sc,
+               const double* rho, const double* terms) {
+  AssignScratch& as = sc.assign;
+  gather_mask(cache, r, mask, as);
+  as.check_rho.resize(n);
+  as.check_term.resize(n);
+  solve_members(ctx, cache, gt_per_fbs, r, sc, as.check_rho.data(),
+                as.check_term.data(), false);
+  for (std::size_t k = 0; k < n; ++k) {
+    FEMTOCR_DCHECK(std::bit_cast<std::uint64_t>(terms[k]) ==
+                           std::bit_cast<std::uint64_t>(as.check_term[k]) &&
+                       (rho == nullptr ||
+                        std::bit_cast<std::uint64_t>(rho[k]) ==
+                            std::bit_cast<std::uint64_t>(as.check_rho[k])),
+                   "water-fill memo or tier hit differs from a fresh solve");
+  }
+}
+#endif
+
+/// A keyed resource's solve: its members' shares and objective terms, in
+/// member order. `rho` is null when the terms came from a greedy call's
+/// tier, which keeps no shares.
+struct MemberValues {
+  const double* rho;
+  const double* terms;
+};
+
+/// Keyed resource r with the nonempty member mask `mask`, found in the
+/// memo when this scope already solved the same (r, g_r, member set);
+/// otherwise, when the caller needs no `shares` and the thread is bound to
+/// a greedy call's tier (TierScope), found there; otherwise water-filled
+/// now straight into the memo's pool, and staged in the bound tier's slice.
+MemberValues memo_solve(const SlotContext& ctx, const SlotCache& cache,
+                        const std::vector<double>& gt_per_fbs, std::size_t r,
+                        std::uint64_t mask, std::size_t n, bool shares,
+                        SlotScratch& sc) {
   WaterfillMemo& memo = sc.memo;
   FEMTOCR_DCHECK(memo.scoped, "resource solve outside a memo scope");
   const auto resource = static_cast<std::uint32_t>(r);
@@ -416,23 +446,19 @@ const double* memo_solve(const SlotContext& ctx, const SlotCache& cache,
   if (entry->generation == memo.generation) {
     const double* v = memo.values.data() + entry->offset;
 #if FEMTOCR_DCHECK_IS_ON()
-    // A hit must be exactly the solve it replaces.
-    AssignScratch& as = sc.assign;
-    gather_mask(cache, r, mask, as);
-    as.check_rho.resize(n);
-    as.check_term.resize(n);
-    solve_members(ctx, cache, gt_per_fbs, r, sc, as.check_rho.data(),
-                  as.check_term.data(), false);
-    for (std::size_t k = 0; k < n; ++k) {
-      FEMTOCR_DCHECK(
-          std::bit_cast<std::uint64_t>(v[k]) ==
-                  std::bit_cast<std::uint64_t>(as.check_rho[k]) &&
-              std::bit_cast<std::uint64_t>(v[n + k]) ==
-                  std::bit_cast<std::uint64_t>(as.check_term[k]),
-          "water-fill memo hit differs from a fresh solve");
-    }
+    check_hit(ctx, cache, gt_per_fbs, r, mask, n, sc, v, v + n);
 #endif
-    return v;
+    return {v, v + n};
+  }
+  MemoTier* tier = shares ? nullptr : memo.tier;
+  if (tier != nullptr) {
+    const double* terms = tier->find(resource, g_bits, mask);
+    if (terms != nullptr) {
+#if FEMTOCR_DCHECK_IS_ON()
+      check_hit(ctx, cache, gt_per_fbs, r, mask, n, sc, nullptr, terms);
+#endif
+      return {nullptr, terms};
+    }
   }
 
   if (memo.live + 1 > WaterfillMemo::kMaxLive ||
@@ -450,15 +476,19 @@ const double* memo_solve(const SlotContext& ctx, const SlotCache& cache,
   entry->offset = static_cast<std::uint32_t>(memo.used);
   memo.used += 2 * n;
   ++memo.live;
-  return v;
+  if (tier != nullptr) {
+    tier->stage(memo.slice, resource, g_bits, mask, v + n, n);
+  }
+  return {v, v + n};
 }
 
 /// The one resource solve behind the climb, evaluate_assignment and the
 /// exhaustive reference. Water-fills resource r under `use_mbs`, whose
 /// member mask for r is `mask`, and writes each member j's share to
 /// rho_out[j] and its objective term to term_out[j] (either may be null).
-/// A keyed resource goes through the memo and then walks the mask's bits,
-/// so a hit is one probe and a scatter; a resource with more than 64
+/// A keyed resource goes through the memo, and behind it, for the climb's
+/// terms-only solves, the greedy call's tier; it then walks the mask's
+/// bits, so a hit is one probe and a scatter; a resource with more than 64
 /// possible members gathers its members from `use_mbs` and always solves.
 void solve_resource(const SlotContext& ctx, const SlotCache& cache,
                     const std::vector<double>& gt_per_fbs,
@@ -492,12 +522,13 @@ void solve_resource(const SlotContext& ctx, const SlotCache& cache,
 #endif
   if (mask == 0) return;
   const auto n = static_cast<std::size_t>(std::popcount(mask));
-  const double* v = memo_solve(ctx, cache, gt_per_fbs, r, mask, n, sc);
+  const auto [rho, terms] =
+      memo_solve(ctx, cache, gt_per_fbs, r, mask, n, rho_out != nullptr, sc);
   std::size_t k = 0;
   for (std::uint64_t m = mask; m != 0; m &= m - 1, ++k) {
     const std::size_t j = member_user(cache, r, std::countr_zero(m));
-    if (rho_out != nullptr) rho_out[j] = v[k];
-    if (term_out != nullptr) term_out[j] = v[n + k];
+    if (rho_out != nullptr) rho_out[j] = rho[k];
+    if (term_out != nullptr) term_out[j] = terms[k];
   }
 }
 
