@@ -25,8 +25,9 @@ Modes:
       (+---+ box style, matching util/table's print()).
   metrics_report.py BASELINE CANDIDATE
       Diff two dumps: counters and timers side by side with absolute and
-      relative deltas, again as an ASCII table. Counters present in only
-      one file show a `-` on the missing side.
+      relative deltas, again as an ASCII table; a timer's delta carries
+      its unit (e.g. `-48.960 ms (-28.7%)`). Counters present in only one
+      file show a `-` on the missing side.
   metrics_report.py --gate BASELINE CANDIDATE [--timer NAME] [--tolerance F]
       Perf-regression gate (CI bench-smoke). Fails (exit 1) when
       (a) any deterministic work counter (prefixes: core., bench.stress.)
@@ -238,13 +239,19 @@ def top_timers(doc: dict, limit: int) -> str:
         ["Timer", "Count", "Total", "Mean", "p50", "p90", "p99", "Max"], rows)
 
 
-def fmt_delta(base: int | None, cand: int | None) -> str:
+def fmt_delta(base: int | None, cand: int | None, unit=None) -> str:
+    """cand - base with its relative change; `unit` (e.g. fmt_ns) formats
+    the delta's magnitude, else it prints as a signed integer."""
     if base is None or cand is None:
         return "-"
     delta = cand - base
+    if unit is None:
+        text = f"{delta:+d}"
+    else:
+        text = ("-" if delta < 0 else "+") + unit(abs(delta))
     if base == 0:
-        return f"{delta:+d}"
-    return f"{delta:+d} ({100.0 * delta / base:+.1f}%)"
+        return text
+    return f"{text} ({100.0 * delta / base:+.1f}%)"
 
 
 def diff(base: dict, cand: dict) -> str:
@@ -273,7 +280,8 @@ def diff(base: dict, cand: dict) -> str:
                      "-" if b is None else fmt_ns(b["total_ns"]),
                      "-" if c is None else fmt_ns(c["total_ns"]),
                      fmt_delta(None if b is None else b["total_ns"],
-                               None if c is None else c["total_ns"])])
+                               None if c is None else c["total_ns"],
+                               fmt_ns)])
     if rows:
         out.append("")
         out.append("Timers (total)")
