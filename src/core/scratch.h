@@ -117,6 +117,17 @@ struct ResourceScratch {
 /// The climb's and the evaluators' working set: one resource's members at
 /// a time, the per-resource member masks and the per-user objective terms
 /// of the accepted assignment, and the per-user terms of the trial one.
+/// The climb's weak-duality bound (core/waterfill.cpp) keeps, for the
+/// accepted assignment, the price each resource's shares were taken at and
+/// the resource's slack term, and each user's keep value on its resource
+/// and offer on its other one. An offer is taken lazily: offer[j] holds
+/// for the prices [offer_low[j], offer_high[j]] of the other resource
+/// (none before it is taken), and it is re-taken only once that price
+/// leaves them. It is first taken as a log-free upper estimate, which
+/// exceeds the exact offer by at most offer_gap[j], and made exact
+/// (offer_gap[j] = 0) only when needed. The fbs_* tables hold each user's
+/// operands on its FBS at the climb's expected channel counts, taken once
+/// per climb.
 struct AssignScratch {
   std::vector<std::size_t> members;  ///< one resource's members, ascending
   std::vector<double> successes;     ///< their success probabilities
@@ -128,25 +139,36 @@ struct AssignScratch {
   std::vector<double> terms;         ///< per-user terms, accepted assignment
   std::vector<double> trial_terms;   ///< per-user terms, trial assignment
   std::vector<unsigned char> use_mbs;  ///< assignment (bit-twiddle-free)
+  std::vector<double> prices;        ///< μ_r per resource, accepted
+  std::vector<double> slack;         ///< slack term per resource, accepted
+  std::vector<double> keep;          ///< h_j = t_j − μ ρ_j per user
+  std::vector<double> offer;         ///< φ_j on the other resource per user
+  std::vector<double> offer_gap;     ///< offer[j] − φ_j is at most this
+  std::vector<double> offer_low;     ///< the prices offer[j] holds for
+  std::vector<double> offer_high;
+  std::vector<double> fbs_pr;        ///< W / (g R) per user
+  std::vector<double> fbs_hi;        ///< S g R / W per user
+  std::vector<unsigned char> fbs_usable;  ///< g R > 0 && S > 0 per user
 };
 
 struct MemoTier;
 
 /// The water-fill memo: the members' shares and objective terms of every
-/// resource solved in the current scope (see the file comment), keyed by
-/// the resource index (0 = MBS, i + 1 = FBS i), the bit pattern of g_i
-/// (FBSs only) and the member set as a 64-bit mask. Fixed-capacity open
-/// addressing with linear probing; the values sit in a bump-allocated pool,
-/// an entry's n shares followed by its n terms, in member order. When
-/// either the table reaches half load or the pool is full, clear() empties
-/// the memo in O(1) by bumping `generation`:
+/// resource solved in the current scope (see the file comment), and the
+/// resource's water level, keyed by the resource index (0 = MBS,
+/// i + 1 = FBS i), the bit pattern of g_i (FBSs only) and the member set
+/// as a 64-bit mask. Fixed-capacity open addressing with linear probing;
+/// the values sit in a bump-allocated pool, an entry's n shares followed
+/// by its n terms, in member order, and then its level: 2n + 1 doubles.
+/// When either the table reaches half load or the pool is full, clear()
+/// empties the memo in O(1) by bumping `generation`:
 /// an entry is live iff its generation matches. 64 KB per thread (a 16 KB
 /// table, a 48 KB pool), taken on the first clear; on the city grid's large
 /// components the pool fills first, and a smaller memo re-solves more.
 struct WaterfillMemo {
   static constexpr std::size_t kSlots = 512;  ///< power of two
   static constexpr std::size_t kMaxLive = kSlots / 2;
-  static constexpr std::size_t kValues = 6144;  ///< doubles, 2 per member
+  static constexpr std::size_t kValues = 6144;  ///< doubles, 2n + 1 an entry
   struct Entry {
     std::uint64_t mask = 0;
     std::uint64_t g_bits = 0;
@@ -182,14 +204,16 @@ inline std::uint64_t memo_hash(std::uint32_t resource, std::uint64_t g_bits,
 }
 
 /// The water-fill solves one greedy_allocate call shares across its rounds:
-/// the members' objective terms of a resource solve, keyed like the memo.
-/// Only the climb reads the tier, and it reads only terms, so shares are
-/// not kept. A record is its key — the member mask, the bits of g_i and
-/// the resource index in the high half of a word whose low half is the
-/// member count n, each word's bits held in a double — followed by the n
-/// terms in member order. A fixed 36 KB per thread (a 4 KB index, a 32 KB
-/// pool), taken on the first reset: open addressing over record offsets
-/// with linear probing, never more than half full.
+/// the members' objective terms of a resource solve and its water level,
+/// keyed like the memo. Only the climb reads the tier, and it reads only
+/// terms and levels, so shares are not kept. A record is its key — the
+/// member mask, the bits of g_i and the resource index in the high half of
+/// a word whose low half is the value count, each word's bits held in a
+/// double — followed by its values: the n terms in member order, then the
+/// level, staged as n + 1 values; the tier never reads them. A fixed 36 KB
+/// per thread (a 4 KB index, a 32 KB pool), taken on the first reset: open
+/// addressing over record offsets with linear probing, never more than
+/// half full.
 ///
 /// The lifetime is one greedy call (reset()). Each round open()s one slice
 /// of the free pool per scan task; during the round the records are
@@ -199,8 +223,8 @@ inline std::uint64_t memo_hash(std::uint32_t resource, std::uint64_t g_bits,
 /// kMaxRecords. A solve that finds no room at either step is refused
 /// (core.greedy.tier_refused). The size is a measured trade against peak
 /// memory, since every pool thread that runs a greedy call holds a tier:
-/// fig6a's and churn's calls nearly fit, while the city grid's large
-/// components overflow it (docs/DEVELOPING.md).
+/// fig6a's and churn's calls fit, while the city grid's large components
+/// overflow it (docs/DEVELOPING.md).
 struct MemoTier {
   static constexpr std::size_t kSlots = 1024;  ///< power of two
   static constexpr std::size_t kMaxRecords = kSlots / 2;

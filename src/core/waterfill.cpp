@@ -23,25 +23,87 @@ namespace femtocr::core {
 namespace {
 
 constexpr double kLevelLo = 1e-12;  ///< "almost zero" price probe
+/// What a resource's shares may overspend its budget by at the level
+/// solve's exit.
+constexpr double kBudgetGuard = 1e-9;
+/// A climb keeps a move iff it gains more than this.
+constexpr double kMinGain = 1e-12;
+/// A price no offer is taken at: an offer's validity range starts here
+/// until it is taken.
+constexpr double kNever = std::numeric_limits<double>::infinity();
 
-/// Sum-of-shares at a fixed positive water level. Every share written is
-/// bit-identical to a best_share call with the same operands: lambda is
-/// always positive inside the level solvers, so best_share's free-resource
-/// branch cannot trigger, and the clamp expression below is its remaining
-/// path verbatim.
+/// A member's share at the positive water level `lambda`, bit-identical to
+/// a best_share call with the same operands: lambda is positive, so
+/// best_share's free-resource branch cannot trigger, and the clamp below is
+/// its remaining path verbatim. The level solve and the climb's duality
+/// bound both take their shares here.
+double level_share(double success, double pr, bool usable, double lambda) {
+  return usable ? util::clamp(success / lambda - pr, 0.0, kRhoCap) : 0.0;
+}
+
+/// Sum-of-shares at a fixed positive water level.
 double shares_at_level(const double* successes, const double* pr,
                        const unsigned char* usable, std::size_t n,
                        double lambda, double* rho_out) {
   double sum = 0.0;
   for (std::size_t k = 0; k < n; ++k) {
-    double r = 0.0;
-    if (usable[k] != 0) {
-      r = util::clamp(successes[k] / lambda - pr[k], 0.0, kRhoCap);
-    }
+    const double r = level_share(successes[k], pr[k], usable[k] != 0, lambda);
     rho_out[k] = r;
     sum += r;
   }
   return sum;
+}
+
+/// The price a resource's shares were taken at: its water level, or
+/// kLevelLo where the level solve returned 0. Its slack branch takes the
+/// shares at kLevelLo; a resource nobody can use has zero shares at any
+/// price, and an empty one has none.
+double price_of(double level) { return level > 0.0 ? level : kLevelLo; }
+
+/// User j's Eq. 14 operands on one resource: its success probability S,
+/// price offset pr = W / (g R) and usable gate (g R > 0 and S > 0).
+struct Operands {
+  double success;
+  double pr;
+  bool usable;
+};
+
+/// User j's operands on the MBS, from the cache.
+Operands mbs_operands(const UserState& u, const SlotCache& cache,
+                      std::size_t j) {
+  return {u.success_mbs, cache.pr_mbs[j], cache.can_mbs[j] != 0};
+}
+
+/// User j's operands on its FBS, whose expected channel count is g.
+Operands fbs_operands(const UserState& u, double g) {
+  const double rate = u.rate_fbs * g;
+  const bool ok = rate > 0.0 && u.success_fbs > 0.0;
+  return {u.success_fbs, ok ? u.psnr / rate : 0.0, ok};
+}
+
+/// The price at and above which user j takes no share: S g R / W on its
+/// FBS, whose expected channel count is g, and the cached S R / W on the
+/// MBS; 0 where the rate is 0.
+double top_price(const UserState& u, const SlotCache& cache, std::size_t j,
+                 bool mbs, double g) {
+  if (mbs) return cache.hi_mbs[j];
+  const double rate = u.rate_fbs * g;
+  return rate > 0.0 ? u.success_fbs * rate / u.psnr : 0.0;
+}
+
+/// User j's summand of slot_objective at share rho, on the MBS or on its
+/// FBS with expected channel count g (1 on the MBS). The operand grouping
+/// is mbs_term's / fbs_term's: the log argument is W + rho * g * R, in that
+/// multiplication order (rho * 1.0 is rho bitwise). The log collapses to
+/// the cached log W on the zero-share branch (W + 0 * x == W bitwise), and
+/// the loss branch comes from the cache.
+double member_term(const UserState& u, const SlotCache& cache, std::size_t j,
+                   bool mbs, double g, double rho) {
+  const double rate = mbs ? u.rate_mbs : u.rate_fbs;
+  const double a =
+      rho <= 0.0 ? cache.log_psnr[j] : std::log(u.psnr + rho * g * rate);
+  return mbs ? u.success_mbs * a + cache.loss_mbs[j]
+             : u.success_fbs * a + cache.loss_fbs[j];
 }
 
 /// Reference bisection on the budget-binding bracket [kLevelLo, hi] — the
@@ -223,7 +285,7 @@ double waterfill_level(const double* successes, const double* pr,
   double sum = level > 0.0
                    ? shares_at_level(successes, pr, usable, n, level, rho_out)
                    : 2.0;  // force the fallback
-  if (!(sum <= budget + 1e-9)) {
+  if (!(sum <= budget + kBudgetGuard)) {
     // Numerical corner: when the price offsets W/R dwarf the level, the
     // share S/λ − W/R cancels catastrophically and the closed-form level
     // can overspend the budget by more than the guard. It does happen —
@@ -243,7 +305,7 @@ double waterfill_level(const double* successes, const double* pr,
   // KKT exit contracts: a finite positive water level and a primal point
   // inside the budget.
   FEMTOCR_CHECK_FINITE(level, "water-filling level must be finite");
-  FEMTOCR_DCHECK_LE(sum, budget + 1e-9,
+  FEMTOCR_DCHECK_LE(sum, budget + kBudgetGuard,
                     "water-filled shares exceed the budget");
   FEMTOCR_DCHECK_GE(level, 0.0, "water-filling price must be nonnegative");
   return level;
@@ -259,65 +321,39 @@ void count_evaluation() {
 }
 
 /// Water-fills the members of resource r (0 = MBS, i + 1 = FBS i) listed in
-/// sc.assign.members and writes their shares to `rho` and their objective
-/// terms to `term`. A term is user j's summand of slot_objective with the
-/// exact operand grouping of mbs_term / fbs_term (fbs_term's log argument
-/// is W + rho * g * R, in that multiplication order), the log collapsed to
-/// the cached log W on zero-share branches (W + 0 * x == W bitwise) and the
-/// loss branch taken from the cache — so a sum of terms in user order is
-/// bit-identical to slot_objective of the materialised allocation (the
-/// equivalence tests pin this).
-void solve_members(const SlotContext& ctx, const SlotCache& cache,
-                   const std::vector<double>& gt_per_fbs, std::size_t r,
-                   SlotScratch& sc, double* rho, double* term, bool count) {
+/// sc.assign.members, writes their shares to `rho` and their objective
+/// terms (member_term) to `term`, and returns the resource's water level.
+/// A sum of terms in user order is bit-identical to slot_objective of the
+/// materialised allocation (the equivalence tests pin this).
+double solve_members(const SlotContext& ctx, const SlotCache& cache,
+                     const std::vector<double>& gt_per_fbs, std::size_t r,
+                     SlotScratch& sc, double* rho, double* term, bool count) {
   AssignScratch& as = sc.assign;
   ResourceScratch& rs = sc.resource;
   const std::size_t n = as.members.size();
   as.successes.resize(n);
   rs.pr.resize(n);
   rs.usable.resize(n);
+  const double g = r == 0 ? 1.0 : gt_per_fbs[r - 1];
   double hi = 0.0;
-  if (r == 0) {
-    // MBS: price offsets W / R_0 come straight from the cache.
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t j = as.members[k];
-      const UserState& u = ctx.users[j];
-      as.successes[k] = u.success_mbs;
-      rs.pr[k] = cache.pr_mbs[j];
-      rs.usable[k] = cache.can_mbs[j];
-      if (u.rate_mbs > 0.0) hi = std::max(hi, cache.hi_mbs[j]);
-    }
-    waterfill_level(as.successes.data(), rs.pr.data(), rs.usable.data(), n,
-                    hi, 1.0, rho, rs, count);
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t j = as.members[k];
-      const UserState& u = ctx.users[j];
-      const double a = rho[k] <= 0.0 ? cache.log_psnr[j]
-                                     : std::log(u.psnr + rho[k] * u.rate_mbs);
-      term[k] = u.success_mbs * a + cache.loss_mbs[j];
-    }
-    return;
-  }
-  const double g = gt_per_fbs[r - 1];
-  for (std::size_t k = 0; k < n; ++k) {
-    const UserState& u = ctx.users[as.members[k]];
-    const double rate = u.rate_fbs * g;
-    const bool ok = rate > 0.0 && u.success_fbs > 0.0;
-    as.successes[k] = u.success_fbs;
-    rs.usable[k] = ok ? 1 : 0;
-    rs.pr[k] = ok ? u.psnr / rate : 0.0;
-    if (rate > 0.0) hi = std::max(hi, u.success_fbs * rate / u.psnr);
-  }
-  waterfill_level(as.successes.data(), rs.pr.data(), rs.usable.data(), n, hi,
-                  1.0, rho, rs, count);
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t j = as.members[k];
     const UserState& u = ctx.users[j];
-    const double a = rho[k] <= 0.0
-                         ? cache.log_psnr[j]
-                         : std::log(u.psnr + rho[k] * g * u.rate_fbs);
-    term[k] = u.success_fbs * a + cache.loss_fbs[j];
+    const Operands op =
+        r == 0 ? mbs_operands(u, cache, j) : fbs_operands(u, g);
+    as.successes[k] = op.success;
+    rs.pr[k] = op.pr;
+    rs.usable[k] = op.usable ? 1 : 0;
+    hi = std::max(hi, top_price(u, cache, j, r == 0, g));
   }
+  const double level =
+      waterfill_level(as.successes.data(), rs.pr.data(), rs.usable.data(), n,
+                      hi, 1.0, rho, rs, count);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t j = as.members[k];
+    term[k] = member_term(ctx.users[j], cache, j, r == 0, g, rho[k]);
+  }
+  return level;
 }
 
 /// The memo slot holding (resource, g_bits, mask), or the empty slot where
@@ -397,18 +433,22 @@ void gather_assignment(const SlotCache& cache, const unsigned char* use_mbs,
 
 #if FEMTOCR_DCHECK_IS_ON()
 /// A hit must be exactly the solve it replaces: re-solves keyed resource
-/// r's `mask` uncounted and compares its terms, and its shares unless
-/// `rho` is null, bitwise.
+/// r's `mask` uncounted and compares its terms and level, and its shares
+/// unless `rho` is null, bitwise.
 void check_hit(const SlotContext& ctx, const SlotCache& cache,
                const std::vector<double>& gt_per_fbs, std::size_t r,
                std::uint64_t mask, std::size_t n, SlotScratch& sc,
-               const double* rho, const double* terms) {
+               const double* rho, const double* terms, double level) {
   AssignScratch& as = sc.assign;
   gather_mask(cache, r, mask, as);
   as.check_rho.resize(n);
   as.check_term.resize(n);
-  solve_members(ctx, cache, gt_per_fbs, r, sc, as.check_rho.data(),
-                as.check_term.data(), false);
+  const double fresh = solve_members(ctx, cache, gt_per_fbs, r, sc,
+                                     as.check_rho.data(),
+                                     as.check_term.data(), false);
+  FEMTOCR_DCHECK(std::bit_cast<std::uint64_t>(level) ==
+                     std::bit_cast<std::uint64_t>(fresh),
+                 "water-fill memo or tier hit differs from a fresh solve");
   for (std::size_t k = 0; k < n; ++k) {
     FEMTOCR_DCHECK(std::bit_cast<std::uint64_t>(terms[k]) ==
                            std::bit_cast<std::uint64_t>(as.check_term[k]) &&
@@ -421,11 +461,12 @@ void check_hit(const SlotContext& ctx, const SlotCache& cache,
 #endif
 
 /// A keyed resource's solve: its members' shares and objective terms, in
-/// member order. `rho` is null when the terms came from a greedy call's
-/// tier, which keeps no shares.
+/// member order, and its water level. `rho` is null when the terms came
+/// from a greedy call's tier, which keeps no shares.
 struct MemberValues {
   const double* rho;
   const double* terms;
+  double level;
 };
 
 /// Keyed resource r with the nonempty member mask `mask`, found in the
@@ -433,6 +474,8 @@ struct MemberValues {
 /// otherwise, when the caller needs no `shares` and the thread is bound to
 /// a greedy call's tier (TierScope), found there; otherwise water-filled
 /// now straight into the memo's pool, and staged in the bound tier's slice.
+/// A memo entry's values are the n shares, the n terms and the level; a
+/// tier record's are the n terms and the level.
 MemberValues memo_solve(const SlotContext& ctx, const SlotCache& cache,
                         const std::vector<double>& gt_per_fbs, std::size_t r,
                         std::uint64_t mask, std::size_t n, bool shares,
@@ -446,70 +489,72 @@ MemberValues memo_solve(const SlotContext& ctx, const SlotCache& cache,
   if (entry->generation == memo.generation) {
     const double* v = memo.values.data() + entry->offset;
 #if FEMTOCR_DCHECK_IS_ON()
-    check_hit(ctx, cache, gt_per_fbs, r, mask, n, sc, v, v + n);
+    check_hit(ctx, cache, gt_per_fbs, r, mask, n, sc, v, v + n, v[2 * n]);
 #endif
-    return {v, v + n};
+    return {v, v + n, v[2 * n]};
   }
   MemoTier* tier = shares ? nullptr : memo.tier;
   if (tier != nullptr) {
     const double* terms = tier->find(resource, g_bits, mask);
     if (terms != nullptr) {
 #if FEMTOCR_DCHECK_IS_ON()
-      check_hit(ctx, cache, gt_per_fbs, r, mask, n, sc, nullptr, terms);
+      check_hit(ctx, cache, gt_per_fbs, r, mask, n, sc, nullptr, terms,
+                terms[n]);
 #endif
-      return {nullptr, terms};
+      return {nullptr, terms, terms[n]};
     }
   }
 
   if (memo.live + 1 > WaterfillMemo::kMaxLive ||
-      memo.used + 2 * n > WaterfillMemo::kValues) {
+      memo.used + 2 * n + 1 > WaterfillMemo::kValues) {
     memo.clear();
     entry = &memo_probe(memo, resource, g_bits, mask);
   }
   gather_mask(cache, r, mask, sc.assign);
   double* v = memo.values.data() + memo.used;
-  solve_members(ctx, cache, gt_per_fbs, r, sc, v, v + n, true);
+  v[2 * n] = solve_members(ctx, cache, gt_per_fbs, r, sc, v, v + n, true);
   entry->mask = mask;
   entry->g_bits = g_bits;
   entry->resource = resource;
   entry->generation = memo.generation;
   entry->offset = static_cast<std::uint32_t>(memo.used);
-  memo.used += 2 * n;
+  memo.used += 2 * n + 1;
   ++memo.live;
   if (tier != nullptr) {
-    tier->stage(memo.slice, resource, g_bits, mask, v + n, n);
+    tier->stage(memo.slice, resource, g_bits, mask, v + n, n + 1);
   }
-  return {v, v + n};
+  return {v, v + n, v[2 * n]};
 }
 
 /// The one resource solve behind the climb, evaluate_assignment and the
 /// exhaustive reference. Water-fills resource r under `use_mbs`, whose
-/// member mask for r is `mask`, and writes each member j's share to
-/// rho_out[j] and its objective term to term_out[j] (either may be null).
+/// member mask for r is `mask`, writes each member j's share to
+/// rho_out[j] and its objective term to term_out[j] (either may be null),
+/// and returns the water level (0 for a resource without members).
 /// A keyed resource goes through the memo, and behind it, for the climb's
 /// terms-only solves, the greedy call's tier; it then walks the mask's
 /// bits, so a hit is one probe and a scatter; a resource with more than 64
 /// possible members gathers its members from `use_mbs` and always solves.
-void solve_resource(const SlotContext& ctx, const SlotCache& cache,
-                    const std::vector<double>& gt_per_fbs,
-                    const unsigned char* use_mbs, std::size_t r,
-                    std::uint64_t mask, SlotScratch& sc, double* rho_out,
-                    double* term_out) {
+double solve_resource(const SlotContext& ctx, const SlotCache& cache,
+                      const std::vector<double>& gt_per_fbs,
+                      const unsigned char* use_mbs, std::size_t r,
+                      std::uint64_t mask, SlotScratch& sc, double* rho_out,
+                      double* term_out) {
   AssignScratch& as = sc.assign;
   if (!keyed(cache, r)) {
     gather_assignment(cache, use_mbs, r, as);
     const std::size_t n = as.members.size();
-    if (n == 0) return;
+    if (n == 0) return 0.0;
     as.rho.resize(n);
     as.term.resize(n);
-    solve_members(ctx, cache, gt_per_fbs, r, sc, as.rho.data(),
-                  as.term.data(), true);
+    const double level = solve_members(ctx, cache, gt_per_fbs, r, sc,
+                                       as.rho.data(), as.term.data(), true);
     for (std::size_t k = 0; k < n; ++k) {
       const std::size_t j = as.members[k];
       if (rho_out != nullptr) rho_out[j] = as.rho[k];
       if (term_out != nullptr) term_out[j] = as.term[k];
     }
-    return;
+    return level;
   }
 #if FEMTOCR_DCHECK_IS_ON()
   // The climb carries masks across moves; they must be the assignment's.
@@ -520,16 +565,17 @@ void solve_resource(const SlotContext& ctx, const SlotCache& cache,
   }
   FEMTOCR_DCHECK(fresh == mask, "member mask differs from the assignment");
 #endif
-  if (mask == 0) return;
+  if (mask == 0) return 0.0;
   const auto n = static_cast<std::size_t>(std::popcount(mask));
-  const auto [rho, terms] =
+  const MemberValues values =
       memo_solve(ctx, cache, gt_per_fbs, r, mask, n, rho_out != nullptr, sc);
   std::size_t k = 0;
   for (std::uint64_t m = mask; m != 0; m &= m - 1, ++k) {
     const std::size_t j = member_user(cache, r, std::countr_zero(m));
-    if (rho_out != nullptr) rho_out[j] = rho[k];
-    if (term_out != nullptr) term_out[j] = terms[k];
+    if (rho_out != nullptr) rho_out[j] = values.rho[k];
+    if (term_out != nullptr) term_out[j] = values.terms[k];
   }
+  return values.level;
 }
 
 /// The objective of an assignment from its per-user terms: summed in user
@@ -542,16 +588,18 @@ double sum_terms(const std::vector<double>& terms, std::size_t num_users) {
 }
 
 /// Objective of a whole assignment with member masks `masks`: every
-/// resource solved, every user's term written to `terms`.
+/// resource solved, every user's term written to `terms` and, unless
+/// `levels` is null, every resource's water level to levels[r].
 double full_objective(const SlotContext& ctx, const SlotCache& cache,
                       const std::vector<double>& gt_per_fbs,
                       const unsigned char* use_mbs,
                       const std::vector<std::uint64_t>& masks, SlotScratch& sc,
-                      std::vector<double>& terms) {
+                      std::vector<double>& terms, double* levels) {
   count_evaluation();
   for (std::size_t r = 0; r <= cache.num_fbs; ++r) {
-    solve_resource(ctx, cache, gt_per_fbs, use_mbs, r, masks[r], sc, nullptr,
-                   terms.data());
+    const double level = solve_resource(ctx, cache, gt_per_fbs, use_mbs, r,
+                                        masks[r], sc, nullptr, terms.data());
+    if (levels != nullptr) levels[r] = level;
   }
   return sum_terms(terms, cache.num_users);
 }
@@ -585,6 +633,237 @@ SlotAllocation evaluate_assignment(const SlotContext& ctx,
   return alloc;
 }
 
+/// The climb's weak-duality bound on what a move can gain; the proof and
+/// its rounding margin are in docs/DEVELOPING.md ("The climb's duality
+/// bound"). Resource r's shares in the accepted assignment A were taken at
+/// the price μ_r = price_of(λ_r). User j, with share ρ_j and term t_j on
+/// its resource c, keeps h_j = t_j − μ_c ρ_j there and is offered φ_j, the
+/// maximum of f_j(ρ) − μ_o ρ over [0, 1] on its other resource o. A move
+/// of the users M that touches the resources T gains at most
+///   B = Σ_{j∈M} (φ_j − h_j) + Σ_{r∈T} μ_r (1 + 1e-9 + κ − Σ_{k∈A_r} ρ_k),
+/// so one with B + margin < kMinGain is one the climb would reject.
+///
+/// A check is O(1). An accepted move re-takes the keep values and slack
+/// terms of the resources it touched. An offer is taken when it is next
+/// needed after its price moved, first as a log-free upper estimate, and
+/// exactly only when that can decide the check.
+class DualityBound {
+ public:
+  /// Sets the bound up for the accepted assignment `um`, whose terms are
+  /// as.terms and whose resources' water levels are as.prices (turned into
+  /// prices here).
+  DualityBound(const SlotContext& ctx, const SlotCache& cache,
+               const std::vector<double>& gt_per_fbs,
+               const std::vector<unsigned char>& um, AssignScratch& as);
+
+  /// Whether moving user j, and user k too unless k == K, provably gains
+  /// no more than kMinGain. fj and fk are their FBSs' resource indices
+  /// (fk == fj for a flip).
+  bool rules_out(std::size_t j, std::size_t k, std::size_t fj,
+                 std::size_t fk);
+
+  /// Takes in an accepted move of j (and k): um and as.terms already hold
+  /// it, and l0, lj and lk are the new water levels of the MBS, fj and fk.
+  void accept(std::size_t j, std::size_t k, std::size_t fj, std::size_t fk,
+              double l0, double lj, double lk);
+
+ private:
+  /// User j's share operands on resource r.
+  Operands operands(std::size_t j, std::size_t r) const;
+  /// Re-takes the keep values of resource r's members and r's slack term.
+  void refresh(std::size_t r);
+  /// φ_j − h_j, or an upper bound on it while j's offer is an estimate;
+  /// re-takes j's offer estimate first if its price has moved.
+  double gain(std::size_t j);
+  /// Replaces j's offer estimate by the exact offer (one log).
+  void tighten(std::size_t j);
+
+  const SlotContext& ctx_;
+  const SlotCache& cache_;
+  const std::vector<double>& gt_;
+  const std::vector<unsigned char>& um_;
+  AssignScratch& as_;
+  std::size_t num_users_;
+  double budget_;  ///< 1 + 1e-9 + κ
+  double margin_;
+};
+
+DualityBound::DualityBound(const SlotContext& ctx, const SlotCache& cache,
+                           const std::vector<double>& gt_per_fbs,
+                           const std::vector<unsigned char>& um,
+                           AssignScratch& as)
+    : ctx_(ctx),
+      cache_(cache),
+      gt_(gt_per_fbs),
+      um_(um),
+      as_(as),
+      num_users_(cache.num_users) {
+  // Each user's operands on its FBS at the climb's g, and the scale Λ: on
+  // either resource and at any share, user j's term, keep and offer are at
+  // most |log W_j| + S g R / W_j in magnitude.
+  as.fbs_pr.resize(num_users_);
+  as.fbs_hi.resize(num_users_);
+  as.fbs_usable.resize(num_users_);
+  double scale = 1.0;
+  for (std::size_t j = 0; j < num_users_; ++j) {
+    const UserState& u = ctx.users[j];
+    const double g = gt_per_fbs[u.fbs];
+    const Operands op = fbs_operands(u, g);
+    as.fbs_pr[j] = op.pr;
+    as.fbs_usable[j] = op.usable ? 1 : 0;
+    as.fbs_hi[j] = top_price(u, cache, j, false, g);
+    scale += std::fabs(cache.log_psnr[j]) +
+             std::max(cache.hi_mbs[j], as.fbs_hi[j]);
+  }
+  const double unit = static_cast<double>(num_users_ + 4) *
+                      std::numeric_limits<double>::epsilon();
+  budget_ = 1.0 + kBudgetGuard + 4.0 * unit;
+  margin_ = 16.0 * unit * scale;
+  for (double& price : as.prices) price = price_of(price);
+  as.keep.resize(num_users_);
+  as.offer.resize(num_users_);
+  as.offer_gap.resize(num_users_);
+  as.offer_low.assign(num_users_, kNever);
+  as.offer_high.resize(num_users_);
+  as.slack.resize(cache.num_fbs + 1);
+  for (std::size_t r = 0; r <= cache.num_fbs; ++r) refresh(r);
+}
+
+Operands DualityBound::operands(std::size_t j, std::size_t r) const {
+  if (r == 0) return mbs_operands(ctx_.users[j], cache_, j);
+  return {ctx_.users[j].success_fbs, as_.fbs_pr[j], as_.fbs_usable[j] != 0};
+}
+
+void DualityBound::refresh(std::size_t r) {
+  const double mu = as_.prices[r];
+  double sum = 0.0;
+  const auto keep = [&](std::size_t j) {
+    const Operands op = operands(j, r);
+    const double rho = level_share(op.success, op.pr, op.usable, mu);
+    as_.keep[j] = as_.terms[j] - mu * rho;
+    sum += rho;
+  };
+  if (r == 0) {
+    for (std::size_t j = 0; j < num_users_; ++j) {
+      if (um_[j] != 0) keep(j);
+    }
+  } else {
+    for (const std::size_t j : cache_.users_by_fbs[r - 1]) {
+      if (um_[j] == 0) keep(j);
+    }
+  }
+  as_.slack[r] = mu * (budget_ - sum);
+}
+
+double DualityBound::gain(std::size_t j) {
+  const UserState& u = ctx_.users[j];
+  const bool to_mbs = um_[j] == 0;
+  const std::size_t o = to_mbs ? 0 : u.fbs + 1;
+  const double mu = as_.prices[o];
+  if (!(as_.offer_low[j] <= mu && mu <= as_.offer_high[j])) {
+    // The log-free estimate t(0) + ρ (hi − μ) is at least φ_j, because
+    // log(W + x) <= log W + x / W. It exceeds φ_j by at most
+    // S (ρ x)² / 2 = (ρ hi)² / (2 S), with x = g R / W and hi = S x. A zero
+    // share stays zero at every higher price, where the offer stays t(0)
+    // bit for bit.
+    const Operands op = operands(j, o);
+    const double rho = level_share(op.success, op.pr, op.usable, mu);
+    const double g = to_mbs ? 1.0 : gt_[u.fbs];
+    const double hi = to_mbs ? cache_.hi_mbs[j] : as_.fbs_hi[j];
+    as_.offer[j] =
+        member_term(u, cache_, j, to_mbs, g, 0.0) + rho * (hi - mu);
+    as_.offer_gap[j] =
+        rho > 0.0 ? (rho * hi) * (rho * hi) / (2.0 * op.success) : 0.0;
+    as_.offer_low[j] = mu;
+    as_.offer_high[j] = rho > 0.0 ? mu : kNever;
+  }
+  return as_.offer[j] - as_.keep[j];
+}
+
+void DualityBound::tighten(std::size_t j) {
+  if (!(as_.offer_gap[j] > 0.0)) return;
+  const UserState& u = ctx_.users[j];
+  const bool to_mbs = um_[j] == 0;
+  const double mu = as_.offer_low[j];  // == offer_high[j]: the share is > 0
+  const Operands op = operands(j, to_mbs ? 0 : u.fbs + 1);
+  const double rho = level_share(op.success, op.pr, op.usable, mu);
+  const double g = to_mbs ? 1.0 : gt_[u.fbs];
+  as_.offer[j] = member_term(u, cache_, j, to_mbs, g, rho) - mu * rho;
+  as_.offer_gap[j] = 0.0;
+}
+
+bool DualityBound::rules_out(std::size_t j, std::size_t k, std::size_t fj,
+                             std::size_t fk) {
+  const bool pair = k < num_users_;
+  const auto bound = [&] {
+    double b = gain(j) + as_.slack[0] + as_.slack[fj];
+    if (pair) {
+      b += gain(k);
+      if (fk != fj) b += as_.slack[fk];
+    }
+    return b;
+  };
+  const double estimate = bound();
+  if (estimate + margin_ < kMinGain) return true;
+  // Exact offers lower the bound by at most the estimates' gaps: take them
+  // only where that can rule the move out.
+  const double gap = as_.offer_gap[j] + (pair ? as_.offer_gap[k] : 0.0);
+  if (!(gap > 0.0) || !(estimate - gap < kMinGain)) return false;
+  tighten(j);
+  if (pair) tighten(k);
+  return bound() + margin_ < kMinGain;
+}
+
+void DualityBound::accept(std::size_t j, std::size_t k, std::size_t fj,
+                          std::size_t fk, double l0, double lj, double lk) {
+  as_.prices[0] = price_of(l0);
+  as_.prices[fj] = price_of(lj);
+  refresh(0);
+  refresh(fj);
+  if (fk != fj) {
+    as_.prices[fk] = price_of(lk);
+    refresh(fk);
+  }
+  as_.offer_low[j] = kNever;  // j's other resource is now another
+  if (k < num_users_) as_.offer_low[k] = kNever;
+}
+
+#if FEMTOCR_DCHECK_IS_ON()
+/// A pruned move must be one the climb would reject: applies the move of j
+/// (and k unless k == K) to `um`, re-solves the resources it touches
+/// uncounted and outside both the memo and the tier, checks that the trial
+/// objective does not gain more than kMinGain over `best`, and undoes the
+/// move.
+void check_pruned(const SlotContext& ctx, const SlotCache& cache,
+                  const std::vector<double>& gt_per_fbs,
+                  std::vector<unsigned char>& um, std::size_t j, std::size_t k,
+                  std::size_t fj, std::size_t fk, SlotScratch& sc,
+                  double best) {
+  AssignScratch& as = sc.assign;
+  const std::size_t K = cache.num_users;
+  um[j] ^= 1U;
+  if (k < K) um[k] ^= 1U;
+  std::copy(as.terms.begin(), as.terms.end(), as.trial_terms.begin());
+  const std::size_t touched[] = {0, fj, fk};
+  for (std::size_t t = 0; t < (fk != fj ? 3 : 2); ++t) {
+    gather_assignment(cache, um.data(), touched[t], as);
+    const std::size_t n = as.members.size();
+    as.check_rho.resize(n);
+    as.check_term.resize(n);
+    solve_members(ctx, cache, gt_per_fbs, touched[t], sc, as.check_rho.data(),
+                  as.check_term.data(), false);
+    for (std::size_t m = 0; m < n; ++m) {
+      as.trial_terms[as.members[m]] = as.check_term[m];
+    }
+  }
+  const double cand = sum_terms(as.trial_terms, K);
+  FEMTOCR_DCHECK(!(cand > best + kMinGain),
+                 "the duality bound pruned a climb move that gains");
+  um[j] ^= 1U;
+  if (k < K) um[k] ^= 1U;
+}
+#endif
+
 /// Hill climbing over base-station reassignments, with the inner
 /// water-filling solved exactly for every trial assignment: single-user
 /// flips first, then pair swaps (user j to the MBS while user k moves off
@@ -596,18 +875,23 @@ SlotAllocation evaluate_assignment(const SlotContext& ctx,
 /// assignment enumeration is pinned by tests. Leaves the best assignment
 /// in `um` and returns its objective.
 ///
-/// A trial costs only what it changes: the climb keeps the per-user terms
-/// and the per-resource member masks of the accepted assignment, and a move
-/// toggles the moved users' bits and re-solves just the resources it
-/// touches — the MBS and the home FBS of each moved user — before
-/// re-summing the terms in user order, bitwise what a full evaluation
-/// gives. A climb that hits the sweep cap counts
-/// core.waterfill.climb.sweep_cap_exits.
+/// A trial costs only what it changes: the climb keeps the per-user terms,
+/// the per-resource member masks and the water levels of the accepted
+/// assignment, and a move toggles the moved users' bits and re-solves just
+/// the resources it touches — the MBS and the home FBS of each moved user
+/// — before re-summing the terms in user order, bitwise what a full
+/// evaluation gives. A move the duality bound rules out is not tried at
+/// all: it is counted in core.waterfill.climb.pruned, once per climb,
+/// instead of core.waterfill.evaluations, and under FEMTOCR_DCHECK it is
+/// re-solved and checked to be one the climb rejects. A climb that hits
+/// the sweep cap counts core.waterfill.climb.sweep_cap_exits.
 double hill_climb(const SlotContext& ctx, const SlotCache& cache,
                   const std::vector<double>& gt_per_fbs,
                   std::vector<unsigned char>& um) {
   static util::Counter& c_sweep_cap =
       util::metrics().counter("core.waterfill.climb.sweep_cap_exits");
+  static util::Counter& c_pruned =
+      util::metrics().counter("core.waterfill.climb.pruned");
   const MemoScope scope;
   SlotScratch& sc = slot_scratch();
   AssignScratch& as = sc.assign;
@@ -623,18 +907,27 @@ double hill_climb(const SlotContext& ctx, const SlotCache& cache,
   as.trial_terms.resize(K);
   std::vector<std::uint64_t>& masks = as.masks;
   assignment_masks(ctx, cache, um.data(), masks);
+  as.prices.resize(cache.num_fbs + 1);
   double best = full_objective(ctx, cache, gt_per_fbs, um.data(), masks, sc,
-                               as.terms);
+                               as.terms, as.prices.data());
+  DualityBound bound(ctx, cache, gt_per_fbs, um, as);
+  std::uint64_t pruned = 0;
 
-  constexpr double kMinGain = 1e-12;
   constexpr std::size_t kMaxSweeps = 64;
   // Flips user j, and user k too unless k == K; keeps the move iff it
   // gains more than kMinGain. A user's bit is its index on the MBS and its
   // group position on its FBS.
   const auto try_move = [&](std::size_t j, std::size_t k) {
-    count_evaluation();
     const std::size_t fj = ctx.users[j].fbs + 1;
-    std::size_t fk = fj;
+    const std::size_t fk = k < K ? ctx.users[k].fbs + 1 : fj;
+    if (bound.rules_out(j, k, fj, fk)) {
+      ++pruned;
+#if FEMTOCR_DCHECK_IS_ON()
+      check_pruned(ctx, cache, gt_per_fbs, um, j, k, fj, fk, sc, best);
+#endif
+      return false;
+    }
+    count_evaluation();
     std::uint64_t mbs = masks[0] ^ mask_bit(j);
     std::uint64_t mj = masks[fj] ^ mask_bit(cache.fbs_position[j]);
     std::uint64_t mk = 0;
@@ -642,7 +935,6 @@ double hill_climb(const SlotContext& ctx, const SlotCache& cache,
     if (k < K) {
       um[k] ^= 1U;
       mbs ^= mask_bit(k);
-      fk = ctx.users[k].fbs + 1;
       if (fk == fj) {
         mj ^= mask_bit(cache.fbs_position[k]);
       } else {
@@ -651,14 +943,14 @@ double hill_climb(const SlotContext& ctx, const SlotCache& cache,
     }
     std::copy(as.terms.begin(), as.terms.end(), as.trial_terms.begin());
     double* trial = as.trial_terms.data();
-    solve_resource(ctx, cache, gt_per_fbs, um.data(), 0, mbs, sc, nullptr,
-                   trial);
-    solve_resource(ctx, cache, gt_per_fbs, um.data(), fj, mj, sc, nullptr,
-                   trial);
-    if (fk != fj) {
-      solve_resource(ctx, cache, gt_per_fbs, um.data(), fk, mk, sc, nullptr,
-                     trial);
-    }
+    const double l0 = solve_resource(ctx, cache, gt_per_fbs, um.data(), 0,
+                                     mbs, sc, nullptr, trial);
+    const double lj = solve_resource(ctx, cache, gt_per_fbs, um.data(), fj,
+                                     mj, sc, nullptr, trial);
+    const double lk =
+        fk != fj ? solve_resource(ctx, cache, gt_per_fbs, um.data(), fk, mk,
+                                  sc, nullptr, trial)
+                 : 0.0;
     const double cand = sum_terms(as.trial_terms, K);
     if (cand > best + kMinGain) {
       best = cand;
@@ -666,6 +958,7 @@ double hill_climb(const SlotContext& ctx, const SlotCache& cache,
       masks[0] = mbs;
       masks[fj] = mj;
       if (fk != fj) masks[fk] = mk;
+      bound.accept(j, k, fj, fk, l0, lj, lk);
       return true;
     }
     um[j] ^= 1U;
@@ -687,6 +980,7 @@ double hill_climb(const SlotContext& ctx, const SlotCache& cache,
     converged = !improved;
   }
   if (!converged) c_sweep_cap.add();
+  c_pruned.add(pruned);
   return best;
 }
 
@@ -841,8 +1135,9 @@ SlotAllocation waterfill_solve_exhaustive(
       um[j] = (mask >> j) & 1U;
     }
     assignment_masks(ctx, cache, um.data(), sc.assign.masks);
-    const double q = full_objective(ctx, cache, gt_per_fbs, um.data(),
-                                    sc.assign.masks, sc, sc.assign.terms);
+    const double q =
+        full_objective(ctx, cache, gt_per_fbs, um.data(), sc.assign.masks, sc,
+                       sc.assign.terms, nullptr);
     if (q > best_q) {
       best_q = q;
       best_mask = mask;

@@ -14,9 +14,12 @@
 // same convex program as the paper's distributed subgradient (Tables I/II)
 // but converges in a handful of rounds, which matters inside the greedy
 // allocator where Q(c) is evaluated hundreds of times per slot: a climb
-// trial re-solves only the resources its move touches, and resource solves
-// are memoised within one scope (core/scratch.h). Tests verify it agrees
-// with both the subgradient solver and brute-force assignment enumeration.
+// trial re-solves only the resources its move touches, resource solves are
+// memoised within one scope (core/scratch.h), and a move is not tried at
+// all when weak duality at the accepted assignment's water levels, the
+// resources' KKT prices, proves it cannot gain (docs/DEVELOPING.md gives
+// the bound and its rounding margin). Tests verify it agrees with both the
+// subgradient solver and brute-force assignment enumeration.
 #pragma once
 
 #include <vector>

@@ -231,7 +231,8 @@ TEST(Determinism, GreedyWaterfillCountersInvariantAcrossThreadCounts) {
   // The third, 8 FBSs on a ring with 24 users, overflows the tier in its
   // first rounds, where its scan tasks' slices run out of room, so the
   // slice bounds, the merge order and core.greedy.tier_refused are pinned
-  // too.
+  // too. Every context's climbs prune moves by their duality bound, so
+  // core.waterfill.climb.pruned is pinned beside the solves it saves.
   ThreadDefaultGuard guard;
   const bool prev_enabled = util::metrics_enabled();
   util::set_metrics_enabled(true);
@@ -271,6 +272,8 @@ TEST(Determinism, GreedyWaterfillCountersInvariantAcrossThreadCounts) {
   util::Counter& solves = util::metrics().counter("core.waterfill.solves");
   util::Counter& evals = util::metrics().counter("core.greedy.candidate_evals");
   util::Counter& refused = util::metrics().counter("core.greedy.tier_refused");
+  util::Counter& pruned =
+      util::metrics().counter("core.waterfill.climb.pruned");
   for (const int variant : {0, 1, 2}) {
     const bool repeated = variant == 1;
     const bool overflow = variant == 2;
@@ -296,6 +299,7 @@ TEST(Determinism, GreedyWaterfillCountersInvariantAcrossThreadCounts) {
     // distinct ones none.
     EXPECT_GT(levels.total(), 0u);
     EXPECT_GT(bp_events.total(), 0u);
+    EXPECT_GT(pruned.total(), 0u) << "context " << variant << " never pruned";
     if (repeated) {
       EXPECT_LT(solves.total(), 1 + evals.total());
     } else {

@@ -15,6 +15,7 @@
 #include "core/subproblem.h"
 #include "test_helpers.h"
 #include "util/check.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace femtocr::core {
@@ -160,15 +161,18 @@ TEST(WaterfillSolve, RejectsMismatchedGtVector) {
 // ------------------------------------------------- differential tier ----
 //
 // The library climb keeps per-user objective terms, re-solves only the
-// resources a trial touches and memoises resource solves within a scope.
-// The reference below re-evaluates every trial from scratch through the
-// public waterfill_evaluate, with the same initial assignment, the same
+// resources a trial touches, memoises resource solves within a scope and
+// skips the moves its weak-duality bound rules out. The reference below
+// re-evaluates every trial from scratch through the public
+// waterfill_evaluate, with the same initial assignment, the same
 // flip-then-swap order and the same acceptance rule. Objective and
-// assignment must agree bitwise.
+// assignment must agree bitwise, and every trial the reference evaluates
+// must be one the library either evaluates or prunes.
 
 struct ReferenceClimb {
   std::vector<bool> use_mbs;
   double objective = 0.0;
+  std::uint64_t evaluations = 0;  ///< the start and every trial
 };
 
 ReferenceClimb reference_climb(const SlotContext& ctx, const SlotCache& cache,
@@ -182,6 +186,7 @@ ReferenceClimb reference_climb(const SlotContext& ctx, const SlotCache& cache,
     um.push_back(mbs_term(u, 1.0) > fbs_term(u, 1.0, gt[u.fbs]));
   }
   const auto evaluate = [&] {
+    ++ref.evaluations;
     return waterfill_evaluate(ctx, cache, gt, um).objective;
   };
   ref.objective = evaluate();
@@ -216,13 +221,44 @@ struct DifferentialCase {
   std::vector<double> gt;
 };
 
+constexpr int kDifferentialCases = 51;
+constexpr int kFallbackCase = 50;
+
+/// The case whose FBS 0 is the resource
+/// WaterfillBreakpoint.FallbackFiresWhenPriceOffsetsDwarfTheLevel pins:
+/// g = 2^-10 and three members with W/R ≈ 5.3e7, which cannot use the MBS,
+/// so the climb takes FBS 0's level from the bisection fallback. A fourth
+/// user of FBS 0 has a good MBS link, so moves that would bring it to
+/// FBS 0 are pruned against the slack term of the fallback's shares. Four
+/// regular users sit on FBS 1.
+DifferentialCase fallback_case() {
+  util::Rng rng(9051);
+  DifferentialCase d{test::random_context(rng, 8, 2, 3), {0x1p-10, 1.7}};
+  const double psnr[] = {0x1.ee66f55d1c72dp+4, 0x1.0f165a0ac46bp+5,
+                         0x1.0dfdc1c92a0ffp+5};
+  const double rates[] = {0x1.3a02fa0b64ee1p-21, 0x1.4ff58e05cbe12p-21,
+                          0x1.53675e4313a22p-21};
+  const double successes[] = {0x1.cd44591eacf96p-1, 0x1.ecdf649767056p-1,
+                              0x1.cdc20a016381dp-1};
+  for (std::size_t k = 0; k < 3; ++k) {
+    UserState& u = d.f.ctx.users[2 * k];  // users 0, 2 and 4 are on FBS 0
+    u.psnr = psnr[k];
+    u.rate_fbs = rates[k] / d.gt[0];  // exact: g is a power of two
+    u.success_fbs = successes[k];
+    u.rate_mbs = 0.0;
+  }
+  return d;
+}
+
 /// Seeded adversarial context `c`. Cases 0 and 1 exceed 64 users (the MBS,
 /// and in case 1 also the single FBS group, bypass the memo); case 2 is
-/// large enough to fill the memo; the rest are small. Every case mixes in
-/// zero rates, success probabilities of exactly 0 and 1, and duplicated or
-/// zero expected channel counts; FBSs outnumbering users, or every user on
-/// FBS 0, leave groups empty.
+/// large enough to fill the memo; case kFallbackCase is fallback_case();
+/// the rest are small. Every seeded case mixes in zero rates, success
+/// probabilities of exactly 0 and 1, and duplicated or zero expected
+/// channel counts; FBSs outnumbering users, or every user on FBS 0, leave
+/// groups empty.
 DifferentialCase differential_case(int c) {
+  if (c == kFallbackCase) return fallback_case();
   util::Rng rng(9001 + static_cast<std::uint64_t>(c));
   std::size_t users = 1 + rng.index(12);
   std::size_t fbss = 1 + rng.index(4);
@@ -263,7 +299,16 @@ DifferentialCase differential_case(int c) {
 }
 
 TEST(WaterfillDifferential, ClimbMatchesFullReevaluationBitwise) {
-  for (int c = 0; c < 50; ++c) {
+  const bool prev_enabled = util::metrics_enabled();
+  util::set_metrics_enabled(true);
+  util::Counter& evaluations =
+      util::metrics().counter("core.waterfill.evaluations");
+  util::Counter& pruned =
+      util::metrics().counter("core.waterfill.climb.pruned");
+  util::Counter& fallback =
+      util::metrics().counter("core.waterfill.breakpoint.bisect_fallback");
+  bool keyed_case_pruned = false;
+  for (int c = 0; c < kDifferentialCases; ++c) {
     const DifferentialCase d = differential_case(c);
     SlotCache cache;
     cache.build(d.f.ctx);
@@ -274,9 +319,17 @@ TEST(WaterfillDifferential, ClimbMatchesFullReevaluationBitwise) {
     const std::uint32_t gen_after = slot_scratch().memo.generation;
     EXPECT_EQ(a.use_mbs, ref.use_mbs) << "case " << c;
     EXPECT_EQ(a.objective, ref.objective) << "case " << c;  // same bits
+    const std::uint64_t evaluations_before = evaluations.total();
+    const std::uint64_t pruned_before = pruned.total();
+    const std::uint64_t fallback_before = fallback.total();
     std::vector<bool> climbed;
     EXPECT_EQ(waterfill_solve_objective(d.f.ctx, cache, d.gt, climbed),
               ref.objective)
+        << "case " << c;
+    const std::uint64_t case_pruned = pruned.total() - pruned_before;
+    // A pruned move is one the reference evaluates and rejects.
+    EXPECT_EQ(evaluations.total() - evaluations_before + case_pruned,
+              ref.evaluations)
         << "case " << c;
     EXPECT_EQ(climbed, ref.use_mbs) << "case " << c;
     EXPECT_TRUE(a.feasible(d.f.ctx)) << "case " << c;
@@ -285,7 +338,19 @@ TEST(WaterfillDifferential, ClimbMatchesFullReevaluationBitwise) {
       // forced by a full memo.
       EXPECT_GT(gen_after - gen_before, 1u) << "the memo never filled";
     }
+    if (c == 0 || c == 1) {
+      EXPECT_GT(case_pruned, 0u) << "unkeyed case " << c << " never pruned";
+    } else if (case_pruned > 0) {
+      keyed_case_pruned = true;
+    }
+    if (c == kFallbackCase) {
+      EXPECT_GT(fallback.total() - fallback_before, 0u)
+          << "the fallback case never reached the bisection fallback";
+      EXPECT_GT(case_pruned, 0u) << "the fallback case never pruned";
+    }
   }
+  util::set_metrics_enabled(prev_enabled);
+  EXPECT_TRUE(keyed_case_pruned) << "no keyed case pruned";
 }
 
 #if FEMTOCR_DCHECK_IS_ON()
