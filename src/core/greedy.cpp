@@ -28,6 +28,8 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
       util::metrics().counter("core.greedy.candidate_evals");
   static util::Counter& c_tier_refused =
       util::metrics().counter("core.greedy.tier_refused");
+  static util::Counter& c_cand_pruned =
+      util::metrics().counter("core.greedy.candidates_pruned");
   static util::Histogram& h_gap =
       util::metrics().histogram("core.greedy.bound_gap");
   static util::TimerStat& t_alloc =
@@ -79,17 +81,23 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
     // water-fill memo scope. Those climbs differ only in that FBS's g, so
     // they share most resource solves; the scope starts empty, so the work
     // — and every counter — does not depend on which worker runs the task.
-    // A candidate whose trial g an earlier one of its task already had has
-    // the same trial vector, hence the same Q, and can never be a strict
-    // maximum: the task skips it. Each task keeps its first strict maximum
-    // and that climb's assignment in its own slot of gs.best (with its own
-    // thread-local scratch), and the fold below takes the first strict
-    // maximum over the tasks in task order — the same first-strict-maximum
-    // in candidate order the sequential scan produced. Behind each task's
-    // memo sits the call's tier, frozen for the round: it holds what the
-    // earlier rounds solved (only the winner's g changed since), and each
-    // task stages its own solves in its slice, merged in task order after
-    // the round.
+    // A task climbs its candidates in descending trial g, ties in candidate
+    // order, and keeps the largest Q with ties to the lowest candidate
+    // index: the first strict maximum of the candidate-order scan. A
+    // candidate whose trial g the one before it had has the same trial
+    // vector, hence the same Q, and a higher index: the task skips it.
+    // Before each later climb, weak duality at the exit prices of the
+    // task's best climb so far bounds the candidate's Q; one whose bound
+    // plus its rounding margin is below the best cannot win and is not
+    // climbed (docs/DEVELOPING.md, "The greedy scan's duality bound"). Each
+    // task keeps its best and that climb's assignment in its own slot of
+    // gs.best (with its own thread-local scratch), and the fold below takes
+    // the first strict maximum over the tasks in task order — the same
+    // first strict maximum in candidate order the sequential scan produced.
+    // Behind each task's memo sits the call's tier, frozen for the round: it
+    // holds what the earlier rounds solved (only the winner's g changed
+    // since), and each task stages its own solves in its slice, merged in
+    // task order after the round.
     const std::size_t n_candidates = gs.candidates.size();
     c_cand_evals.add(n_candidates);
     gs.tasks.clear();
@@ -109,32 +117,55 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
       GreedyScratch::TaskBest& best = gs.best[t];
       best.objective = -std::numeric_limits<double>::infinity();
       best.candidate = gs.tasks[t];
-      ws.tried.clear();
+      best.pruned = 0;
+      const std::size_t i = gs.candidates[gs.tasks[t]].first;
+      ws.order.clear();
       for (std::size_t k = gs.tasks[t]; k < gs.tasks[t + 1]; ++k) {
-        const auto [i, a] = gs.candidates[k];
-        ws.trial.assign(gs.gt.begin(), gs.gt.end());
-        ws.trial[i] += ctx.posterior[a];
-        const auto g_bits = std::bit_cast<std::uint64_t>(ws.trial[i]);
-        if (std::find(ws.tried.begin(), ws.tried.end(), g_bits) !=
-            ws.tried.end()) {
+        ws.order.emplace_back(gs.gt[i] + ctx.posterior[gs.candidates[k].second],
+                              k);
+      }
+      std::sort(ws.order.begin(), ws.order.end(),
+                [](const auto& x, const auto& y) {
+                  if (x.first != y.first) return x.first > y.first;
+                  return x.second < y.second;
+                });
+      ws.trial.assign(gs.gt.begin(), gs.gt.end());
+      for (std::size_t o = 0; o < ws.order.size(); ++o) {
+        const auto [g, k] = ws.order[o];
+        if (o > 0 && std::bit_cast<std::uint64_t>(g) ==
+                         std::bit_cast<std::uint64_t>(ws.order[o - 1].first)) {
           continue;
         }
-        ws.tried.push_back(g_bits);
-        const double q =
-            waterfill_solve_objective(ctx, cache, ws.trial, ws.use_mbs);
-        if (q > best.objective) {
+        ws.trial[i] = g;
+        SlotDualBound bound;
+        if (o > 0) {
+          bound = waterfill_dual_bound(ctx, cache, ws.trial, ws.best_prices);
+          if (bound.value + bound.margin < best.objective) {
+            ++best.pruned;
+            continue;
+          }
+        }
+        const double q = waterfill_solve_objective(ctx, cache, ws.trial,
+                                                   ws.use_mbs, ws.prices);
+        FEMTOCR_DCHECK(o == 0 || q <= bound.value + bound.margin,
+                       "a climb beat the greedy scan's duality bound");
+        if (q > best.objective || (q == best.objective && k < best.candidate)) {
           best.objective = q;
           best.candidate = k;
           best.use_mbs = ws.use_mbs;
+          ws.best_prices.swap(ws.prices);
         }
       }
     });
     c_tier_refused.add(gs.tier.merge());
 
     std::size_t win = 0;
+    std::size_t pruned = gs.best[0].pruned;
     for (std::size_t t = 1; t < n_tasks; ++t) {
       if (gs.best[t].objective > gs.best[win].objective) win = t;
+      pruned += gs.best[t].pruned;
     }
+    c_cand_pruned.add(pruned);
     const GreedyScratch::TaskBest& best = gs.best[win];
     FEMTOCR_CHECK_FINITE(best.objective, "candidate objective must be finite");
 

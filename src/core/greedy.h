@@ -40,9 +40,13 @@ struct GreedyResult {
 /// associated users are skipped (allocating them channels cannot increase
 /// the objective). Each round's argmax of Q(c + e) over the surviving pairs
 /// fans out through util::parallel_for in scan tasks, one per FBS. A task
-/// climbs its candidates in order, once per distinct trial vector (a
-/// repeat has the same Q, so it can never be a strict maximum), and keeps
-/// its first strict maximum with that climb's assignment. The task bests
+/// climbs its candidates in descending trial value, ties in candidate
+/// order, once per distinct trial vector (a repeat has the same Q and a
+/// higher index, so it can never win), and keeps the largest Q with ties
+/// to the lowest candidate index, with that climb's assignment. It does not
+/// climb a candidate whose weak-duality bound (waterfill_dual_bound), at
+/// the exit prices of the task's best climb so far, proves it cannot beat
+/// that best; core.greedy.candidates_pruned counts them. The task bests
 /// are folded serially in task order, which gives the first strict maximum
 /// in candidate order, so results do not depend on the thread count. The
 /// winner is materialized by water-filling the assignment its climb kept.

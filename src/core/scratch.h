@@ -38,6 +38,7 @@
 //     counters stay schedule-independent.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -160,6 +161,7 @@ struct MemoTier;
 /// as a 64-bit mask. Fixed-capacity open addressing with linear probing;
 /// the values sit in a bump-allocated pool, an entry's n shares followed
 /// by its n terms, in member order, and then its level: 2n + 1 doubles.
+/// The entry keeps n in what would be its padding.
 /// When either the table reaches half load or the pool is full, clear()
 /// empties the memo in O(1) by bumping `generation`:
 /// an entry is live iff its generation matches. 64 KB per thread (a 16 KB
@@ -175,6 +177,7 @@ struct WaterfillMemo {
     std::uint32_t resource = 0;
     std::uint32_t generation = 0;  ///< live iff == WaterfillMemo::generation
     std::uint32_t offset = 0;      ///< first value of the entry's pairs
+    std::uint32_t members = 0;     ///< n, the member count
   };
   std::vector<Entry> entries;
   std::vector<double> values;
@@ -251,6 +254,11 @@ struct MemoTier {
   /// The merged record's terms for the key, or null.
   const double* find(std::uint32_t resource, std::uint64_t g_bits,
                      std::uint64_t mask) const;
+  /// The value count of the record whose values find() returned, read
+  /// from the low half of its key's last word.
+  static std::size_t value_count(const double* values) {
+    return std::bit_cast<std::uint64_t>(values[-1]) & 0xFFFFFFFFU;
+  }
   /// Appends a record to slice `s` if it fits, else counts it refused.
   void stage(std::size_t s, std::uint32_t resource, std::uint64_t g_bits,
              std::uint64_t mask, const double* terms, std::size_t n);
@@ -266,22 +274,28 @@ struct MemoTier {
 
 /// greedy_allocate's working set: the candidate list, the scan-task
 /// bounds, the per-task best the parallel scan fills, the call's memo
-/// tier, and per-thread trial vectors, climb assignments and solved-trial
-/// lists.
+/// tier, and per-thread trial vectors, climb orders, assignments and
+/// prices.
 struct GreedyScratch {
-  /// A scan task's first strict maximum and its climb's assignment.
+  /// A scan task's best, the largest Q with ties to the lowest candidate
+  /// index, with its climb's assignment, and the candidates the task's
+  /// duality bound ruled out.
   struct TaskBest {
     double objective = 0.0;
     std::size_t candidate = 0;
     std::vector<bool> use_mbs;
+    std::size_t pruned = 0;
   };
   std::vector<std::pair<std::size_t, std::size_t>> candidates;
   std::vector<std::size_t> tasks;  ///< first candidate of each task, + end
   std::vector<TaskBest> best;      ///< slot t = task t's best, fold serial
   MemoTier tier;                   ///< the call's shared solves
   std::vector<double> trial;       ///< per-thread trial G vector
-  std::vector<std::uint64_t> tried;  ///< per-thread trial g_i bits, one task
+  /// Per-thread: one task's (trial g_i, candidate), in climb order.
+  std::vector<std::pair<double, std::size_t>> order;
   std::vector<bool> use_mbs;       ///< per-thread climb assignment
+  std::vector<double> prices;      ///< per-thread climb's exit prices
+  std::vector<double> best_prices;  ///< per-thread: the task best's
   std::vector<double> gt;          ///< accumulated expected channel counts
 };
 

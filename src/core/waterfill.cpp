@@ -106,6 +106,26 @@ double member_term(const UserState& u, const SlotCache& cache, std::size_t j,
              : u.success_fbs * a + cache.loss_fbs[j];
 }
 
+/// User j's Lagrangian maximum over its share on one resource at the price
+/// mu: f_j(ρ°) − μ ρ° at the Eq. 14 share ρ° = level_share(op, μ), which
+/// maximizes it, with f_j from member_term. One log, none when ρ° = 0.
+double lagrangian_max(const UserState& u, const SlotCache& cache,
+                      std::size_t j, bool mbs, double g, const Operands& op,
+                      double mu) {
+  const double rho = level_share(op.success, op.pr, op.usable, mu);
+  return member_term(u, cache, j, mbs, g, rho) - mu * rho;
+}
+
+/// What a resource's shares may sum to in a duality bound over K users:
+/// 1 + 1e-9 + κ, κ = 4 (K + 4) ε. The 1e-9 is water-filling's exit guard;
+/// κ covers the rounding of the share sums (docs/DEVELOPING.md, "The
+/// climb's duality bound").
+double guarded_budget(std::size_t num_users) {
+  return 1.0 + kBudgetGuard +
+         4.0 * static_cast<double>(num_users + 4) *
+             std::numeric_limits<double>::epsilon();
+}
+
 /// Reference bisection on the budget-binding bracket [kLevelLo, hi] — the
 /// pre-breakpoint level solver, kept verbatim as the analytic solver's
 /// numerical fallback and as the equivalence-test oracle
@@ -313,11 +333,12 @@ double waterfill_level(const double* successes, const double* pr,
 
 /// core.waterfill.evaluations: one per assignment whose objective is
 /// evaluated — a climb's start and each of its trials, each exhaustive
-/// mask, each materialised allocation.
-void count_evaluation() {
+/// mask, each materialised allocation. A climb tallies its own and adds
+/// them once, at its exit.
+void count_evaluations(std::uint64_t n) {
   static util::Counter& c_evals =
       util::metrics().counter("core.waterfill.evaluations");
-  c_evals.add();
+  c_evals.add(n);
 }
 
 /// Water-fills the members of resource r (0 = MBS, i + 1 = FBS i) listed in
@@ -475,11 +496,12 @@ struct MemberValues {
 /// a greedy call's tier (TierScope), found there; otherwise water-filled
 /// now straight into the memo's pool, and staged in the bound tier's slice.
 /// A memo entry's values are the n shares, the n terms and the level; a
-/// tier record's are the n terms and the level.
+/// tier record's are the n terms and the level. The member count n comes
+/// with the entry, the record or the miss's gather, never from counting
+/// the mask's bits.
 MemberValues memo_solve(const SlotContext& ctx, const SlotCache& cache,
                         const std::vector<double>& gt_per_fbs, std::size_t r,
-                        std::uint64_t mask, std::size_t n, bool shares,
-                        SlotScratch& sc) {
+                        std::uint64_t mask, bool shares, SlotScratch& sc) {
   WaterfillMemo& memo = sc.memo;
   FEMTOCR_DCHECK(memo.scoped, "resource solve outside a memo scope");
   const auto resource = static_cast<std::uint32_t>(r);
@@ -488,6 +510,7 @@ MemberValues memo_solve(const SlotContext& ctx, const SlotCache& cache,
   WaterfillMemo::Entry* entry = &memo_probe(memo, resource, g_bits, mask);
   if (entry->generation == memo.generation) {
     const double* v = memo.values.data() + entry->offset;
+    const std::size_t n = entry->members;
 #if FEMTOCR_DCHECK_IS_ON()
     check_hit(ctx, cache, gt_per_fbs, r, mask, n, sc, v, v + n, v[2 * n]);
 #endif
@@ -497,6 +520,7 @@ MemberValues memo_solve(const SlotContext& ctx, const SlotCache& cache,
   if (tier != nullptr) {
     const double* terms = tier->find(resource, g_bits, mask);
     if (terms != nullptr) {
+      const std::size_t n = MemoTier::value_count(terms) - 1;
 #if FEMTOCR_DCHECK_IS_ON()
       check_hit(ctx, cache, gt_per_fbs, r, mask, n, sc, nullptr, terms,
                 terms[n]);
@@ -505,12 +529,13 @@ MemberValues memo_solve(const SlotContext& ctx, const SlotCache& cache,
     }
   }
 
+  gather_mask(cache, r, mask, sc.assign);
+  const std::size_t n = sc.assign.members.size();
   if (memo.live + 1 > WaterfillMemo::kMaxLive ||
       memo.used + 2 * n + 1 > WaterfillMemo::kValues) {
     memo.clear();
     entry = &memo_probe(memo, resource, g_bits, mask);
   }
-  gather_mask(cache, r, mask, sc.assign);
   double* v = memo.values.data() + memo.used;
   v[2 * n] = solve_members(ctx, cache, gt_per_fbs, r, sc, v, v + n, true);
   entry->mask = mask;
@@ -518,6 +543,7 @@ MemberValues memo_solve(const SlotContext& ctx, const SlotCache& cache,
   entry->resource = resource;
   entry->generation = memo.generation;
   entry->offset = static_cast<std::uint32_t>(memo.used);
+  entry->members = static_cast<std::uint32_t>(n);
   memo.used += 2 * n + 1;
   ++memo.live;
   if (tier != nullptr) {
@@ -566,9 +592,8 @@ double solve_resource(const SlotContext& ctx, const SlotCache& cache,
   FEMTOCR_DCHECK(fresh == mask, "member mask differs from the assignment");
 #endif
   if (mask == 0) return 0.0;
-  const auto n = static_cast<std::size_t>(std::popcount(mask));
   const MemberValues values =
-      memo_solve(ctx, cache, gt_per_fbs, r, mask, n, rho_out != nullptr, sc);
+      memo_solve(ctx, cache, gt_per_fbs, r, mask, rho_out != nullptr, sc);
   std::size_t k = 0;
   for (std::uint64_t m = mask; m != 0; m &= m - 1, ++k) {
     const std::size_t j = member_user(cache, r, std::countr_zero(m));
@@ -595,7 +620,6 @@ double full_objective(const SlotContext& ctx, const SlotCache& cache,
                       const unsigned char* use_mbs,
                       const std::vector<std::uint64_t>& masks, SlotScratch& sc,
                       std::vector<double>& terms, double* levels) {
-  count_evaluation();
   for (std::size_t r = 0; r <= cache.num_fbs; ++r) {
     const double level = solve_resource(ctx, cache, gt_per_fbs, use_mbs, r,
                                         masks[r], sc, nullptr, terms.data());
@@ -612,7 +636,7 @@ SlotAllocation evaluate_assignment(const SlotContext& ctx,
                                    const SlotCache& cache,
                                    const std::vector<double>& gt_per_fbs,
                                    const unsigned char* use_mbs) {
-  count_evaluation();
+  count_evaluations(1);
   const MemoScope scope;
   SlotScratch& sc = slot_scratch();
   assignment_masks(ctx, cache, use_mbs, sc.assign.masks);
@@ -717,7 +741,7 @@ DualityBound::DualityBound(const SlotContext& ctx, const SlotCache& cache,
   }
   const double unit = static_cast<double>(num_users_ + 4) *
                       std::numeric_limits<double>::epsilon();
-  budget_ = 1.0 + kBudgetGuard + 4.0 * unit;
+  budget_ = guarded_budget(num_users_);
   margin_ = 16.0 * unit * scale;
   for (double& price : as.prices) price = price_of(price);
   as.keep.resize(num_users_);
@@ -785,10 +809,9 @@ void DualityBound::tighten(std::size_t j) {
   const UserState& u = ctx_.users[j];
   const bool to_mbs = um_[j] == 0;
   const double mu = as_.offer_low[j];  // == offer_high[j]: the share is > 0
-  const Operands op = operands(j, to_mbs ? 0 : u.fbs + 1);
-  const double rho = level_share(op.success, op.pr, op.usable, mu);
   const double g = to_mbs ? 1.0 : gt_[u.fbs];
-  as_.offer[j] = member_term(u, cache_, j, to_mbs, g, rho) - mu * rho;
+  as_.offer[j] = lagrangian_max(u, cache_, j, to_mbs, g,
+                                operands(j, to_mbs ? 0 : u.fbs + 1), mu);
   as_.offer_gap[j] = 0.0;
 }
 
@@ -881,9 +904,10 @@ void check_pruned(const SlotContext& ctx, const SlotCache& cache,
 /// the resources it touches — the MBS and the home FBS of each moved user
 /// — before re-summing the terms in user order, bitwise what a full
 /// evaluation gives. A move the duality bound rules out is not tried at
-/// all: it is counted in core.waterfill.climb.pruned, once per climb,
-/// instead of core.waterfill.evaluations, and under FEMTOCR_DCHECK it is
-/// re-solved and checked to be one the climb rejects. A climb that hits
+/// all: it counts in core.waterfill.climb.pruned instead of
+/// core.waterfill.evaluations, and under FEMTOCR_DCHECK it is
+/// re-solved and checked to be one the climb rejects. Both counters are
+/// tallied locally and added once, at the climb's exit. A climb that hits
 /// the sweep cap counts core.waterfill.climb.sweep_cap_exits.
 double hill_climb(const SlotContext& ctx, const SlotCache& cache,
                   const std::vector<double>& gt_per_fbs,
@@ -911,6 +935,7 @@ double hill_climb(const SlotContext& ctx, const SlotCache& cache,
   double best = full_objective(ctx, cache, gt_per_fbs, um.data(), masks, sc,
                                as.terms, as.prices.data());
   DualityBound bound(ctx, cache, gt_per_fbs, um, as);
+  std::uint64_t evaluations = 1;  // the start
   std::uint64_t pruned = 0;
 
   constexpr std::size_t kMaxSweeps = 64;
@@ -927,7 +952,7 @@ double hill_climb(const SlotContext& ctx, const SlotCache& cache,
 #endif
       return false;
     }
-    count_evaluation();
+    ++evaluations;
     std::uint64_t mbs = masks[0] ^ mask_bit(j);
     std::uint64_t mj = masks[fj] ^ mask_bit(cache.fbs_position[j]);
     std::uint64_t mk = 0;
@@ -980,6 +1005,7 @@ double hill_climb(const SlotContext& ctx, const SlotCache& cache,
     converged = !improved;
   }
   if (!converged) c_sweep_cap.add();
+  count_evaluations(evaluations);
   c_pruned.add(pruned);
   return best;
 }
@@ -1100,7 +1126,8 @@ SlotAllocation waterfill_solve(const SlotContext& ctx, const SlotCache& cache,
 double waterfill_solve_objective(const SlotContext& ctx,
                                  const SlotCache& cache,
                                  const std::vector<double>& gt_per_fbs,
-                                 std::vector<bool>& use_mbs) {
+                                 std::vector<bool>& use_mbs,
+                                 std::vector<double>& prices) {
   static util::Counter& c_solves =
       util::metrics().counter("core.waterfill.solves");
   static util::TimerStat& t_solve =
@@ -1109,11 +1136,48 @@ double waterfill_solve_objective(const SlotContext& ctx,
   c_solves.add();
 
   check_cache_matches(ctx, cache, gt_per_fbs);
-  std::vector<unsigned char>& um = slot_scratch().assign.use_mbs;
-  const double q = hill_climb(ctx, cache, gt_per_fbs, um);
-  use_mbs.resize(um.size());
-  for (std::size_t j = 0; j < um.size(); ++j) use_mbs[j] = um[j] != 0;
+  AssignScratch& as = slot_scratch().assign;
+  const double q = hill_climb(ctx, cache, gt_per_fbs, as.use_mbs);
+  use_mbs.resize(as.use_mbs.size());
+  for (std::size_t j = 0; j < as.use_mbs.size(); ++j) {
+    use_mbs[j] = as.use_mbs[j] != 0;
+  }
+  prices.assign(as.prices.begin(), as.prices.end());
   return q;
+}
+
+SlotDualBound waterfill_dual_bound(const SlotContext& ctx,
+                                   const SlotCache& cache,
+                                   const std::vector<double>& gt_per_fbs,
+                                   const std::vector<double>& prices) {
+  FEMTOCR_DCHECK(prices.size() == cache.num_fbs + 1,
+                 "need one price per resource");
+  const std::size_t K = cache.num_users;
+  const double budget = guarded_budget(K);
+  double priced = 0.0;  // Σ_r μ_r (1 + 1e-9 + κ)
+  for (const double mu : prices) {
+    FEMTOCR_DCHECK_GE(mu, 0.0, "a resource price must be nonnegative");
+    priced += mu * budget;
+  }
+  // Σ_j max(v_j^MBS, v_j^FBS), and the scale Λ + 1 of the margin: user
+  // j's terms, and its Lagrangian maxima, are at most
+  // |log W_j| + max S g R / W_j in magnitude.
+  double users = 0.0;
+  double scale = 1.0;
+  for (std::size_t j = 0; j < K; ++j) {
+    const UserState& u = ctx.users[j];
+    const double g = gt_per_fbs[u.fbs];
+    const double on_mbs = lagrangian_max(u, cache, j, true, 1.0,
+                                         mbs_operands(u, cache, j), prices[0]);
+    const double on_fbs = lagrangian_max(u, cache, j, false, g,
+                                         fbs_operands(u, g), prices[u.fbs + 1]);
+    users += std::max(on_mbs, on_fbs);
+    scale += std::fabs(cache.log_psnr[j]) +
+             std::max(cache.hi_mbs[j], top_price(u, cache, j, false, g));
+  }
+  const double unit = static_cast<double>(K + cache.num_fbs + 4) *
+                      std::numeric_limits<double>::epsilon();
+  return {priced + users, 16.0 * unit * (scale + priced)};
 }
 
 SlotAllocation waterfill_solve_exhaustive(
@@ -1135,6 +1199,7 @@ SlotAllocation waterfill_solve_exhaustive(
       um[j] = (mask >> j) & 1U;
     }
     assignment_masks(ctx, cache, um.data(), sc.assign.masks);
+    count_evaluations(1);
     const double q =
         full_objective(ctx, cache, gt_per_fbs, um.data(), sc.assign.masks, sc,
                        sc.assign.terms, nullptr);

@@ -70,11 +70,37 @@ SlotAllocation waterfill_solve(const SlotContext& ctx, const SlotCache& cache,
 /// building the K-sized share vectors, and waterfill_evaluate on the
 /// assignment materializes the allocation waterfill_solve would return.
 /// Inside an open MemoScope (a greedy scan task) it shares that scope's
-/// memo.
+/// memo. `prices` receives the price each resource's shares were taken at
+/// in that assignment (index 0 = MBS, i + 1 = FBS i): its water level, or
+/// 1e-12 where the level is 0.
 double waterfill_solve_objective(const SlotContext& ctx,
                                  const SlotCache& cache,
                                  const std::vector<double>& gt_per_fbs,
-                                 std::vector<bool>& use_mbs);
+                                 std::vector<bool>& use_mbs,
+                                 std::vector<double>& prices);
+
+/// Weak duality's bound on the slot problem, D = value, and the rounding
+/// margin that makes it a bound on the climb's floating-point objective.
+struct SlotDualBound {
+  double value = 0.0;
+  double margin = 0.0;
+};
+
+/// D at the expected channel counts `gt_per_fbs` and the nonnegative
+/// resource prices μ in `prices` (index 0 = MBS, i + 1 = FBS i), for any μ:
+///   D = Σ_r μ_r (1 + 1e-9 + κ) + Σ_j max(v_j^MBS(μ_0), v_j^FBS(μ_i)),
+/// where v_j is user j's Lagrangian maximum over its share on that resource
+/// and κ = 4 (K + 4) ε. No assignment whose resources' shares sum to at
+/// most 1 + 1e-9, as water-filling's exit guard keeps them, has a larger
+/// objective, so waterfill_solve_objective at gt_per_fbs never returns
+/// more than value + margin (docs/DEVELOPING.md, "The greedy scan's
+/// duality bound"). O(K + N), with at most 2K logs. The greedy scan takes
+/// it at the exit prices of a task's best climb to skip candidates that
+/// cannot beat it.
+SlotDualBound waterfill_dual_bound(const SlotContext& ctx,
+                                   const SlotCache& cache,
+                                   const std::vector<double>& gt_per_fbs,
+                                   const std::vector<double>& prices);
 
 /// Water-fills every resource for a FIXED base-station assignment and
 /// returns the completed allocation (objective included). The optimum over

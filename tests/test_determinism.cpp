@@ -232,7 +232,9 @@ TEST(Determinism, GreedyWaterfillCountersInvariantAcrossThreadCounts) {
   // first rounds, where its scan tasks' slices run out of room, so the
   // slice bounds, the merge order and core.greedy.tier_refused are pinned
   // too. Every context's climbs prune moves by their duality bound, so
-  // core.waterfill.climb.pruned is pinned beside the solves it saves.
+  // core.waterfill.climb.pruned is pinned beside the solves it saves, and
+  // every context's scan tasks skip candidates by theirs, so
+  // core.greedy.candidates_pruned is pinned beside the climbs it saves.
   ThreadDefaultGuard guard;
   const bool prev_enabled = util::metrics_enabled();
   util::set_metrics_enabled(true);
@@ -274,6 +276,8 @@ TEST(Determinism, GreedyWaterfillCountersInvariantAcrossThreadCounts) {
   util::Counter& refused = util::metrics().counter("core.greedy.tier_refused");
   util::Counter& pruned =
       util::metrics().counter("core.waterfill.climb.pruned");
+  util::Counter& cand_pruned =
+      util::metrics().counter("core.greedy.candidates_pruned");
   for (const int variant : {0, 1, 2}) {
     const bool repeated = variant == 1;
     const bool overflow = variant == 2;
@@ -295,15 +299,17 @@ TEST(Determinism, GreedyWaterfillCountersInvariantAcrossThreadCounts) {
       }
     }
     // The registry still holds the last run. One solve for Q(empty), then
-    // one climb per distinct trial: repeated posteriors must skip climbs,
-    // distinct ones none.
+    // one climb or one pruned candidate per distinct trial: repeated
+    // posteriors must skip climbs, distinct ones none.
     EXPECT_GT(levels.total(), 0u);
     EXPECT_GT(bp_events.total(), 0u);
     EXPECT_GT(pruned.total(), 0u) << "context " << variant << " never pruned";
+    EXPECT_GT(cand_pruned.total(), 0u)
+        << "context " << variant << " never pruned a candidate";
     if (repeated) {
-      EXPECT_LT(solves.total(), 1 + evals.total());
+      EXPECT_LT(solves.total() + cand_pruned.total(), 1 + evals.total());
     } else {
-      EXPECT_EQ(solves.total(), 1 + evals.total());
+      EXPECT_EQ(solves.total() + cand_pruned.total(), 1 + evals.total());
     }
     if (overflow) {
       EXPECT_GT(refused.total(), 0u) << "the ring context fits its tier";

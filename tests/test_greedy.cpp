@@ -202,18 +202,23 @@ TEST(Greedy, SkipsFbssWithoutUsers) {
 
 // ------------------------------------------------- differential tier ----
 //
-// greedy_allocate skips a candidate whose trial vector an earlier one of
-// its scan task already had, keeps each task's first strict maximum with
-// its climb's assignment, and materializes the winner from that
-// assignment. The reference below is Table III as written: every round
-// climbs every surviving candidate with waterfill_solve and takes the
-// first strict maximum in candidate order. Every output must agree bit for
-// bit at 1, 2 and 8 threads.
+// greedy_allocate climbs each scan task's candidates in descending trial
+// value, skips a candidate whose trial vector its task already had, skips
+// one whose duality bound proves it cannot beat the task's best, keeps
+// each task's largest Q, ties to the lowest index, with its climb's
+// assignment, and materializes the winner from that assignment. The
+// reference below is Table III as written: every round climbs every
+// surviving candidate with waterfill_solve and takes the first strict
+// maximum in candidate order. Every output must agree bit for bit at 1, 2
+// and 8 threads.
 
 struct ReferenceScan {
   GreedyResult result;
   std::size_t repeats = 0;  ///< candidates repeating a task's earlier trial
   std::size_t fbs_ties = 0;  ///< exact Q ties with a best of another FBS
+  /// Rounds won by a candidate that ties, in Q, a candidate of its own FBS
+  /// with a higher trial value, which the scan climbs first.
+  std::size_t task_ties = 0;
 };
 
 ReferenceScan reference_greedy(const SlotContext& ctx,
@@ -235,6 +240,7 @@ ReferenceScan reference_greedy(const SlotContext& ctx,
     double best_q = -std::numeric_limits<double>::infinity();
     std::size_t best = 0;
     SlotAllocation best_alloc;
+    std::vector<double> qs(cands.size());
     for (std::size_t k = 0; k < cands.size(); ++k) {
       const auto [i, a] = cands[k];
       for (std::size_t e = 0; e < k; ++e) {
@@ -247,6 +253,7 @@ ReferenceScan reference_greedy(const SlotContext& ctx,
       std::vector<double> trial = gt;
       trial[i] += ctx.posterior[a];
       SlotAllocation alloc = waterfill_solve(ctx, cache, trial);
+      qs[k] = alloc.objective;
       if (alloc.objective == best_q && cands[best].first != i) {
         ++ref.fbs_ties;
       }
@@ -257,6 +264,14 @@ ReferenceScan reference_greedy(const SlotContext& ctx,
       }
     }
     const auto [bi, ba] = cands[best];
+    for (std::size_t k = best + 1; k < cands.size(); ++k) {
+      if (cands[k].first == bi && qs[k] == best_q &&
+          gt[bi] + ctx.posterior[cands[k].second] >
+              gt[bi] + ctx.posterior[ba]) {
+        ++ref.task_ties;
+        break;
+      }
+    }
     r.steps.push_back({bi, ctx.available[ba], best_q - current.objective,
                        ctx.graph->degree(bi)});
     gt[bi] += ctx.posterior[ba];
@@ -323,11 +338,25 @@ void expect_bitwise_equal(const GreedyResult& got, const GreedyResult& want,
 /// interference edges, and cycle through four posterior patterns: as
 /// drawn; all equal; pairwise bit-identical (channel m repeats channel
 /// m % 2, so every FBS's task sees repeats); and two FBSs whose users mirror
-/// each other, which gives exact Q ties between FBSs.
+/// each other, which gives exact Q ties between FBSs. The last case,
+/// kTieCase, gives exact Q ties within a task: its FBS 2 is no use to its
+/// users (their FBS success is 0), so its Q does not depend on its g, and
+/// its channels' posteriors ascend, so the scan climbs the highest index
+/// first. Once FBSs 0 and 1, which interfere, have shared out the channels,
+/// FBS 2 takes them one per round, lowest index first.
+constexpr int kGreedyCases = 121;
+constexpr int kTieCase = kGreedyCases - 1;
+
 test::ContextFixture greedy_case(int c) {
   util::Rng rng(7001 + static_cast<std::uint64_t>(c));
   if (c == 0) return test::random_context(rng, 70, 2, 2, {{0, 1}});
   if (c == 1) return test::random_context(rng, 66, 1, 2);
+  if (c == kTieCase) {
+    test::ContextFixture f = test::random_context(rng, 9, 3, 4, {{0, 1}});
+    std::sort(f.ctx.posterior.begin(), f.ctx.posterior.end());
+    for (std::size_t j = 2; j < 9; j += 3) f.ctx.users[j].success_fbs = 0.0;
+    return f;
+  }
   const int pattern = c % 4;
   const std::size_t fbss = pattern == 3 ? 2 : 1 + rng.index(4);
   const std::size_t users =
@@ -364,17 +393,24 @@ TEST(GreedyDifferential, ScanMatchesFullTableIIIBitwise) {
   const bool prev_enabled = util::metrics_enabled();
   util::set_metrics_enabled(true);
   util::Counter& refused = util::metrics().counter("core.greedy.tier_refused");
+  util::Counter& cand_pruned =
+      util::metrics().counter("core.greedy.candidates_pruned");
   std::size_t repeats = 0;
   std::size_t fbs_ties = 0;
   std::size_t tier_fits = 0;
   std::size_t tier_overflows = 0;
-  for (int c = 0; c < 120; ++c) {
+  const std::uint64_t pruned_before = cand_pruned.total();
+  for (int c = 0; c < kGreedyCases; ++c) {
     const test::ContextFixture f = greedy_case(c);
     SlotCache cache;
     cache.build(f.ctx);
     const ReferenceScan ref = reference_greedy(f.ctx, cache);
     repeats += ref.repeats;
     fbs_ties += ref.fbs_ties;
+    if (c == kTieCase) {
+      EXPECT_GT(ref.task_ties, 0u)
+          << "no round won by the lower index of an in-task Q tie";
+    }
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       util::set_default_threads(threads);
@@ -390,11 +426,13 @@ TEST(GreedyDifferential, ScanMatchesFullTableIIIBitwise) {
       }
     }
   }
+  const std::uint64_t pruned = cand_pruned.total() - pruned_before;
   util::set_metrics_enabled(prev_enabled);
   // The corpus must reach the paths the scan's shortcuts take, and calls
   // whose memo tier holds every solve as well as calls that overflow it.
   EXPECT_GT(repeats, 0u) << "no candidate repeated a trial vector";
   EXPECT_GT(fbs_ties, 0u) << "no exact Q tie between FBSs";
+  EXPECT_GT(pruned, 0u) << "the scan's duality bound pruned no candidate";
   EXPECT_GT(tier_fits, 0u) << "no call's tier held every solve";
   EXPECT_GT(tier_overflows, 0u) << "no call overflowed its tier";
 }

@@ -323,8 +323,10 @@ TEST(WaterfillDifferential, ClimbMatchesFullReevaluationBitwise) {
     const std::uint64_t pruned_before = pruned.total();
     const std::uint64_t fallback_before = fallback.total();
     std::vector<bool> climbed;
-    EXPECT_EQ(waterfill_solve_objective(d.f.ctx, cache, d.gt, climbed),
-              ref.objective)
+    std::vector<double> prices;
+    EXPECT_EQ(
+        waterfill_solve_objective(d.f.ctx, cache, d.gt, climbed, prices),
+        ref.objective)
         << "case " << c;
     const std::uint64_t case_pruned = pruned.total() - pruned_before;
     // A pruned move is one the reference evaluates and rejects.
@@ -333,6 +335,11 @@ TEST(WaterfillDifferential, ClimbMatchesFullReevaluationBitwise) {
         << "case " << c;
     EXPECT_EQ(climbed, ref.use_mbs) << "case " << c;
     EXPECT_TRUE(a.feasible(d.f.ctx)) << "case " << c;
+    // Weak duality at the climb's own exit prices bounds what it returned.
+    ASSERT_EQ(prices.size(), d.gt.size() + 1) << "case " << c;
+    const SlotDualBound at_exit =
+        waterfill_dual_bound(d.f.ctx, cache, d.gt, prices);
+    EXPECT_LE(ref.objective, at_exit.value + at_exit.margin) << "case " << c;
     if (c == 2) {
       // One generation for the solve's own scope; any more are clears
       // forced by a full memo.
@@ -351,6 +358,35 @@ TEST(WaterfillDifferential, ClimbMatchesFullReevaluationBitwise) {
   }
   util::set_metrics_enabled(prev_enabled);
   EXPECT_TRUE(keyed_case_pruned) << "no keyed case pruned";
+}
+
+TEST(WaterfillDualBound, BoundsTheExhaustiveOptimumAtAnyPrices) {
+  // Weak duality holds at every nonnegative price vector, not only at a
+  // climb's exit prices: zero prices, prices below, near and above the
+  // water levels, and one price per resource drawn independently.
+  int checked = 0;
+  for (int c = 3; c < kDifferentialCases; ++c) {
+    const DifferentialCase d = differential_case(c);
+    if (d.f.ctx.users.size() > 10) continue;
+    SlotCache cache;
+    cache.build(d.f.ctx);
+    const double optimum =
+        waterfill_solve_exhaustive(d.f.ctx, cache, d.gt).objective;
+    util::Rng rng(9301 + static_cast<std::uint64_t>(c));
+    for (int draw = 0; draw < 8; ++draw) {
+      std::vector<double> prices;
+      for (std::size_t r = 0; r <= d.gt.size(); ++r) {
+        prices.push_back(draw == 0 ? 0.0 : std::exp(rng.uniform(-12.0, 3.0)));
+      }
+      const SlotDualBound bound =
+          waterfill_dual_bound(d.f.ctx, cache, d.gt, prices);
+      EXPECT_LE(optimum, bound.value + bound.margin)
+          << "case " << c << ", draw " << draw;
+      EXPECT_GT(bound.margin, 0.0) << "case " << c;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 100);
 }
 
 #if FEMTOCR_DCHECK_IS_ON()
