@@ -1,6 +1,7 @@
 #include "core/shard.h"
 
 #include <algorithm>
+#include <numeric>
 #include <utility>
 
 #include "core/greedy.h"
@@ -25,13 +26,15 @@ struct ShardMetrics {
   util::Counter& components;     ///< components summed over sharded solves
   util::Histogram& component_size;  ///< per-component FBS count (max = largest)
   util::TimerStat& solve;        ///< wall clock of the whole sharded solve
+  util::TimerStat& component;    ///< one component's solve (busy time)
 };
 
 ShardMetrics& shard_metrics() {
   static ShardMetrics m{util::metrics().counter("core.shard.solves"),
                         util::metrics().counter("core.shard.components"),
                         util::metrics().histogram("core.shard.component_size"),
-                        util::metrics().timer("core.shard.solve")};
+                        util::metrics().timer("core.shard.solve"),
+                        util::metrics().timer("core.shard.component")};
   return m;
 }
 
@@ -176,6 +179,25 @@ SlotAllocation fold_component_allocations(
   return alloc;
 }
 
+std::vector<std::size_t> dispatch_order(
+    const std::vector<ComponentProblem>& problems) {
+  // (runs the greedy, work estimate): pairs compare lexicographically, so
+  // every greedy component sorts ahead of every edgeless or empty one.
+  std::vector<std::pair<bool, std::size_t>> key(problems.size());
+  for (std::size_t c = 0; c < problems.size(); ++c) {
+    const std::size_t users = problems[c].ctx.users.size();
+    const bool greedy = users > 0 && problems[c].graph.num_edges() > 0;
+    key[c] = {greedy, greedy ? users * users * problems[c].ctx.num_fbs : users};
+  }
+  std::vector<std::size_t> order(problems.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&key](std::size_t a, std::size_t b) {
+                     return key[a] > key[b];
+                   });
+  return order;
+}
+
 ShardResult sharded_allocate(
     const SlotContext& ctx, const ShardPlan& plan, const ShardOptions& options,
     const std::vector<const std::vector<double>*>& seeds) {
@@ -199,15 +221,19 @@ ShardResult sharded_allocate(
   scope.arg("max_component_size",
             static_cast<double>(result.max_component_size));
 
-  // Concurrent component solves: worker c writes only slot c of the
-  // pre-sized buffers; per-component caches keep the read-only tables
+  // Concurrent component solves, started longest-first: the i-th index
+  // handed out is component order[i], and its worker writes only slot c of
+  // the pre-sized buffers; per-component caches keep the read-only tables
   // apart, the thread-local scratch arenas keep the mutable state apart.
   // Solver-internal parallel_for calls (the greedy's candidate argmax)
   // nest and therefore run inline on the worker — deadlock-free by the
   // ThreadPool contract, deterministic because nesting never changes WHAT
   // is computed.
+  const std::vector<std::size_t> order = dispatch_order(problems);
   std::vector<SlotAllocation> subs(num_components);
-  util::parallel_for(num_components, [&](std::size_t c) {
+  util::parallel_for(num_components, [&](std::size_t i) {
+    const std::size_t c = order[i];
+    const util::Scope component_scope(metrics.component);
     const SlotContext& sub = problems[c].ctx;
     if (sub.users.empty()) {
       // No users, nothing to allocate: zeros is exact (Q == 0, bound == 0).

@@ -24,7 +24,12 @@
 // concurrent component solves from aliasing. Results are bitwise identical
 // for any --threads value and with FEMTOCR_METRICS=0.
 //
-// Observability: core.shard.* counters/timer, rows in docs/OBSERVABILITY.md.
+// Scheduling: components start longest-first (dispatch_order), so the
+// slot's wall clock is bound by its total work rather than by where its
+// heaviest component sits in index order. The order decides only when a
+// component runs, never what it computes or where its result is folded.
+//
+// Observability: core.shard.* counters/timers, rows in docs/OBSERVABILITY.md.
 // Registered lazily on the first sharded solve so runs that never shard
 // keep byte-identical metrics dumps.
 #pragma once
@@ -142,6 +147,19 @@ SlotAllocation solve_component(const SlotContext& ctx, const SlotCache& cache,
 SlotAllocation fold_component_allocations(
     const SlotContext& ctx, const std::vector<ComponentProblem>& problems,
     const std::vector<SlotAllocation>& subs);
+
+/// The order sharded_allocate hands components to its workers: descending
+/// work estimate, ties by component index. The estimate is a pure function
+/// of a component's shape. A component with users and edges runs the Table
+/// III greedy, whose every round climbs every FBS's candidates with a swap
+/// scan quadratic in users, so it estimates users^2 x FBSs and comes before
+/// every other component. An edgeless component is one water-fill (or one
+/// subgradient solve) and estimates its user count; an empty one estimates
+/// 0 and comes last. The result is a permutation of [0, problems.size()).
+/// Only when a component starts depends on it: results are still written
+/// and folded in component order.
+std::vector<std::size_t> dispatch_order(
+    const std::vector<ComponentProblem>& problems);
 
 /// Solves the slot by components, concurrently. On the distributed path
 /// `seeds[c]`, when present and non-null, is component c's warm-start seed

@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "util/ascii_chart.h"
 
@@ -68,7 +69,9 @@ TEST(AsciiChart, Validation) {
 TEST(AsciiChart, ManySeriesCycleMarkers) {
   AsciiChart chart("c", {0.0, 1.0});
   for (int i = 0; i < 7; ++i) {
-    chart.add_series("s" + std::to_string(i), {1.0 * i, 1.0 * i + 1});
+    std::string name = "s";
+    name += std::to_string(i);
+    chart.add_series(name, {1.0 * i, 1.0 * i + 1});
   }
   std::ostringstream oss;
   chart.print(oss);

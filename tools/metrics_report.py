@@ -29,15 +29,20 @@ Modes:
       its unit (e.g. `-48.960 ms (-28.7%)`). Counters present in only one
       file show a `-` on the missing side.
   metrics_report.py --gate BASELINE CANDIDATE [--timer NAME] [--tolerance F]
-      Perf-regression gate (CI bench-smoke). Fails (exit 1) when
+      Perf-regression gate (CI perf job). Fails (exit 1) when
       (a) any deterministic work counter (prefixes: core., bench.stress.)
       differs from the committed baseline — algorithmic regressions show
       up here as iteration/evaluation count drift, independent of machine
-      speed — or (b) the gated timer's total wall clock exceeds the
-      baseline by more than --tolerance (default 0.15, i.e. +15%). The
-      default timer is bench.stress.slot_solve, the per-slot solve wall
-      clock of bench/stress_scale. Regenerate the baseline with
-      tools/regen_baseline.sh (Release build, 3 runs merged by --merge-min).
+      speed — or (b) the gated timer's total, divided by the total of the
+      reference timer bench.stress.reference (a fixed kernel that calls no
+      library code, timed beside every solve), exceeds the baseline's
+      ratio by more than --tolerance (default 0.15, i.e. +15%), or either
+      dump lacks one of the two timers. The ratio measures the program,
+      not the host: a host uniformly slower than the baseline's slows both
+      timers alike. The default timer is bench.stress.slot_solve, the
+      per-slot solve wall clock of bench/stress_scale. Regenerate the
+      baseline with tools/regen_baseline.sh (Release build, 3 runs merged
+      by --merge-min).
   metrics_report.py --merge-min OUT IN1 IN2 [IN3 ...]
       Merge repeated runs of the same bench into one dump that keeps the
       minimum wall clock per timer (the standard best-of-N noise filter
@@ -344,6 +349,11 @@ def merge_min(docs: list[dict]) -> tuple[dict | None, list[str]]:
 
 GATE_COUNTER_PREFIXES = ("core.", "bench.stress.")
 
+# The gated timer is divided by this one: bench/stress_scale times a fixed
+# kernel that calls no library code beside every solve, so the ratio of the
+# two does not depend on how fast the host ran that day.
+REFERENCE_TIMER = "bench.stress.reference"
+
 
 def gate(base: dict, cand: dict, timer_name: str,
          tolerance: float) -> list[str]:
@@ -366,25 +376,33 @@ def gate(base: dict, cand: dict, timer_name: str,
                 "(deterministic work drifted; if intended, regenerate "
                 "BENCH_baseline.json)")
 
-    b_timer = base["timers_ns"].get(timer_name)
-    c_timer = cand["timers_ns"].get(timer_name)
-    if b_timer is None or c_timer is None:
-        side = "baseline" if b_timer is None else "candidate"
-        problems.append(f"timer {timer_name}: missing from {side}")
+    totals = {}
+    for side, doc in (("baseline", base), ("candidate", cand)):
+        for name in (timer_name, REFERENCE_TIMER):
+            t = doc["timers_ns"].get(name)
+            if t is None:
+                problems.append(f"timer {name}: missing from {side}")
+            elif t["total_ns"] == 0:
+                problems.append(f"timer {name}: zero total in {side}")
+            else:
+                totals[side, name] = t["total_ns"]
+    if len(totals) < 4:
         return problems
 
-    limit = b_timer["total_ns"] * (1.0 + tolerance)
-    ratio = (c_timer["total_ns"] / b_timer["total_ns"]
-             if b_timer["total_ns"] else float("inf"))
-    if c_timer["total_ns"] > limit:
-        problems.append(
-            f"timer {timer_name}: candidate total {fmt_ns(c_timer['total_ns'])} "
-            f"exceeds baseline {fmt_ns(b_timer['total_ns'])} "
-            f"by {100.0 * (ratio - 1.0):+.1f}% (tolerance +{100.0 * tolerance:.0f}%)")
+    def ratio(side: str) -> tuple[float, str]:
+        work = totals[side, timer_name]
+        ref = totals[side, REFERENCE_TIMER]
+        return work / ref, f"{work / ref:.3f} ({fmt_ns(work)} / {fmt_ns(ref)})"
+
+    b_ratio, b_text = ratio("baseline")
+    c_ratio, c_text = ratio("candidate")
+    detail = (f"{timer_name} / {REFERENCE_TIMER}: candidate {c_text} vs "
+              f"baseline {b_text}, {100.0 * (c_ratio / b_ratio - 1.0):+.1f}% "
+              f"(tolerance +{100.0 * tolerance:.0f}%)")
+    if c_ratio > b_ratio * (1.0 + tolerance):
+        problems.append(detail)
     else:
-        print(f"gate: {timer_name} {fmt_ns(c_timer['total_ns'])} vs baseline "
-              f"{fmt_ns(b_timer['total_ns'])} ({100.0 * (ratio - 1.0):+.1f}%, "
-              f"tolerance +{100.0 * tolerance:.0f}%)")
+        print(f"gate: {detail}")
     return problems
 
 
