@@ -6,8 +6,10 @@
 #include <vector>
 
 #include "core/slot_cache.h"
+#include "core/subproblem.h"
 #include "core/types.h"
 #include "net/interference_graph.h"
+#include "util/mathx.h"
 #include "util/rng.h"
 
 namespace femtocr::test {
@@ -59,6 +61,27 @@ inline core::SlotCache cache_for(const core::SlotContext& ctx) {
   core::SlotCache cache;
   cache.build(ctx);
   return cache;
+}
+
+/// One resource's Eq. 14 shares at the positive water level `lambda`,
+/// rho_k = clamp(S_k / lambda - W_k / R_k, 0, cap), with the library's
+/// operand expressions (a member with R_k = 0 or S_k = 0 takes none).
+/// Writes them to `rho_out` and returns their sum in member order, as the
+/// level solver adds them.
+inline double shares_at_level(const std::vector<double>& psnr,
+                              const std::vector<double>& rates,
+                              const std::vector<double>& successes,
+                              double lambda, std::vector<double>& rho_out) {
+  rho_out.assign(psnr.size(), 0.0);
+  double sum = 0.0;
+  for (std::size_t k = 0; k < psnr.size(); ++k) {
+    if (rates[k] > 0.0 && successes[k] > 0.0) {
+      rho_out[k] = util::clamp(successes[k] / lambda - psnr[k] / rates[k],
+                               0.0, core::kRhoCap);
+    }
+    sum += rho_out[k];
+  }
+  return sum;
 }
 
 }  // namespace femtocr::test

@@ -207,7 +207,7 @@ TEST(WaterfillBreakpoint, FallbackFiresWhenPriceOffsetsDwarfTheLevel) {
   // guard. Such offsets come from an FBS whose expected channel count is
   // tiny, which the churn workload meets thousands of times per run. The
   // fallback must fire, keep the shares inside the budget, and land on
-  // the reference level.
+  // the reference level and shares bit for bit.
   const bool prev_enabled = util::metrics_enabled();
   util::set_metrics_enabled(true);
   ResourceLists r;
@@ -228,7 +228,8 @@ TEST(WaterfillBreakpoint, FallbackFiresWhenPriceOffsetsDwarfTheLevel) {
   const double lvl_ref =
       waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
   EXPECT_GT(lvl, 1e-8);
-  EXPECT_NEAR(lvl, lvl_ref, kLevelTol * lvl_ref);
+  EXPECT_EQ(lvl, lvl_ref);
+  EXPECT_EQ(rho, rho_ref);
   double sum = 0.0;
   for (const double share : rho) {
     EXPECT_GE(share, 0.0);
@@ -236,6 +237,51 @@ TEST(WaterfillBreakpoint, FallbackFiresWhenPriceOffsetsDwarfTheLevel) {
     sum += share;
   }
   EXPECT_LE(sum, 1.0 + 1e-9);
+}
+
+TEST(WaterfillBreakpoint, FallbackLevelIsTheSmallestFittingDouble) {
+  // One-resource cells in the regime the churn workload meets: an FBS
+  // whose expected channel count g is tiny, so W/R is 10^6-10^9 and about
+  // one cell in twenty overspends the guard at the closed-form level. The
+  // share sum is nonincreasing in the level (each share is a correctly
+  // rounded, clamped difference, added in a fixed order), so there is a
+  // smallest double whose shares fit the budget. On every cell where the
+  // fallback fires, the level must be that double, bit for bit the
+  // reference's, with the reference's shares.
+  const bool prev_enabled = util::metrics_enabled();
+  util::set_metrics_enabled(true);
+  util::Counter& c_fallback =
+      util::metrics().counter("core.waterfill.breakpoint.bisect_fallback");
+  util::Rng rng(8191);
+  int fallbacks = 0;
+  for (int cell = 0; cell < 1000; ++cell) {
+    const std::size_t n = 2 + rng.index(5);
+    const double g = std::pow(10.0, rng.uniform(-8.0, -5.0));
+    ResourceLists r;
+    for (std::size_t k = 0; k < n; ++k) {
+      r.psnr.push_back(rng.uniform(28.0, 42.0));
+      r.rates.push_back(g * rng.uniform(0.45, 0.7));
+      r.successes.push_back(rng.uniform(0.55, 0.98));
+    }
+    const std::uint64_t before = c_fallback.total();
+    std::vector<double> rho, rho_ref, rho_below;
+    const double lvl = waterfill_shares(r.psnr, r.rates, r.successes, 1.0, rho);
+    if (c_fallback.total() == before) continue;
+    ++fallbacks;
+    const double lvl_ref =
+        waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
+    EXPECT_EQ(lvl, lvl_ref) << "cell " << cell;
+    EXPECT_EQ(rho, rho_ref) << "cell " << cell;
+    double sum = 0.0;
+    for (const double share : rho) sum += share;
+    EXPECT_LE(sum, 1.0) << "cell " << cell;
+    EXPECT_GT(test::shares_at_level(r.psnr, r.rates, r.successes,
+                                    std::nextafter(lvl, 0.0), rho_below),
+              1.0)
+        << "cell " << cell;
+  }
+  util::set_metrics_enabled(prev_enabled);
+  EXPECT_GE(fallbacks, 20);
 }
 
 TEST(WaterfillBreakpoint, NoBisectionFallbackOnRandomCells) {
