@@ -126,26 +126,6 @@ double guarded_budget(std::size_t num_users) {
              std::numeric_limits<double>::epsilon();
 }
 
-/// Reference bisection on the budget-binding bracket [kLevelLo, hi] — the
-/// pre-breakpoint level solver, kept verbatim as the analytic solver's
-/// numerical fallback and as the equivalence-test oracle
-/// (waterfill_shares_reference). Only called when the budget binds.
-double bisect_level(const double* successes, const double* pr,
-                    const unsigned char* usable, std::size_t n, double hi,
-                    double budget, double* rho_out) {
-  double lo = kLevelLo;
-  constexpr int kBisectionSteps = 100;
-  for (int iter = 0; iter < kBisectionSteps; ++iter) {
-    const double mid = 0.5 * (lo + hi);
-    if (shares_at_level(successes, pr, usable, n, mid, rho_out) > budget) {
-      lo = mid;
-    } else {
-      hi = mid;
-    }
-  }
-  return hi;
-}
-
 /// Analytic water-level core shared by the public entry point and the
 /// per-resource solve. `pr[k]` must equal W_k / rate_k for usable members
 /// and `usable[k]` the rate > 0 && success > 0 gate, both hoisted out of
@@ -163,9 +143,9 @@ double bisect_level(const double* successes, const double* pr,
 /// closed form: λ* = A / (budget + B − C·cap). One descending sweep over
 /// the sorted events finds the interval containing the crossing; a single
 /// Newton polish (an exact reclassification at the candidate, then the
-/// closed form again) removes the streaming-prefix rounding. Replaces the
-/// 100-step bisection PR 4 inherited — which therefore no longer feeds
-/// core.dual.iterations (docs/OBSERVABILITY.md).
+/// closed form again) removes the streaming-prefix rounding. Where that
+/// level still overspends the guard, an exact search over the bracket's
+/// doubles finishes it (below).
 double waterfill_level(const double* successes, const double* pr,
                        const unsigned char* usable, std::size_t n, double hi,
                        double budget, double* rho_out, ResourceScratch& rs,
@@ -245,13 +225,15 @@ double waterfill_level(const double* successes, const double* pr,
   // budget, one saturated member makes g ≡ 1 across a flat region whose
   // every boundary interval accepts. The canonical level is the LOWEST
   // accepted candidate (the infimum of {λ : g(λ) <= 1}), which is the
-  // point the reference bisection converges to; candidates only shrink as
-  // the sweep descends, so the last acceptance wins. The candidate below
-  // the region can round just above its interval's top and be rejected;
-  // the sweep then keeps the region's upper end. Every level of the region
-  // is a multiplier of the same shares (up to rounding), so the returned
-  // level, not the allocation, differs from the bisection's
-  // (tests/test_waterfill_breakpoint.cpp pins such a case).
+  // point the tests' reference bisection converges to; candidates only
+  // shrink as the sweep descends, so the last acceptance wins. The
+  // candidate below the region can round just above its interval's top and
+  // be rejected; the sweep then keeps the region's upper end. Every level
+  // of the region is a multiplier of the same shares (up to rounding), so
+  // the returned level, not the allocation, differs from the bisection's
+  // (tests/test_waterfill_breakpoint.cpp pins such a case). That end is
+  // kept: the level is the climb's price, so snapping it to the infimum
+  // would move the pruning counters without moving an output bit.
   double level = -1.0;
   double top = std::numeric_limits<double>::infinity();
   std::size_t e = 0;
@@ -312,14 +294,30 @@ double waterfill_level(const double* successes, const double* pr,
     // a 3-member resource with W/R ≈ 5.4e7 and S ≈ 0.9 (level ≈ 1.8e-8)
     // overspends by 7.5e-9. An FBS whose expected channel count g is tiny
     // (its channels are believed busy) has such offsets, and the churn
-    // workload meets them thousands of times per run
-    // (docs/OBSERVABILITY.md). Fall back to the reference bisection, which
-    // keeps a feasible bracket side.
+    // workload meets them (docs/OBSERVABILITY.md). Finish exactly instead:
+    // the float share sum is nonincreasing in λ (correctly rounded
+    // division and subtraction, clamping and fixed-order addition are all
+    // monotone) and positive doubles order like their bit patterns, so
+    // halving the bit range of the bracket [kLevelLo, hi], keeping the
+    // side whose shares fit, ends on the smallest double whose shares sum
+    // to at most the budget, in at most 63 share sums. The counter and the
+    // tag keep the name of the bisection this replaced: perfbench reads it.
     if (count) {
       c_bp_fallback.add();
       util::trace_note_anomaly("core.waterfill.breakpoint.bisect_fallback");
     }
-    level = bisect_level(successes, pr, usable, n, hi, budget, rho_out);
+    auto lo = std::bit_cast<std::uint64_t>(kLevelLo);
+    auto up = std::bit_cast<std::uint64_t>(hi);
+    while (lo + 1 < up) {
+      const std::uint64_t mid = lo + (up - lo) / 2;
+      if (shares_at_level(successes, pr, usable, n, std::bit_cast<double>(mid),
+                          rho_out) > budget) {
+        lo = mid;
+      } else {
+        up = mid;
+      }
+    }
+    level = std::bit_cast<double>(up);
     sum = shares_at_level(successes, pr, usable, n, level, rho_out);
   }
   // KKT exit contracts: a finite positive water level and a primal point
@@ -1019,14 +1017,12 @@ void check_cache_matches(const SlotContext& ctx, const SlotCache& cache,
                 "need one expected channel count per FBS");
 }
 
-/// waterfill_shares and its reference: validates the lists, hoists the
-/// price offsets W/R, the usable gate and the price upper bound (above
-/// max_k S_k R_k / W_k every share is zero) into the scratch arena, then
-/// solves the level analytically, or by plain bisection for the reference.
-double solve_shares(const std::vector<double>& psnr,
-                    const std::vector<double>& rates,
-                    const std::vector<double>& successes, double budget,
-                    std::vector<double>& rho_out, bool reference) {
+}  // namespace
+
+double waterfill_shares(const std::vector<double>& psnr,
+                        const std::vector<double>& rates,
+                        const std::vector<double>& successes, double budget,
+                        std::vector<double>& rho_out) {
   FEMTOCR_CHECK(psnr.size() == rates.size() && psnr.size() == successes.size(),
                 "state, rate and success lists must align");
   FEMTOCR_CHECK(budget >= 0.0 && budget <= 1.0, "budget must lie in [0, 1]");
@@ -1039,6 +1035,8 @@ double solve_shares(const std::vector<double>& psnr,
     FEMTOCR_DCHECK_FINITE(rates[k], "effective rate must be finite");
   }
 #endif
+  // Hoist the price offsets W/R, the usable gate and the price upper bound
+  // (above max_k S_k R_k / W_k every share is zero) into the scratch arena.
   ResourceScratch& rs = slot_scratch().resource;
   rs.pr.resize(n);
   rs.usable.resize(n);
@@ -1050,41 +1048,8 @@ double solve_shares(const std::vector<double>& psnr,
     if (rates[k] > 0.0) hi = std::max(hi, successes[k] * rates[k] / psnr[k]);
   }
   rho_out.resize(n);
-  const double* s = successes.data();
-  if (!reference) {
-    return waterfill_level(s, rs.pr.data(), rs.usable.data(), n, hi, budget,
-                           rho_out.data(), rs, true);
-  }
-  std::fill(rho_out.begin(), rho_out.end(), 0.0);
-  if (n == 0) return 0.0;
-  if (hi <= 0.0) {
-    shares_at_level(s, rs.pr.data(), rs.usable.data(), n, 1.0, rho_out.data());
-    return 0.0;
-  }
-  if (shares_at_level(s, rs.pr.data(), rs.usable.data(), n, kLevelLo,
-                      rho_out.data()) <= budget) {
-    return 0.0;
-  }
-  const double level = bisect_level(s, rs.pr.data(), rs.usable.data(), n, hi,
-                                    budget, rho_out.data());
-  shares_at_level(s, rs.pr.data(), rs.usable.data(), n, level, rho_out.data());
-  return level;
-}
-
-}  // namespace
-
-double waterfill_shares(const std::vector<double>& psnr,
-                        const std::vector<double>& rates,
-                        const std::vector<double>& successes, double budget,
-                        std::vector<double>& rho_out) {
-  return solve_shares(psnr, rates, successes, budget, rho_out, false);
-}
-
-double waterfill_shares_reference(const std::vector<double>& psnr,
-                                  const std::vector<double>& rates,
-                                  const std::vector<double>& successes,
-                                  double budget, std::vector<double>& rho_out) {
-  return solve_shares(psnr, rates, successes, budget, rho_out, true);
+  return waterfill_level(successes.data(), rs.pr.data(), rs.usable.data(), n,
+                         hi, budget, rho_out.data(), rs, true);
 }
 
 SlotAllocation waterfill_evaluate(const SlotContext& ctx,

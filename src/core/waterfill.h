@@ -7,8 +7,9 @@
 // interval, Newton-polished) so the budget binds. This is the repo's one
 // water-level solver: the slot solve runs it at budget 1, and
 // waterfill_shares exposes it on raw vectors for the QoS residual fills
-// (core/qos.h) and the two-stage analysis (core/multistage.h). Its
-// numerical fallback is a bisection, which is also the test oracle.
+// (core/qos.h) and the two-stage analysis (core/multistage.h). Where the
+// closed-form level overspends, an exact search over the bracket's doubles
+// finishes it.
 // The binary assignment (Theorem 1) is then improved by a hill climb over
 // single-user flips and pair swaps until no move gains. This solves the
 // same convex program as the paper's distributed subgradient (Tables I/II)
@@ -42,16 +43,6 @@ double waterfill_shares(const std::vector<double>& psnr,
                         const std::vector<double>& rates,
                         const std::vector<double>& successes, double budget,
                         std::vector<double>& rho_out);
-
-/// Reference level solver: the pre-breakpoint 100-step bisection, same
-/// contract and share expressions as waterfill_shares. Kept as the oracle
-/// for the breakpoint-equivalence tests (≤ 1e-9 relative level error); the
-/// same bisection is the analytic solver's internal numerical fallback.
-/// Counts nothing; not a hot path.
-double waterfill_shares_reference(const std::vector<double>& psnr,
-                                  const std::vector<double>& rates,
-                                  const std::vector<double>& successes,
-                                  double budget, std::vector<double>& rho_out);
 
 /// Solves the slot problem for given expected channel counts per FBS,
 /// against the slot's cache (core/slot_cache.h), which must be built for

@@ -2,6 +2,7 @@
 // instances (SlotContext) over configurable interference graphs.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -82,6 +83,40 @@ inline double shares_at_level(const std::vector<double>& psnr,
     sum += rho_out[k];
   }
   return sum;
+}
+
+/// The reference level solver, oracle of the water-level tests: the
+/// 100-step bisection the analytic breakpoint sweep replaced, on
+/// core::waterfill_shares's bracket [1e-12, max S R / W] and with its share
+/// expressions (shares_at_level). Returns 0 where nobody can use the
+/// resource or the budget is slack at the bracket's low end, else the
+/// bisection's upper end, and writes the shares at that level. Checks no
+/// arguments and counts nothing.
+inline double waterfill_shares_reference(const std::vector<double>& psnr,
+                                         const std::vector<double>& rates,
+                                         const std::vector<double>& successes,
+                                         double budget,
+                                         std::vector<double>& rho_out) {
+  double lo = 1e-12;
+  double hi = 0.0;
+  for (std::size_t k = 0; k < psnr.size(); ++k) {
+    if (rates[k] > 0.0) hi = std::max(hi, successes[k] * rates[k] / psnr[k]);
+  }
+  rho_out.assign(psnr.size(), 0.0);
+  if (hi <= 0.0 ||
+      shares_at_level(psnr, rates, successes, lo, rho_out) <= budget) {
+    return 0.0;
+  }
+  for (int iter = 0; iter < 100; ++iter) {
+    const double mid = 0.5 * (lo + hi);
+    if (shares_at_level(psnr, rates, successes, mid, rho_out) > budget) {
+      lo = mid;
+    } else {
+      hi = mid;
+    }
+  }
+  shares_at_level(psnr, rates, successes, hi, rho_out);
+  return hi;
 }
 
 }  // namespace femtocr::test

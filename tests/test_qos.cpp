@@ -136,7 +136,8 @@ TEST(Qos, SharesAreFloorsPlusTheReferenceResidualFill) {
       }
       std::vector<double> extra(members.size(), 0.0);
       if (!members.empty() && budget > 0.0) {
-        waterfill_shares_reference(advanced, rates, successes, budget, extra);
+        test::waterfill_shares_reference(advanced, rates, successes, budget,
+                                         extra);
       }
       for (std::size_t k = 0; k < members.size(); ++k) {
         const std::size_t j = members[k];

@@ -1,10 +1,12 @@
 // Equivalence suite for the analytic breakpoint water-level solver:
-// waterfill_shares (sorted breakpoints + closed form + Newton polish)
-// against waterfill_shares_reference (the pre-breakpoint 100-step
+// waterfill_shares (sorted breakpoints + closed form + Newton polish, and
+// an exact search over the bracket's doubles where that overspends)
+// against test::waterfill_shares_reference (the pre-breakpoint 100-step
 // bisection, kept verbatim as the oracle). Over random cells — at the slot
 // budget 1 and at a random budget in (0, 1) — and the degenerate edges,
 // the two levels must agree to <= 1e-9 relative error and the share
-// vectors to the propagated tolerance.
+// vectors to the propagated tolerance; where the exact search runs, they
+// must agree bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -48,9 +50,8 @@ void expect_equivalent(const ResourceLists& r, double budget = 1.0) {
   std::vector<double> rho_bp, rho_ref;
   const double lvl_bp =
       waterfill_shares(r.psnr, r.rates, r.successes, budget, rho_bp);
-  const double lvl_ref = waterfill_shares_reference(r.psnr, r.rates,
-                                                    r.successes, budget,
-                                                    rho_ref);
+  const double lvl_ref = test::waterfill_shares_reference(
+      r.psnr, r.rates, r.successes, budget, rho_ref);
   EXPECT_NEAR(lvl_bp, lvl_ref, kLevelTol * std::max(1.0, std::abs(lvl_ref)))
       << "budget " << budget;
   ASSERT_EQ(rho_bp.size(), rho_ref.size());
@@ -105,8 +106,8 @@ TEST(WaterfillBreakpoint, SingleUserEdge) {
   std::vector<double> rho_bp, rho_ref;
   const double lvl_bp =
       waterfill_shares(r.psnr, r.rates, r.successes, 1.0, rho_bp);
-  const double lvl_ref =
-      waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
+  const double lvl_ref = test::waterfill_shares_reference(
+      r.psnr, r.rates, r.successes, 1.0, rho_ref);
   EXPECT_DOUBLE_EQ(lvl_bp, lvl_ref);
   EXPECT_DOUBLE_EQ(lvl_bp, 0.0);
   EXPECT_DOUBLE_EQ(rho_bp[0], rho_ref[0]);
@@ -125,8 +126,8 @@ TEST(WaterfillBreakpoint, AllClampedEdge) {
   std::vector<double> rho_bp, rho_ref;
   const double lvl_bp =
       waterfill_shares(r.psnr, r.rates, r.successes, 1.0, rho_bp);
-  const double lvl_ref =
-      waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
+  const double lvl_ref = test::waterfill_shares_reference(
+      r.psnr, r.rates, r.successes, 1.0, rho_ref);
   EXPECT_DOUBLE_EQ(lvl_bp, 0.0);
   EXPECT_DOUBLE_EQ(lvl_ref, 0.0);
   for (std::size_t k = 0; k < rho_bp.size(); ++k) {
@@ -145,8 +146,8 @@ TEST(WaterfillBreakpoint, ZeroBudgetEdge) {
   std::vector<double> rho_bp, rho_ref;
   const double lvl_bp =
       waterfill_shares(r.psnr, r.rates, r.successes, 1.0, rho_bp);
-  const double lvl_ref =
-      waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
+  const double lvl_ref = test::waterfill_shares_reference(
+      r.psnr, r.rates, r.successes, 1.0, rho_ref);
   EXPECT_DOUBLE_EQ(lvl_bp, 0.0);
   EXPECT_DOUBLE_EQ(lvl_ref, 0.0);
   for (std::size_t k = 0; k < rho_bp.size(); ++k) {
@@ -188,8 +189,8 @@ TEST(WaterfillBreakpoint, FlatRegionSharesMatchAtAnyOfItsLevels) {
   std::vector<double> rho_bp, rho_ref;
   const double lvl_bp =
       waterfill_shares(r.psnr, r.rates, r.successes, 1.0, rho_bp);
-  const double lvl_ref =
-      waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
+  const double lvl_ref = test::waterfill_shares_reference(
+      r.psnr, r.rates, r.successes, 1.0, rho_ref);
   EXPECT_DOUBLE_EQ(lvl_ref, lo);
   EXPECT_GE(lvl_bp, lo);
   EXPECT_LE(lvl_bp, hi);
@@ -205,9 +206,9 @@ TEST(WaterfillBreakpoint, FallbackFiresWhenPriceOffsetsDwarfTheLevel) {
   // ≈ 1.7e-8, so each share S/λ − W/R is a difference of two numbers near
   // 5.3e7, and the closed-form level overspends the budget past the 1e-9
   // guard. Such offsets come from an FBS whose expected channel count is
-  // tiny, which the churn workload meets thousands of times per run. The
-  // fallback must fire, keep the shares inside the budget, and land on
-  // the reference level and shares bit for bit.
+  // tiny, which the churn workload meets. The fallback must fire, keep the
+  // shares inside the budget, and land on the reference level and shares
+  // bit for bit.
   const bool prev_enabled = util::metrics_enabled();
   util::set_metrics_enabled(true);
   ResourceLists r;
@@ -225,8 +226,8 @@ TEST(WaterfillBreakpoint, FallbackFiresWhenPriceOffsetsDwarfTheLevel) {
   util::set_metrics_enabled(prev_enabled);
   EXPECT_EQ(fired, 1u);
 
-  const double lvl_ref =
-      waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
+  const double lvl_ref = test::waterfill_shares_reference(
+      r.psnr, r.rates, r.successes, 1.0, rho_ref);
   EXPECT_GT(lvl, 1e-8);
   EXPECT_EQ(lvl, lvl_ref);
   EXPECT_EQ(rho, rho_ref);
@@ -268,8 +269,8 @@ TEST(WaterfillBreakpoint, FallbackLevelIsTheSmallestFittingDouble) {
     const double lvl = waterfill_shares(r.psnr, r.rates, r.successes, 1.0, rho);
     if (c_fallback.total() == before) continue;
     ++fallbacks;
-    const double lvl_ref =
-        waterfill_shares_reference(r.psnr, r.rates, r.successes, 1.0, rho_ref);
+    const double lvl_ref = test::waterfill_shares_reference(
+        r.psnr, r.rates, r.successes, 1.0, rho_ref);
     EXPECT_EQ(lvl, lvl_ref) << "cell " << cell;
     EXPECT_EQ(rho, rho_ref) << "cell " << cell;
     double sum = 0.0;
@@ -314,8 +315,9 @@ TEST(WaterfillBreakpoint, BudgetThatCoversEveryCapLeavesThePriceAtZero) {
   expect_equivalent(r, 0.5);
   EXPECT_DOUBLE_EQ(
       waterfill_shares(r.psnr, r.rates, r.successes, kRhoCap, rho), 0.0);
-  EXPECT_DOUBLE_EQ(waterfill_shares_reference(r.psnr, r.rates, r.successes,
-                                              kRhoCap, rho_ref),
+  EXPECT_DOUBLE_EQ(test::waterfill_shares_reference(r.psnr, r.rates,
+                                                    r.successes, kRhoCap,
+                                                    rho_ref),
                    0.0);
   EXPECT_DOUBLE_EQ(rho[0], kRhoCap);
   EXPECT_DOUBLE_EQ(rho_ref[0], kRhoCap);
@@ -336,10 +338,6 @@ TEST(WaterfillBreakpoint, RejectsMisalignedListsAndOutOfRangeBudgets) {
   for (const double budget : {-1e-12, 1.0 + 1e-12, std::nan("")}) {
     EXPECT_THROW(waterfill_shares(r.psnr, r.rates, r.successes, budget, rho),
                  std::logic_error)
-        << budget;
-    EXPECT_THROW(
-        waterfill_shares_reference(r.psnr, r.rates, r.successes, budget, rho),
-        std::logic_error)
         << budget;
   }
   EXPECT_NO_THROW(waterfill_shares(r.psnr, r.rates, r.successes, 0.0, rho));
