@@ -30,8 +30,7 @@ int main(int argc, char** argv) {
   benchutil::Harness harness(
       argc, argv, /*default_runs=*/4,
       [&](const util::Args& args) {
-        slots = static_cast<std::size_t>(
-            args.get("slots", static_cast<std::int64_t>(slots)));
+        slots = args.get_count("slots", slots, /*min=*/1);
         min_psnr = args.get("min-psnr", min_psnr);
         lifetime = args.get("lifetime", lifetime);
         verify_graph = args.get("verify-graph", verify_graph);

@@ -75,12 +75,10 @@ core::SchemeKind parse_scheme(const std::string& name) {
 void apply_overrides(sim::Scenario& s, const util::Args& args) {
   s.seed = static_cast<std::uint64_t>(
       args.get("seed", static_cast<std::int64_t>(s.seed)));
-  s.num_gops = static_cast<std::size_t>(
-      args.get("gops", static_cast<std::int64_t>(s.num_gops)));
-  s.gop_deadline = static_cast<std::size_t>(
-      args.get("deadline", static_cast<std::int64_t>(s.gop_deadline)));
-  s.spectrum.num_licensed = static_cast<std::size_t>(args.get(
-      "channels", static_cast<std::int64_t>(s.spectrum.num_licensed)));
+  s.num_gops = args.get_count("gops", s.num_gops, /*min=*/1);
+  s.gop_deadline = args.get_count("deadline", s.gop_deadline, /*min=*/1);
+  s.spectrum.num_licensed =
+      args.get_count("channels", s.spectrum.num_licensed, /*min=*/1);
   if (args.has("eta")) s.set_utilization(args.get("eta", 0.571));
   s.spectrum.gamma = args.get("gamma", s.spectrum.gamma);
   const double eps =
@@ -91,8 +89,7 @@ void apply_overrides(sim::Scenario& s, const util::Args& args) {
   s.common_bandwidth = args.get("b0", s.common_bandwidth);
   s.licensed_bandwidth = args.get("b1", s.licensed_bandwidth);
   if (args.has("users")) {
-    const auto per_fbs =
-        static_cast<std::size_t>(args.get("users", std::int64_t{3}));
+    const std::size_t per_fbs = args.get_count("users", 3, /*min=*/1);
     std::vector<std::string> videos;
     for (const auto& u : s.users) videos.push_back(u.video_name);
     util::Rng rng(s.seed ^ 0x515F00D);
