@@ -201,14 +201,16 @@ def fmt_ns(ns: int) -> str:
     return f"{ns} ns"
 
 
-def bucket_percentile(buckets: list[dict], q: float) -> str | None:
+def bucket_percentile(buckets: list[dict], q: float,
+                      max_ns: int) -> str | None:
     """Percentile estimate from log-spaced duration buckets, formatted.
 
     Walks the cumulative counts to the bucket holding the q-quantile and
     returns that bucket's geometric midpoint — the natural representative
-    of a log-spaced bin. The overflow bucket has no upper edge
-    (`"hi": null`), so a quantile landing there reads `>= lo`. Returns None
-    for empty bucket lists.
+    of a log-spaced bin — clamped to the timer's max, which the midpoint
+    of the max's own bucket can exceed. The overflow bucket has no upper
+    edge (`"hi": null`), so a quantile landing there reads `>= lo`. Returns
+    None for empty bucket lists.
     """
     total = sum(b["count"] for b in buckets)
     if total == 0:
@@ -223,9 +225,8 @@ def bucket_percentile(buckets: list[dict], q: float) -> str | None:
     lo, hi = b["lo"], b["hi"]
     if hi is None:
         return ">= " + fmt_ns(int(lo))
-    if lo > 0 and hi > 0:
-        return fmt_ns(int((lo * hi) ** 0.5))
-    return fmt_ns(int(hi / 2))
+    mid = (lo * hi) ** 0.5 if lo > 0 and hi > 0 else hi / 2
+    return fmt_ns(min(int(mid), max_ns))
 
 
 def top_timers(doc: dict, limit: int) -> str:
@@ -236,7 +237,7 @@ def top_timers(doc: dict, limit: int) -> str:
         mean = t["total_ns"] / t["count"] if t["count"] else 0
         pcts = []
         for q in (0.50, 0.90, 0.99):
-            p = bucket_percentile(t.get("buckets") or [], q)
+            p = bucket_percentile(t.get("buckets") or [], q, t["max_ns"])
             pcts.append("-" if p is None else p)
         rows.append([name, str(t["count"]), fmt_ns(t["total_ns"]),
                      fmt_ns(int(mean))] + pcts + [fmt_ns(t["max_ns"])])
