@@ -63,9 +63,6 @@ struct ShardPlan {
     friend bool operator==(const ComponentKey& a, const ComponentKey& b) {
       return a.min_vertex == b.min_vertex && a.size == b.size;
     }
-    friend bool operator!=(const ComponentKey& a, const ComponentKey& b) {
-      return !(a == b);
-    }
   };
 
   std::vector<std::vector<std::size_t>> components;

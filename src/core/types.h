@@ -34,11 +34,10 @@ struct UserState {
   double sinr_mbs = 0.0;
   double sinr_fbs = 0.0;
 
-  // Typed entry points at the phy/video -> core boundary. The solver math
-  // keeps reading the raw doubles above (Eq. 12-23 treat them as plain
-  // reals), but producers hand over strong quantities, so a dB value can't
-  // land in a probability field without an explicit, reviewable .value().
-  void set_quality(util::Db w) { psnr = w.value(); }
+  // Typed entry point at the phy -> core boundary. The solver math keeps
+  // reading the raw doubles above (Eq. 12-23 treat them as plain reals),
+  // but the link model hands over strong probabilities, so a dB value can't
+  // land in a success field without an explicit, reviewable .value().
   void set_link_success(util::Prob mbs, util::Prob fbs) {
     success_mbs = mbs.value();
     success_fbs = fbs.value();
