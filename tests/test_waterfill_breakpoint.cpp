@@ -6,13 +6,18 @@
 // budget 1 and at a random budget in (0, 1) — and the degenerate edges,
 // the two levels must agree to <= 1e-9 relative error and the share
 // vectors to the propagated tolerance; where the exact search runs, they
-// must agree bit for bit.
+// must agree bit for bit. Whatever the level, the shares are the level's:
+// Eq. 14 taken at the level, or at 1e-12 where it is 0, bit for bit, both
+// from waterfill_shares and in a slot allocation.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 #include <vector>
 
+#include "core/slot_cache.h"
 #include "core/subproblem.h"
 #include "core/waterfill.h"
 #include "test_helpers.h"
@@ -46,10 +51,29 @@ ResourceLists mbs_lists(const test::ContextFixture& f) {
   return r;
 }
 
+/// The bit patterns of a share vector, so that EXPECT_EQ compares bits.
+std::vector<std::uint64_t> bits(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (const double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+/// The shares a level solve returns are Eq. 14 at its level, or at 1e-12
+/// (the price its slack branch takes them at) where the level is 0, bit
+/// for bit: the shares are a function of the level alone.
+void expect_shares_at_level(const ResourceLists& r, double level,
+                            const std::vector<double>& rho) {
+  std::vector<double> at_level;
+  test::shares_at_level(r.psnr, r.rates, r.successes,
+                        level > 0.0 ? level : 1e-12, at_level);
+  EXPECT_EQ(bits(rho), bits(at_level)) << "level " << level;
+}
+
 void expect_equivalent(const ResourceLists& r, double budget = 1.0) {
   std::vector<double> rho_bp, rho_ref;
   const double lvl_bp =
       waterfill_shares(r.psnr, r.rates, r.successes, budget, rho_bp);
+  expect_shares_at_level(r, lvl_bp, rho_bp);
   const double lvl_ref = test::waterfill_shares_reference(
       r.psnr, r.rates, r.successes, budget, rho_ref);
   EXPECT_NEAR(lvl_bp, lvl_ref, kLevelTol * std::max(1.0, std::abs(lvl_ref)))
@@ -112,6 +136,7 @@ TEST(WaterfillBreakpoint, SingleUserEdge) {
   EXPECT_DOUBLE_EQ(lvl_bp, 0.0);
   EXPECT_DOUBLE_EQ(rho_bp[0], rho_ref[0]);
   EXPECT_DOUBLE_EQ(rho_bp[0], kRhoCap);
+  expect_shares_at_level(r, lvl_bp, rho_bp);
 }
 
 TEST(WaterfillBreakpoint, AllClampedEdge) {
@@ -134,6 +159,7 @@ TEST(WaterfillBreakpoint, AllClampedEdge) {
     EXPECT_DOUBLE_EQ(rho_bp[k], rho_ref[k]);
     EXPECT_DOUBLE_EQ(rho_bp[k], k == 0 ? kRhoCap : 0.0);
   }
+  expect_shares_at_level(r, lvl_bp, rho_bp);
 }
 
 TEST(WaterfillBreakpoint, ZeroBudgetEdge) {
@@ -154,6 +180,7 @@ TEST(WaterfillBreakpoint, ZeroBudgetEdge) {
     EXPECT_DOUBLE_EQ(rho_bp[k], 0.0);
     EXPECT_DOUBLE_EQ(rho_ref[k], 0.0);
   }
+  expect_shares_at_level(r, lvl_bp, rho_bp);
 }
 
 TEST(WaterfillBreakpoint, CappedNeighborInterval) {
@@ -199,6 +226,7 @@ TEST(WaterfillBreakpoint, FlatRegionSharesMatchAtAnyOfItsLevels) {
   }
   EXPECT_EQ(rho_bp[0], kRhoCap);
   EXPECT_EQ(rho_bp[1], 0.0);
+  expect_shares_at_level(r, lvl_bp, rho_bp);
 }
 
 TEST(WaterfillBreakpoint, FallbackFiresWhenPriceOffsetsDwarfTheLevel) {
@@ -231,6 +259,7 @@ TEST(WaterfillBreakpoint, FallbackFiresWhenPriceOffsetsDwarfTheLevel) {
   EXPECT_GT(lvl, 1e-8);
   EXPECT_EQ(lvl, lvl_ref);
   EXPECT_EQ(rho, rho_ref);
+  expect_shares_at_level(r, lvl, rho);
   double sum = 0.0;
   for (const double share : rho) {
     EXPECT_GE(share, 0.0);
@@ -310,17 +339,81 @@ TEST(WaterfillBreakpoint, BudgetThatCoversEveryCapLeavesThePriceAtZero) {
   auto f = test::random_context(rng, 1, 1, 2);
   const ResourceLists r = mbs_lists(f);
   std::vector<double> rho, rho_ref;
-  EXPECT_GT(waterfill_shares(r.psnr, r.rates, r.successes, 0.5, rho), 0.0);
+  const double binding =
+      waterfill_shares(r.psnr, r.rates, r.successes, 0.5, rho);
+  EXPECT_GT(binding, 0.0);
   EXPECT_NEAR(rho[0], 0.5, 1e-9);
+  expect_shares_at_level(r, binding, rho);
   expect_equivalent(r, 0.5);
-  EXPECT_DOUBLE_EQ(
-      waterfill_shares(r.psnr, r.rates, r.successes, kRhoCap, rho), 0.0);
+  const double slack =
+      waterfill_shares(r.psnr, r.rates, r.successes, kRhoCap, rho);
+  EXPECT_DOUBLE_EQ(slack, 0.0);
+  expect_shares_at_level(r, slack, rho);
   EXPECT_DOUBLE_EQ(test::waterfill_shares_reference(r.psnr, r.rates,
                                                     r.successes, kRhoCap,
                                                     rho_ref),
                    0.0);
   EXPECT_DOUBLE_EQ(rho[0], kRhoCap);
   EXPECT_DOUBLE_EQ(rho_ref[0], kRhoCap);
+}
+
+TEST(WaterfillBreakpoint, SlotSharesAreTheLevelSolvesShares) {
+  // A slot allocation's shares are those of a level solve on each
+  // resource's members, bit for bit: Eq. 14 at the resource's level, or
+  // at 1e-12 where the level is 0; a user takes no share on the resource
+  // it is not assigned to. Every other cell gives FBS 0 the expected
+  // channel count 1e-12, whose price offsets W / (g R) exceed S * 1e12:
+  // its level is 0 and its members' shares are 0 there, not the cap.
+  util::Rng rng(8201);
+  int slack_below_cap = 0;
+  for (int cell = 0; cell < 40; ++cell) {
+    const std::size_t fbss = 1 + rng.index(3);
+    const std::size_t users = fbss + rng.index(12);
+    const auto f = test::random_context(rng, users, fbss, 2);
+    std::vector<double> gt;
+    for (std::size_t i = 0; i < fbss; ++i) {
+      gt.push_back(i == 0 && cell % 2 == 0 ? 1e-12 : rng.uniform(0.0, 3.0));
+    }
+    std::vector<bool> assignment;
+    for (std::size_t j = 0; j < users; ++j) {
+      assignment.push_back(rng.uniform(0.0, 1.0) < 0.5);
+    }
+    SlotCache cache;
+    cache.build(f.ctx);
+    for (const SlotAllocation& a :
+         {waterfill_evaluate(f.ctx, cache, gt, assignment),
+          waterfill_solve(f.ctx, cache, gt)}) {
+      for (std::size_t r = 0; r <= fbss; ++r) {
+        ResourceLists lists;
+        std::vector<double> got;
+        for (std::size_t j = 0; j < users; ++j) {
+          const UserState& u = f.ctx.users[j];
+          if (a.use_mbs[j] != (r == 0) || (r > 0 && u.fbs + 1 != r)) {
+            continue;
+          }
+          lists.psnr.push_back(u.psnr);
+          lists.rates.push_back(r == 0 ? u.rate_mbs : u.rate_fbs * gt[r - 1]);
+          lists.successes.push_back(r == 0 ? u.success_mbs : u.success_fbs);
+          got.push_back(r == 0 ? a.rho_mbs[j] : a.rho_fbs[j]);
+        }
+        std::vector<double> rho;
+        const double level = waterfill_shares(lists.psnr, lists.rates,
+                                              lists.successes, 1.0, rho);
+        expect_shares_at_level(lists, level, rho);
+        EXPECT_EQ(bits(got), bits(rho)) << "cell " << cell << ", resource "
+                                        << r;
+        if (!(level > 0.0) && !rho.empty() && rho[0] < kRhoCap) {
+          ++slack_below_cap;
+        }
+      }
+      for (std::size_t j = 0; j < users; ++j) {
+        const double other = a.use_mbs[j] ? a.rho_fbs[j] : a.rho_mbs[j];
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(other), 0u)
+            << "cell " << cell << ", user " << j;
+      }
+    }
+  }
+  EXPECT_GT(slack_below_cap, 0);
 }
 
 TEST(WaterfillBreakpoint, RejectsMisalignedListsAndOutOfRangeBudgets) {
