@@ -48,8 +48,10 @@ struct GreedyResult {
 /// the exit prices of the task's best climb so far, proves it cannot beat
 /// that best; core.greedy.candidates_pruned counts them. The task bests
 /// are folded serially in task order, which gives the first strict maximum
-/// in candidate order, so results do not depend on the thread count. The
-/// winner is materialized by water-filling the assignment its climb kept.
+/// in candidate order, so results do not depend on the thread count. A
+/// round's gain is taken from the previous winner's Q; the allocation is
+/// materialized once, after the last round, by water-filling the
+/// assignment the last winner's climb kept.
 /// The call shares its resource solves across rounds through a memo tier
 /// (core/scratch.h): seeded by the empty-channel solve, frozen while a
 /// round's tasks read it, and grown between rounds by merging what each

@@ -340,17 +340,19 @@ void count_evaluations(std::uint64_t n) {
 }
 
 /// Water-fills the members of resource r (0 = MBS, i + 1 = FBS i) listed in
-/// sc.assign.members, writes their shares to `rho` and their objective
-/// terms (member_term) to `term`, and returns the resource's water level.
-/// A sum of terms in user order is bit-identical to slot_objective of the
-/// materialised allocation (the equivalence tests pin this).
+/// sc.assign.members, writes their objective terms (member_term) to `term`,
+/// and returns the resource's water level. The shares are left in
+/// sc.assign.rho. A sum of terms in user order is bit-identical to
+/// slot_objective of the materialised allocation (the equivalence tests pin
+/// this).
 double solve_members(const SlotContext& ctx, const SlotCache& cache,
                      const std::vector<double>& gt_per_fbs, std::size_t r,
-                     SlotScratch& sc, double* rho, double* term, bool count) {
+                     SlotScratch& sc, double* term, bool count) {
   AssignScratch& as = sc.assign;
   ResourceScratch& rs = sc.resource;
   const std::size_t n = as.members.size();
   as.successes.resize(n);
+  as.rho.resize(n);
   rs.pr.resize(n);
   rs.usable.resize(n);
   const double g = r == 0 ? 1.0 : gt_per_fbs[r - 1];
@@ -367,28 +369,12 @@ double solve_members(const SlotContext& ctx, const SlotCache& cache,
   }
   const double level =
       waterfill_level(as.successes.data(), rs.pr.data(), rs.usable.data(), n,
-                      hi, 1.0, rho, rs, count);
+                      hi, 1.0, as.rho.data(), rs, count);
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t j = as.members[k];
-    term[k] = member_term(ctx.users[j], cache, j, r == 0, g, rho[k]);
+    term[k] = member_term(ctx.users[j], cache, j, r == 0, g, as.rho[k]);
   }
   return level;
-}
-
-/// The memo slot holding (resource, g_bits, mask), or the empty slot where
-/// it belongs. The table is never more than half full, so the linear probe
-/// terminates.
-WaterfillMemo::Entry& memo_probe(WaterfillMemo& memo, std::uint32_t resource,
-                                 std::uint64_t g_bits, std::uint64_t mask) {
-  constexpr std::size_t kMask = WaterfillMemo::kSlots - 1;
-  for (std::size_t s = memo_hash(resource, g_bits, mask) & kMask;;
-       s = (s + 1) & kMask) {
-    WaterfillMemo::Entry& e = memo.entries[s];
-    if (e.generation != memo.generation) return e;
-    if (e.mask == mask && e.g_bits == g_bits && e.resource == resource) {
-      return e;
-    }
-  }
 }
 
 /// Bit p of a member mask, or 0 past the 64 bits a mask holds (such a
@@ -452,132 +438,90 @@ void gather_assignment(const SlotCache& cache, const unsigned char* use_mbs,
 
 #if FEMTOCR_DCHECK_IS_ON()
 /// A hit must be exactly the solve it replaces: re-solves keyed resource
-/// r's `mask` uncounted and compares its terms and level, and its shares
-/// unless `rho` is null, bitwise.
+/// r's `mask` uncounted and compares the record's terms and level bitwise.
 void check_hit(const SlotContext& ctx, const SlotCache& cache,
                const std::vector<double>& gt_per_fbs, std::size_t r,
-               std::uint64_t mask, std::size_t n, SlotScratch& sc,
-               const double* rho, const double* terms, double level) {
+               std::uint64_t mask, SlotScratch& sc, const double* values) {
   AssignScratch& as = sc.assign;
   gather_mask(cache, r, mask, as);
-  as.check_rho.resize(n);
+  const std::size_t n = as.members.size();
   as.check_term.resize(n);
   const double fresh = solve_members(ctx, cache, gt_per_fbs, r, sc,
-                                     as.check_rho.data(),
                                      as.check_term.data(), false);
-  FEMTOCR_DCHECK(std::bit_cast<std::uint64_t>(level) ==
+  FEMTOCR_DCHECK(std::bit_cast<std::uint64_t>(values[n]) ==
                      std::bit_cast<std::uint64_t>(fresh),
                  "water-fill memo or tier hit differs from a fresh solve");
   for (std::size_t k = 0; k < n; ++k) {
-    FEMTOCR_DCHECK(std::bit_cast<std::uint64_t>(terms[k]) ==
-                           std::bit_cast<std::uint64_t>(as.check_term[k]) &&
-                       (rho == nullptr ||
-                        std::bit_cast<std::uint64_t>(rho[k]) ==
-                            std::bit_cast<std::uint64_t>(as.check_rho[k])),
+    FEMTOCR_DCHECK(std::bit_cast<std::uint64_t>(values[k]) ==
+                       std::bit_cast<std::uint64_t>(as.check_term[k]),
                    "water-fill memo or tier hit differs from a fresh solve");
   }
 }
 #endif
 
-/// A keyed resource's solve: its members' shares and objective terms, in
-/// member order, and its water level. `rho` is null when the terms came
-/// from a greedy call's tier, which keeps no shares.
-struct MemberValues {
-  const double* rho;
-  const double* terms;
-  double level;
-};
-
-/// Keyed resource r with the nonempty member mask `mask`, found in the
-/// memo when this scope already solved the same (r, g_r, member set);
-/// otherwise, when the caller needs no `shares` and the thread is bound to
-/// a greedy call's tier (TierScope), found there; otherwise water-filled
-/// now straight into the memo's pool, and staged in the bound tier's slice.
-/// A memo entry's values are the n shares, the n terms and the level; a
-/// tier record's are the n terms and the level. The member count n comes
-/// with the entry, the record or the miss's gather, never from counting
-/// the mask's bits.
-MemberValues memo_solve(const SlotContext& ctx, const SlotCache& cache,
-                        const std::vector<double>& gt_per_fbs, std::size_t r,
-                        std::uint64_t mask, bool shares, SlotScratch& sc) {
+/// Keyed resource r with the nonempty member mask `mask`: the values of its
+/// solve's record, the members' n terms in member order and then the level.
+/// Found in the memo when this scope already solved the same (r, g_r,
+/// member set); otherwise, when the scope is bound to a greedy call's tier,
+/// found there; otherwise water-filled now straight into a new memo record
+/// and staged in the bound tier's slice.
+const double* memo_solve(const SlotContext& ctx, const SlotCache& cache,
+                         const std::vector<double>& gt_per_fbs, std::size_t r,
+                         std::uint64_t mask, SlotScratch& sc) {
   WaterfillMemo& memo = sc.memo;
   FEMTOCR_DCHECK(memo.scoped, "resource solve outside a memo scope");
   const auto resource = static_cast<std::uint32_t>(r);
   const std::uint64_t g_bits =
       r == 0 ? 0 : std::bit_cast<std::uint64_t>(gt_per_fbs[r - 1]);
-  WaterfillMemo::Entry* entry = &memo_probe(memo, resource, g_bits, mask);
-  if (entry->generation == memo.generation) {
-    const double* v = memo.values.data() + entry->offset;
-    const std::size_t n = entry->members;
-#if FEMTOCR_DCHECK_IS_ON()
-    check_hit(ctx, cache, gt_per_fbs, r, mask, n, sc, v, v + n, v[2 * n]);
-#endif
-    return {v, v + n, v[2 * n]};
+  SolveTable& table = memo.table;
+  std::size_t slot = table.probe(resource, g_bits, mask);
+  const double* found = table.values(slot);
+  if (found == nullptr && memo.tier != nullptr) {
+    found = memo.tier->table.find(resource, g_bits, mask);
   }
-  MemoTier* tier = shares ? nullptr : memo.tier;
-  if (tier != nullptr) {
-    const double* terms = tier->find(resource, g_bits, mask);
-    if (terms != nullptr) {
-      const std::size_t n = MemoTier::value_count(terms) - 1;
+  if (found != nullptr) {
 #if FEMTOCR_DCHECK_IS_ON()
-      check_hit(ctx, cache, gt_per_fbs, r, mask, n, sc, nullptr, terms,
-                terms[n]);
+    check_hit(ctx, cache, gt_per_fbs, r, mask, sc, found);
 #endif
-      return {nullptr, terms, terms[n]};
-    }
+    return found;
   }
 
   gather_mask(cache, r, mask, sc.assign);
   const std::size_t n = sc.assign.members.size();
-  if (memo.live + 1 > WaterfillMemo::kMaxLive ||
-      memo.used + 2 * n + 1 > WaterfillMemo::kValues) {
-    memo.clear();
-    entry = &memo_probe(memo, resource, g_bits, mask);
+  if (!table.fits(n + 1)) {
+    table.reset();
+    slot = table.probe(resource, g_bits, mask);
   }
-  double* v = memo.values.data() + memo.used;
-  v[2 * n] = solve_members(ctx, cache, gt_per_fbs, r, sc, v, v + n, true);
-  entry->mask = mask;
-  entry->g_bits = g_bits;
-  entry->resource = resource;
-  entry->generation = memo.generation;
-  entry->offset = static_cast<std::uint32_t>(memo.used);
-  entry->members = static_cast<std::uint32_t>(n);
-  memo.used += 2 * n + 1;
-  ++memo.live;
-  if (tier != nullptr) {
-    tier->stage(memo.slice, resource, g_bits, mask, v + n, n + 1);
+  double* v = table.insert(slot, resource, g_bits, mask, n + 1);
+  v[n] = solve_members(ctx, cache, gt_per_fbs, r, sc, v, true);
+  if (memo.tier != nullptr) {
+    memo.tier->stage(memo.slice, resource, g_bits, mask, v, n + 1);
   }
-  return {v, v + n, v[2 * n]};
+  return v;
 }
 
 /// The one resource solve behind the climb, evaluate_assignment and the
 /// exhaustive reference. Water-fills resource r under `use_mbs`, whose
-/// member mask for r is `mask`, writes each member j's share to
-/// rho_out[j] and its objective term to term_out[j] (either may be null),
-/// and returns the water level (0 for a resource without members).
-/// A keyed resource goes through the memo, and behind it, for the climb's
-/// terms-only solves, the greedy call's tier; it then walks the mask's
-/// bits, so a hit is one probe and a scatter; a resource with more than 64
-/// possible members gathers its members from `use_mbs` and always solves.
+/// member mask for r is `mask`, writes each member j's objective term to
+/// term_out[j], and returns the water level (0 for a resource without
+/// members). A keyed resource goes through the memo, and behind it the
+/// greedy call's tier when the scope is bound to one; it then walks the
+/// mask's bits, so a hit is one probe and a scatter; a resource with more
+/// than 64 possible members gathers its members from `use_mbs` and always
+/// solves.
 double solve_resource(const SlotContext& ctx, const SlotCache& cache,
                       const std::vector<double>& gt_per_fbs,
                       const unsigned char* use_mbs, std::size_t r,
-                      std::uint64_t mask, SlotScratch& sc, double* rho_out,
-                      double* term_out) {
+                      std::uint64_t mask, SlotScratch& sc, double* term_out) {
   AssignScratch& as = sc.assign;
   if (!keyed(cache, r)) {
     gather_assignment(cache, use_mbs, r, as);
     const std::size_t n = as.members.size();
     if (n == 0) return 0.0;
-    as.rho.resize(n);
     as.term.resize(n);
-    const double level = solve_members(ctx, cache, gt_per_fbs, r, sc,
-                                       as.rho.data(), as.term.data(), true);
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t j = as.members[k];
-      if (rho_out != nullptr) rho_out[j] = as.rho[k];
-      if (term_out != nullptr) term_out[j] = as.term[k];
-    }
+    const double level =
+        solve_members(ctx, cache, gt_per_fbs, r, sc, as.term.data(), true);
+    for (std::size_t k = 0; k < n; ++k) term_out[as.members[k]] = as.term[k];
     return level;
   }
 #if FEMTOCR_DCHECK_IS_ON()
@@ -590,15 +534,12 @@ double solve_resource(const SlotContext& ctx, const SlotCache& cache,
   FEMTOCR_DCHECK(fresh == mask, "member mask differs from the assignment");
 #endif
   if (mask == 0) return 0.0;
-  const MemberValues values =
-      memo_solve(ctx, cache, gt_per_fbs, r, mask, rho_out != nullptr, sc);
+  const double* values = memo_solve(ctx, cache, gt_per_fbs, r, mask, sc);
   std::size_t k = 0;
   for (std::uint64_t m = mask; m != 0; m &= m - 1, ++k) {
-    const std::size_t j = member_user(cache, r, std::countr_zero(m));
-    if (rho_out != nullptr) rho_out[j] = values.rho[k];
-    if (term_out != nullptr) term_out[j] = values.terms[k];
+    term_out[member_user(cache, r, std::countr_zero(m))] = values[k];
   }
-  return values.level;
+  return values[k];  // the level, after the mask's n terms
 }
 
 /// The objective of an assignment from its per-user terms: summed in user
@@ -612,40 +553,42 @@ double sum_terms(const std::vector<double>& terms, std::size_t num_users) {
 
 /// Objective of a whole assignment with member masks `masks`: every
 /// resource solved, every user's term written to `terms` and, unless
-/// `levels` is null, every resource's water level to levels[r].
+/// `prices` is null, the price each resource's shares were taken at,
+/// price_of(its water level), to prices[r].
 double full_objective(const SlotContext& ctx, const SlotCache& cache,
                       const std::vector<double>& gt_per_fbs,
                       const unsigned char* use_mbs,
                       const std::vector<std::uint64_t>& masks, SlotScratch& sc,
-                      std::vector<double>& terms, double* levels) {
+                      std::vector<double>& terms, double* prices) {
   for (std::size_t r = 0; r <= cache.num_fbs; ++r) {
     const double level = solve_resource(ctx, cache, gt_per_fbs, use_mbs, r,
-                                        masks[r], sc, nullptr, terms.data());
-    if (levels != nullptr) levels[r] = level;
+                                        masks[r], sc, terms.data());
+    if (prices != nullptr) prices[r] = price_of(level);
   }
   return sum_terms(terms, cache.num_users);
 }
 
-/// Water-fills every resource for a fixed assignment and returns the
-/// completed allocation (objective included). The objective goes through
-/// slot_objective — the uncached reference expression — which agrees
-/// bitwise with the climb's sum of terms.
-SlotAllocation evaluate_assignment(const SlotContext& ctx,
-                                   const SlotCache& cache,
-                                   const std::vector<double>& gt_per_fbs,
-                                   const unsigned char* use_mbs) {
+/// The allocation of the assignment `use_mbs` whose resources' shares were
+/// taken at `prices` (index 0 = MBS, i + 1 = FBS i), counted as one
+/// evaluation. Each user's share is level_share at its resource's price:
+/// every exit of waterfill_level takes its shares at price_of(level) with
+/// these operands, so this is bit for bit the share the level solve wrote.
+/// The objective goes through slot_objective — the uncached reference
+/// expression — which agrees bitwise with the climb's sum of terms.
+SlotAllocation materialize(const SlotContext& ctx, const SlotCache& cache,
+                           const std::vector<double>& gt_per_fbs,
+                           const unsigned char* use_mbs,
+                           const std::vector<double>& prices) {
   count_evaluations(1);
-  const MemoScope scope;
-  SlotScratch& sc = slot_scratch();
-  assignment_masks(ctx, cache, use_mbs, sc.assign.masks);
   SlotAllocation alloc = SlotAllocation::zeros(ctx);
-  for (std::size_t r = 0; r <= cache.num_fbs; ++r) {
-    double* rho = r == 0 ? alloc.rho_mbs.data() : alloc.rho_fbs.data();
-    solve_resource(ctx, cache, gt_per_fbs, use_mbs, r, sc.assign.masks[r], sc,
-                   rho, nullptr);
-  }
   for (std::size_t j = 0; j < cache.num_users; ++j) {
-    alloc.use_mbs[j] = use_mbs[j] != 0;
+    const UserState& u = ctx.users[j];
+    const bool mbs = use_mbs[j] != 0;
+    const Operands op = mbs ? mbs_operands(u, cache, j)
+                            : fbs_operands(u, gt_per_fbs[u.fbs]);
+    (mbs ? alloc.rho_mbs : alloc.rho_fbs)[j] = level_share(
+        op.success, op.pr, op.usable, prices[mbs ? 0 : u.fbs + 1]);
+    alloc.use_mbs[j] = mbs;
   }
   alloc.expected_channels = gt_per_fbs;
   alloc.objective = slot_objective(ctx, alloc);
@@ -653,6 +596,23 @@ SlotAllocation evaluate_assignment(const SlotContext& ctx,
   FEMTOCR_DCHECK_FINITE(alloc.objective,
                         "water-filled slot objective must be finite");
   return alloc;
+}
+
+/// Water-fills every resource for a fixed assignment and returns the
+/// completed allocation (objective included).
+SlotAllocation evaluate_assignment(const SlotContext& ctx,
+                                   const SlotCache& cache,
+                                   const std::vector<double>& gt_per_fbs,
+                                   const unsigned char* use_mbs) {
+  const MemoScope scope;
+  SlotScratch& sc = slot_scratch();
+  AssignScratch& as = sc.assign;
+  assignment_masks(ctx, cache, use_mbs, as.masks);
+  as.terms.resize(cache.num_users);
+  as.prices.resize(cache.num_fbs + 1);
+  full_objective(ctx, cache, gt_per_fbs, use_mbs, as.masks, sc, as.terms,
+                 as.prices.data());
+  return materialize(ctx, cache, gt_per_fbs, use_mbs, as.prices);
 }
 
 /// The climb's weak-duality bound on what a move can gain; the proof and
@@ -672,8 +632,8 @@ SlotAllocation evaluate_assignment(const SlotContext& ctx,
 class DualityBound {
  public:
   /// Sets the bound up for the accepted assignment `um`, whose terms are
-  /// as.terms and whose resources' water levels are as.prices (turned into
-  /// prices here).
+  /// as.terms and whose resources' shares were taken at the prices
+  /// as.prices.
   DualityBound(const SlotContext& ctx, const SlotCache& cache,
                const std::vector<double>& gt_per_fbs,
                const std::vector<unsigned char>& um, AssignScratch& as);
@@ -741,7 +701,6 @@ DualityBound::DualityBound(const SlotContext& ctx, const SlotCache& cache,
                       std::numeric_limits<double>::epsilon();
   budget_ = guarded_budget(num_users_);
   margin_ = 16.0 * unit * scale;
-  for (double& price : as.prices) price = price_of(price);
   as.keep.resize(num_users_);
   as.offer.resize(num_users_);
   as.offer_gap.resize(num_users_);
@@ -869,10 +828,9 @@ void check_pruned(const SlotContext& ctx, const SlotCache& cache,
   for (std::size_t t = 0; t < (fk != fj ? 3 : 2); ++t) {
     gather_assignment(cache, um.data(), touched[t], as);
     const std::size_t n = as.members.size();
-    as.check_rho.resize(n);
     as.check_term.resize(n);
-    solve_members(ctx, cache, gt_per_fbs, touched[t], sc, as.check_rho.data(),
-                  as.check_term.data(), false);
+    solve_members(ctx, cache, gt_per_fbs, touched[t], sc, as.check_term.data(),
+                  false);
     for (std::size_t m = 0; m < n; ++m) {
       as.trial_terms[as.members[m]] = as.check_term[m];
     }
@@ -966,14 +924,13 @@ double hill_climb(const SlotContext& ctx, const SlotCache& cache,
     }
     std::copy(as.terms.begin(), as.terms.end(), as.trial_terms.begin());
     double* trial = as.trial_terms.data();
-    const double l0 = solve_resource(ctx, cache, gt_per_fbs, um.data(), 0,
-                                     mbs, sc, nullptr, trial);
-    const double lj = solve_resource(ctx, cache, gt_per_fbs, um.data(), fj,
-                                     mj, sc, nullptr, trial);
-    const double lk =
-        fk != fj ? solve_resource(ctx, cache, gt_per_fbs, um.data(), fk, mk,
-                                  sc, nullptr, trial)
-                 : 0.0;
+    const double l0 =
+        solve_resource(ctx, cache, gt_per_fbs, um.data(), 0, mbs, sc, trial);
+    const double lj =
+        solve_resource(ctx, cache, gt_per_fbs, um.data(), fj, mj, sc, trial);
+    const double lk = fk != fj ? solve_resource(ctx, cache, gt_per_fbs,
+                                                um.data(), fk, mk, sc, trial)
+                               : 0.0;
     const double cand = sum_terms(as.trial_terms, K);
     if (cand > best + kMinGain) {
       best = cand;
@@ -1077,15 +1034,12 @@ SlotAllocation waterfill_solve(const SlotContext& ctx, const SlotCache& cache,
   c_solves.add();
 
   check_cache_matches(ctx, cache, gt_per_fbs);
-  // One memo scope for the climb and the materialisation of its winner,
-  // whose resources the climb has already solved.
-  const MemoScope memo;
-  std::vector<unsigned char>& um = slot_scratch().assign.use_mbs;
-  hill_climb(ctx, cache, gt_per_fbs, um);
-  // Re-waterfilling the winning assignment is deterministic, so the
-  // materialized allocation (and its slot_objective) is bit-identical to
-  // the best trial the climb kept.
-  return evaluate_assignment(ctx, cache, gt_per_fbs, um.data());
+  AssignScratch& as = slot_scratch().assign;
+  hill_climb(ctx, cache, gt_per_fbs, as.use_mbs);
+  // The climb exits with the prices its assignment's shares were taken at,
+  // so the materialized allocation (and its slot_objective) is
+  // bit-identical to the best trial the climb kept.
+  return materialize(ctx, cache, gt_per_fbs, as.use_mbs.data(), as.prices);
 }
 
 double waterfill_solve_objective(const SlotContext& ctx,

@@ -314,9 +314,9 @@ TEST(WaterfillDifferential, ClimbMatchesFullReevaluationBitwise) {
     cache.build(d.f.ctx);
     const ReferenceClimb ref = reference_climb(d.f.ctx, cache, d.gt);
 
-    const std::uint32_t gen_before = slot_scratch().memo.generation;
+    const std::uint32_t gen_before = slot_scratch().memo.table.generation;
     const SlotAllocation a = waterfill_solve(d.f.ctx, cache, d.gt);
-    const std::uint32_t gen_after = slot_scratch().memo.generation;
+    const std::uint32_t gen_after = slot_scratch().memo.table.generation;
     EXPECT_EQ(a.use_mbs, ref.use_mbs) << "case " << c;
     EXPECT_EQ(a.objective, ref.objective) << "case " << c;  // same bits
     const std::uint64_t evaluations_before = evaluations.total();
