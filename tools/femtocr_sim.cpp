@@ -11,8 +11,11 @@
 //   femtocr_sim --scenario=single --save-config=baseline.cfg
 //
 // Use --help for the full flag list.
+#include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 
 #include "sim/config_io.h"
 #include "sim/sweeps.h"
@@ -161,6 +164,21 @@ int run_sweep(const sim::Scenario& base, const util::Args& args,
   const double step = args.get("step", 0.1);
   if (to < from || step <= 0.0) {
     std::cerr << "--sweep needs --from <= --to and --step > 0\n";
+    return 2;
+  }
+  // x runs over [from, to + 1e-9]. A step below the spacing of the doubles
+  // at the largest |x| there can round away (x + step == x, as 0.3 + 1e-20
+  // does), and the point loop would never end.
+  const double m = std::max(std::fabs(from), std::fabs(to) + 1e-9);
+  if (!(step >= std::nextafter(m, std::numeric_limits<double>::infinity()) -
+                    m)) {
+    std::cerr << "--step=" << step
+              << " is below the spacing of the doubles near " << m
+              << ", so x would stop advancing\n";
+    return 2;
+  }
+  if (knob == "channels" && !(from >= 1.0)) {
+    std::cerr << "--sweep=channels needs --from >= 1 (a channel count)\n";
     return 2;
   }
   std::vector<double> xs;
