@@ -49,8 +49,8 @@ double waterfill_shares(const std::vector<double>& psnr,
 /// `ctx` and may be shared read-only by concurrent callers. The assignment
 /// is found by a hill climb over single-user flips and pair swaps that
 /// keeps a move only if it strictly gains (simultaneous best response
-/// would oscillate; see the .cpp); the shares are then water-filled for
-/// that assignment.
+/// would oscillate; see the .cpp); the shares are then taken at the
+/// climb's exit prices, Eq. 14 at each resource's water level.
 SlotAllocation waterfill_solve(const SlotContext& ctx, const SlotCache& cache,
                                const std::vector<double>& gt_per_fbs);
 
@@ -96,8 +96,8 @@ SlotDualBound waterfill_dual_bound(const SlotContext& ctx,
 /// Water-fills every resource for a FIXED base-station assignment and
 /// returns the completed allocation (objective included). The optimum over
 /// shares given the assignment; the KKT certifier's flip tests evaluate
-/// many assignments against one cache, and the greedy materializes each
-/// round's winner from the assignment its climb kept.
+/// many assignments against one cache, and the greedy materializes its
+/// final allocation from the assignment the last winner's climb kept.
 SlotAllocation waterfill_evaluate(const SlotContext& ctx,
                                   const SlotCache& cache,
                                   const std::vector<double>& gt_per_fbs,
