@@ -4,14 +4,13 @@
 // up to 500 users / 50 FBSs / 64 licensed channels on the non-interfering
 // dual-decomposition path (each replication a chain of drifting slots
 // through the Proposed scheme, so its warm-start carry is exercised at
-// bench scale),
-// and ring-interference cells up to 50 FBSs on
-// the greedy + water-filling path (the greedy's candidate argmax is the
-// intra-slot parallel section, so the interfering cells are the ones that
-// scale with --threads). Not a figure: this bench exists to (a) pin the
-// determinism contract at scale — stdout carries only solver outputs, so
-// it must be byte-identical for any --threads and with FEMTOCR_METRICS=0 —
-// and (b) feed the perf regression gate: the per-solve wall clock
+// bench scale), and ring-interference cells up to 50 FBSs on the greedy +
+// water-filling path (one greedy call per slot, run on the calling thread;
+// the city grid's components are what fan out over --threads). Not a
+// figure: this bench exists to (a) pin the determinism contract at scale —
+// stdout carries only solver outputs, so it must be byte-identical for any
+// --threads and with FEMTOCR_METRICS=0 — and (b) feed the perf regression
+// gate: the per-solve wall clock
 // accumulates under the bench.stress.slot_solve timer in --metrics-out
 // JSON, and a fixed reference kernel timed beside every solve under
 // bench.stress.reference measures the host's speed; CI compares the ratio

@@ -15,19 +15,11 @@
 #include "util/check.h"
 #include "util/mathx.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace femtocr::core {
 
 namespace {
-
-/// Below this user count the per-iteration pass stays a plain loop: the
-/// pool dispatch would cost more than the K subproblems it distributes.
-constexpr std::size_t kParallelUserCutoff = 192;
-/// Users per parallel chunk; chunks are contiguous index ranges so the
-/// fixed-order fold below is just the natural j loop.
-constexpr std::size_t kUserChunk = 128;
 
 /// One user's Table I steps 3-8 against the per-solve tables, writing the
 /// branch choice into the SoA output buffers. Bitwise identical to
@@ -123,43 +115,25 @@ inline ShareAdd solve_user_cached(const SlotCache& cache, DualScratch& ds,
 }
 
 /// One pass of user subproblems at the current prices, accumulating the
-/// per-resource share sums in user index order — the same accumulation
-/// order as the original single loop, so sums are bit-identical for any
-/// thread count. Three shapes, one result:
+/// per-resource share sums in user index order, on the calling thread. Two
+/// shapes, one result:
 ///
-///   * parallel (large K, pool has workers): chunked parallel_for writes
-///     the index-addressed choice buffers, then a serial fold adds them
-///     in j order;
-///   * serial + store_choices: one fused loop, adds interleaved in the
-///     same j order (each sums[i] accumulator sees the identical ordered
-///     add sequence, so fusing cannot change a bit);
-///   * serial iteration passes: the same fused loop minus the choice
-///     stores — the subgradient update only reads the sums, and the
-///     primal recovery pass at the end re-materializes the choices.
+///   * store_choices: one fused loop that also writes the index-addressed
+///     choice buffers;
+///   * iteration passes: the same loop minus the choice stores — the
+///     subgradient update only reads the sums, and the primal recovery
+///     pass at the end re-materializes the choices.
+///
+/// Each sums[i] accumulator sees the same ordered add sequence in both.
+/// The pass runs once per subgradient iteration, where a pool dispatch
+/// costs more than spreading the users saves (docs/DEVELOPING.md, rule 3).
 void user_best_responses(const SlotContext& ctx, const SlotCache& cache,
                          DualScratch& ds, const std::vector<double>& lambda,
                          bool store_choices) {
   const std::size_t K = ctx.users.size();
   const double lambda_mbs = lambda[0];
   std::fill(ds.sums.begin(), ds.sums.end(), 0.0);
-  // The pool pays a dispatch fee per call, and this runs once per
-  // subgradient iteration — only fan out when there are workers to feed
-  // AND enough users to amortize the fee. Values are identical either
-  // way: chunks are contiguous index ranges into the same buffer.
-  if (K >= kParallelUserCutoff && util::default_threads() > 1) {
-    const std::size_t chunks = (K + kUserChunk - 1) / kUserChunk;
-    util::parallel_for(chunks, [&](std::size_t c) {
-      const std::size_t hi = std::min(K, (c + 1) * kUserChunk);
-      for (std::size_t j = c * kUserChunk; j < hi; ++j) {
-        solve_user_cached<true>(cache, ds, j, lambda_mbs,
-                                lambda[ds.fbsi[j] + 1]);
-      }
-    });
-    for (std::size_t j = 0; j < K; ++j) {
-      ds.sums[0] += ds.choice_rho_mbs[j];
-      ds.sums[ds.fbsi[j] + 1] += ds.choice_rho_fbs[j];
-    }
-  } else if (store_choices) {
+  if (store_choices) {
     for (std::size_t j = 0; j < K; ++j) {
       const ShareAdd a =
           solve_user_cached<true>(cache, ds, j, lambda_mbs,

@@ -1,6 +1,6 @@
 // femtocr:inner-loop-tu — Table III evaluates Q(c) for every surviving
-// candidate pair each round; the scan runs through scratch buffers and
-// parallel_for, with no per-candidate heap allocation.
+// candidate pair each round; the scan runs through scratch buffers, with
+// no per-candidate heap allocation.
 #include "core/greedy.h"
 
 #include <algorithm>
@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "core/objective.h"
@@ -16,7 +17,6 @@
 #include "core/waterfill.h"
 #include "util/check.h"
 #include "util/metrics.h"
-#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace femtocr::core {
@@ -26,8 +26,6 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
       util::metrics().counter("core.greedy.allocations");
   static util::Counter& c_cand_evals =
       util::metrics().counter("core.greedy.candidate_evals");
-  static util::Counter& c_tier_refused =
-      util::metrics().counter("core.greedy.tier_refused");
   static util::Counter& c_cand_pruned =
       util::metrics().counter("core.greedy.candidates_pruned");
   static util::Histogram& h_gap =
@@ -47,8 +45,16 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
   }
   GreedyResult result;
 
-  // Candidate pairs (FBS, position into ctx.available). FBSs without users
-  // are skipped: any channel given to them contributes Delta = 0.
+  // One memo scope spans the call, its final allocation included, so every
+  // climb of every round finds what the call already solved. It must start
+  // empty for the counters to be a function of the work.
+  FEMTOCR_DCHECK(!slot_scratch().memo.scoped,
+                 "greedy_allocate's memo scope must be the thread's outermost");
+  const MemoScope memo;
+
+  // Candidate pairs (FBS, position into ctx.available), FBS-major. FBSs
+  // without users are skipped: any channel given to them contributes
+  // Delta = 0.
   GreedyScratch& gs = slot_scratch().greedy;
   gs.candidates.clear();
   for (std::size_t i = 0; i < ctx.num_fbs; ++i) {
@@ -58,135 +64,149 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
     }
   }
 
-  gs.gt.assign(ctx.num_fbs, 0.0);
-  std::vector<std::vector<std::size_t>> channels(ctx.num_fbs);  // lint-allow: no-hot-loop-alloc (once per slot)
-  // The current allocation's assignment and objective Q(c): the rounds
+  const std::size_t n_fbs = ctx.num_fbs;
+  const std::size_t n_prices = n_fbs + 1;
+  gs.gt.assign(n_fbs, 0.0);
+  std::vector<std::vector<std::size_t>> channels(n_fbs);  // lint-allow: no-hot-loop-alloc (once per slot)
+  // Q(c) of the current allocation, starting from the empty one. The rounds
   // compare only Q values, so the allocation is materialized once, after
-  // the last round. The assignment lives here, not in the thread's
-  // GreedyScratch, whose per-thread fields a scan task run inline on this
-  // thread overwrites.
-  std::vector<bool> use_mbs;  // lint-allow: no-hot-loop-alloc (once per slot)
-  double q = 0.0;
-
-  // The call's memo tier (core/scratch.h) starts empty and is seeded with
-  // the empty-channel solve, so round 1's tasks find its resources.
-  gs.tier.table.reset();
-  gs.tier.open(1);
-  {
-    const MemoScope memo(&gs.tier, 0);
-    q = waterfill_solve_objective(ctx, cache, gs.gt, use_mbs, gs.prices);
-  }
-  c_tier_refused.add(gs.tier.merge());
+  // the last round, from gs.best_use_mbs: the last winner's assignment, or
+  // the empty-channel climb's. That climb's exit prices are round 1's
+  // carried prices.
+  double q = waterfill_solve_objective(ctx, cache, gs.gt, gs.best_use_mbs,
+                                       gs.carried);
   result.q_empty = q;
 
   while (!gs.candidates.empty()) {
-    // Table III step 3: argmax over remaining pairs of Q(c + e) - Q(c).
-    // Candidate solves are independent given the shared read-only cache, so
-    // they fan out across the pool in scan tasks: the contiguous run of one
-    // FBS's candidates (the list is FBS-major), solved in order under one
-    // water-fill memo scope. Those climbs differ only in that FBS's g, so
-    // they share most resource solves; the scope starts empty, so the work
-    // — and every counter — does not depend on which worker runs the task.
-    // A task climbs its candidates in descending trial g, ties in candidate
-    // order, and keeps the largest Q with ties to the lowest candidate
-    // index: the first strict maximum of the candidate-order scan. A
-    // candidate whose trial g the one before it had has the same trial
-    // vector, hence the same Q, and a higher index: the task skips it.
-    // Before each later climb, weak duality at the exit prices of the
-    // task's best climb so far bounds the candidate's Q; one whose bound
-    // plus its rounding margin is below the best cannot win and is not
-    // climbed (docs/DEVELOPING.md, "The greedy scan's duality bound"). Each
-    // task keeps its best and that climb's assignment in its own slot of
-    // gs.best (with its own thread-local scratch), and the fold below takes
-    // the first strict maximum over the tasks in task order — the same
-    // first strict maximum in candidate order the sequential scan produced.
-    // Behind each task's memo sits the call's tier, frozen for the round: it
-    // holds what the earlier rounds solved (only the winner's g changed
-    // since), and each task stages its own solves in its slice, merged in
-    // task order after the round.
+    // Table III step 3: argmax over remaining pairs of Q(c + e) - Q(c), the
+    // first strict maximum in candidate order. Two candidates of one FBS
+    // whose trial g_i has the same bits have the same trial vector, hence
+    // the same Q, so the higher index cannot be that maximum: only the
+    // lowest index of each (FBS, bits of g_i) is distinct.
     const std::size_t n_candidates = gs.candidates.size();
     c_cand_evals.add(n_candidates);
-    gs.tasks.clear();
+    gs.order.clear();
     for (std::size_t k = 0; k < n_candidates; ++k) {
-      if (k == 0 || gs.candidates[k].first != gs.candidates[k - 1].first) {
-        gs.tasks.push_back(k);
-      }
+      const auto [i, a] = gs.candidates[k];
+      gs.order.push_back({gs.gt[i] + ctx.posterior[a], 0.0, k});
     }
-    gs.tasks.push_back(n_candidates);
-    const std::size_t n_tasks = gs.tasks.size() - 1;
-    gs.best.resize(n_tasks);
-    gs.tier.open(n_tasks);
-    util::parallel_for(n_tasks, [&](std::size_t t) {
-      const MemoScope memo(&gs.tier, t);
-      GreedyScratch& ws = slot_scratch().greedy;
-      GreedyScratch::TaskBest& best = gs.best[t];
-      best.objective = -std::numeric_limits<double>::infinity();
-      best.candidate = gs.tasks[t];
-      best.pruned = 0;
-      const std::size_t i = gs.candidates[gs.tasks[t]].first;
-      ws.order.clear();
-      for (std::size_t k = gs.tasks[t]; k < gs.tasks[t + 1]; ++k) {
-        ws.order.emplace_back(gs.gt[i] + ctx.posterior[gs.candidates[k].second],
-                              k);
-      }
-      std::sort(ws.order.begin(), ws.order.end(),
-                [](const auto& x, const auto& y) {
-                  if (x.first != y.first) return x.first > y.first;
-                  return x.second < y.second;
-                });
-      ws.trial.assign(gs.gt.begin(), gs.gt.end());
-      for (std::size_t o = 0; o < ws.order.size(); ++o) {
-        const auto [g, k] = ws.order[o];
-        if (o > 0 && std::bit_cast<std::uint64_t>(g) ==
-                         std::bit_cast<std::uint64_t>(ws.order[o - 1].first)) {
-          continue;
-        }
-        ws.trial[i] = g;
-        SlotDualBound bound;
-        if (o > 0) {
-          bound = waterfill_dual_bound(ctx, cache, ws.trial, ws.best_prices);
-          if (bound.value + bound.margin < best.objective) {
-            ++best.pruned;
-            continue;
-          }
-        }
-        const double q = waterfill_solve_objective(ctx, cache, ws.trial,
-                                                   ws.use_mbs, ws.prices);
-        FEMTOCR_DCHECK(o == 0 || q <= bound.value + bound.margin,
-                       "a climb beat the greedy scan's duality bound");
-        if (q > best.objective || (q == best.objective && k < best.candidate)) {
-          best.objective = q;
-          best.candidate = k;
-          best.use_mbs = ws.use_mbs;
-          ws.best_prices.swap(ws.prices);
-        }
-      }
-    });
-    c_tier_refused.add(gs.tier.merge());
+    const auto fbs_of = [&](const GreedyScratch::Trial& t) {
+      return gs.candidates[t.candidate].first;
+    };
+    std::sort(gs.order.begin(), gs.order.end(),
+              [&](const auto& x, const auto& y) {
+                if (fbs_of(x) != fbs_of(y)) return fbs_of(x) < fbs_of(y);
+                if (x.g != y.g) return x.g > y.g;
+                return x.candidate < y.candidate;
+              });
+    const auto repeats = [&](const auto& x, const auto& y) {
+      return fbs_of(x) == fbs_of(y) && std::bit_cast<std::uint64_t>(x.g) ==
+                                           std::bit_cast<std::uint64_t>(y.g);
+    };
+    gs.order.erase(std::unique(gs.order.begin(), gs.order.end(), repeats),
+                   gs.order.end());
 
-    std::size_t win = 0;
-    std::size_t pruned = gs.best[0].pruned;
-    for (std::size_t t = 1; t < n_tasks; ++t) {
-      if (gs.best[t].objective > gs.best[win].objective) win = t;
-      pruned += gs.best[t].pruned;
+    // Weak duality at the exit prices of the previous winner's climb bounds
+    // every distinct candidate before any climb (docs/DEVELOPING.md, "The
+    // greedy scan's duality bound"). The scan climbs in descending bound,
+    // ties in candidate order, and keeps the largest Q with ties to the
+    // lowest index: the first strict maximum in candidate order.
+    gs.at_carried.reset(ctx, cache, gs.gt, gs.carried);
+    for (GreedyScratch::Trial& t : gs.order) {
+      const SlotDualBound b = gs.at_carried.at(ctx, cache, fbs_of(t), t.g);
+      t.bound = b.value + b.margin;
+    }
+    std::sort(gs.order.begin(), gs.order.end(),
+              [](const auto& x, const auto& y) {
+                if (x.bound != y.bound) return x.bound > y.bound;
+                return x.candidate < y.candidate;
+              });
+
+    // The round's best so far, and each FBS's; a bound table is taken at a
+    // best climb's prices when a candidate first needs it.
+    const std::size_t none = n_candidates;
+    double best_q = -std::numeric_limits<double>::infinity();
+    std::size_t best = none;
+    gs.fbs_best.assign(n_fbs, -std::numeric_limits<double>::infinity());
+    gs.fbs_best_candidate.assign(n_fbs, none);
+    gs.fbs_prices.resize(n_fbs * n_prices);
+    std::size_t best_table = none;
+    std::size_t fbs_table = none;
+    std::size_t pruned = 0;
+    gs.trial.assign(gs.gt.begin(), gs.gt.end());
+    for (const GreedyScratch::Trial& t : gs.order) {
+      const std::size_t i = fbs_of(t);
+      // The candidate cannot win if its bound plus margin is below the best
+      // Q so far at any of three prices: the carried ones, the best
+      // climb's, and the best climb's on its FBS.
+      double at_best = std::numeric_limits<double>::infinity();
+      double at_fbs = std::numeric_limits<double>::infinity();
+      if (best != none && !(t.bound < best_q)) {
+        if (best_table != best) {
+          gs.at_best.reset(ctx, cache, gs.gt, gs.best_prices);
+          best_table = best;
+        }
+        const SlotDualBound b = gs.at_best.at(ctx, cache, i, t.g);
+        at_best = b.value + b.margin;
+        const std::size_t own = gs.fbs_best_candidate[i];
+        if (!(at_best < best_q) && own != none && own != best) {
+          if (fbs_table != own) {
+            gs.at_fbs.reset(ctx, cache, gs.gt,
+                            std::span<const double>(gs.fbs_prices)
+                                .subspan(i * n_prices, n_prices));
+            fbs_table = own;
+          }
+          const SlotDualBound bf = gs.at_fbs.at(ctx, cache, i, t.g);
+          at_fbs = bf.value + bf.margin;
+        }
+      }
+      gs.trial[i] = t.g;
+      if (t.bound < best_q || at_best < best_q || at_fbs < best_q) {
+        ++pruned;
+#if FEMTOCR_DCHECK_IS_ON()
+        FEMTOCR_DCHECK(
+            waterfill_check_objective(ctx, cache, gs.trial) < best_q,
+            "the greedy scan's duality bound pruned a candidate that wins");
+#endif
+        gs.trial[i] = gs.gt[i];
+        continue;
+      }
+      const double cq = waterfill_solve_objective(ctx, cache, gs.trial,
+                                                  gs.use_mbs, gs.prices);
+      gs.trial[i] = gs.gt[i];
+      FEMTOCR_DCHECK(cq <= t.bound && cq <= at_best && cq <= at_fbs,
+                     "a climb beat the greedy scan's duality bound");
+      if (cq > gs.fbs_best[i]) {
+        gs.fbs_best[i] = cq;
+        gs.fbs_best_candidate[i] = t.candidate;
+        std::copy(gs.prices.begin(), gs.prices.end(),
+                  gs.fbs_prices.begin() +
+                      static_cast<std::ptrdiff_t>(i * n_prices));
+      }
+      if (cq > best_q || (cq == best_q && t.candidate < best)) {
+        best_q = cq;
+        best = t.candidate;
+        gs.best_use_mbs.swap(gs.use_mbs);
+        gs.best_prices.swap(gs.prices);
+      }
     }
     c_cand_pruned.add(pruned);
-    GreedyScratch::TaskBest& best = gs.best[win];
-    FEMTOCR_CHECK_FINITE(best.objective, "candidate objective must be finite");
+    FEMTOCR_CHECK_FINITE(best_q, "candidate objective must be finite");
 
-    const auto [bi, ba] = gs.candidates[best.candidate];
+    const auto [bi, ba] = gs.candidates[best];
     GreedyStep step;
     step.fbs = bi;
     step.channel = ctx.available[ba];
-    step.delta = best.objective - q;
+    step.delta = best_q - q;
     step.degree = ctx.graph->degree(bi);
     result.steps.push_back(step);
 
-    // The winner's trial g_i, gt_i + posterior, is the one its climb ran at.
+    // The winner's trial g_i, gt_i + posterior, is the one its climb ran
+    // at, and its exit prices bound the next round.
     gs.gt[bi] += ctx.posterior[ba];
     channels[bi].push_back(ctx.available[ba]);
-    q = best.objective;
-    use_mbs.swap(best.use_mbs);
+    q = best_q;
+    gs.carried.swap(gs.best_prices);
 
     // Table III steps 5–6: drop the chosen pair and every conflicting pair
     // R(i') x {m'}.
@@ -199,9 +219,10 @@ GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache) {
   }
 
   // Materialize the last winner, or the empty-channel solve, from the
-  // assignment its climb kept: re-solving its levels is deterministic, so
-  // this is the bit-exact allocation behind q.
-  SlotAllocation current = waterfill_evaluate(ctx, cache, gs.gt, use_mbs);
+  // assignment its climb kept: re-solving its levels is deterministic, and
+  // they are memo hits, so this is the bit-exact allocation behind q.
+  SlotAllocation current = waterfill_evaluate(ctx, cache, gs.gt,
+                                              gs.best_use_mbs);
   FEMTOCR_DCHECK(std::bit_cast<std::uint64_t>(current.objective) ==
                      std::bit_cast<std::uint64_t>(q),
                  "the materialized allocation differs from its climb");

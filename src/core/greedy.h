@@ -39,25 +39,23 @@ struct GreedyResult {
 /// (core/slot_cache.h), which must be built for `ctx`. FBSs with no
 /// associated users are skipped (allocating them channels cannot increase
 /// the objective). Each round's argmax of Q(c + e) over the surviving pairs
-/// fans out through util::parallel_for in scan tasks, one per FBS. A task
-/// climbs its candidates in descending trial value, ties in candidate
-/// order, once per distinct trial vector (a repeat has the same Q and a
-/// higher index, so it can never win), and keeps the largest Q with ties
-/// to the lowest candidate index, with that climb's assignment. It does not
-/// climb a candidate whose weak-duality bound (waterfill_dual_bound), at
-/// the exit prices of the task's best climb so far, proves it cannot beat
-/// that best; core.greedy.candidates_pruned counts them. The task bests
-/// are folded serially in task order, which gives the first strict maximum
-/// in candidate order, so results do not depend on the thread count. A
-/// round's gain is taken from the previous winner's Q; the allocation is
-/// materialized once, after the last round, by water-filling the
-/// assignment the last winner's climb kept.
-/// The call shares its resource solves across rounds through a memo tier
-/// (core/scratch.h): seeded by the empty-channel solve, frozen while a
-/// round's tasks read it, and grown between rounds by merging what each
-/// task solved in task order; core.greedy.tier_refused counts the solves
-/// it has no room for. What a task finds is a function of the round, so
-/// every counter is thread-count invariant too.
+/// is a serial best-first walk: every distinct candidate (the lowest index
+/// of each FBS and trial g_i; a repeat has the same Q and a higher index,
+/// so it can never win) is bounded by weak duality at the exit prices of
+/// the previous winner's climb (round 1: the empty-channel climb's), then
+/// climbed in descending bound, ties in candidate order. A candidate is
+/// not climbed when its bound plus margin, at those prices, at the exit
+/// prices of the round's best climb so far, or at those of its FBS's best
+/// climb so far, is below the best Q so far; core.greedy.candidates_pruned
+/// counts them (DualBoundTable in core/waterfill.h). The scan keeps the
+/// largest Q with ties to the lowest candidate index, the first strict
+/// maximum in candidate order, with that climb's assignment. A round's gain
+/// is taken from the previous winner's Q; the allocation is materialized
+/// once, after the last round, by water-filling the assignment the last
+/// winner's climb kept. One memo scope (core/scratch.h) spans the call,
+/// that materialization included, so every climb finds the resources the
+/// call already solved. The call runs on the calling thread, so results
+/// and counters do not depend on the thread count.
 GreedyResult greedy_allocate(const SlotContext& ctx, const SlotCache& cache);
 
 }  // namespace femtocr::core

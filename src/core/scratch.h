@@ -18,26 +18,18 @@
 //     groups are disjoint, so the natural nesting (greedy -> climb ->
 //     resource) never aliases.
 //   * slot_scratch() is thread-local. Workers inside util::parallel_for
-//     each see their own arena, so parallel candidate evaluation needs no
-//     locking; a coordinator may hand out index-addressed slices of its
-//     own buffers (e.g. GreedyScratch::best) for workers to fill.
+//     (the sharded components, the replications) each see their own
+//     arena, so they need no locking.
 //   * Scratch never survives a call as *data* — only as capacity. No
 //     routine may read a field it did not fill in the same invocation.
 //   * The one exception is `memo`, and it is bounded by a scope: the memo
 //     holds data only within one MemoScope and is reset at every scope
-//     start. A greedy scan task (one FBS's candidates in one round) is one
-//     scope; every climb or evaluation outside a task is its own scope.
-//     So a record never outlives the context it was solved for, and the
-//     memo's hit pattern — hence every counter — is a function of the work
-//     alone, not of which thread ran which task.
-//   * Behind the memo of a scan task sits its greedy call's MemoTier
-//     (`greedy.tier`), bound by the task's MemoScope and bounded by the
-//     call: reset when greedy_allocate starts, read-only while a round's
-//     tasks run, and grown only by the call's coordinator between rounds,
-//     merging the tasks' slices in task order. What a task finds there
-//     depends only on the round, so the counters stay schedule-independent.
-//   * The memo and the tier are one table type, SolveTable, sized per use:
-//     a record holds a resource solve's objective terms and water level,
+//     start. A greedy_allocate call is one scope, its final allocation
+//     included; every climb or evaluation outside one is its own scope. So
+//     a record never outlives the context it was solved for, and since the
+//     greedy call runs on one thread, the memo's hit pattern, hence every
+//     counter, is a function of the work alone.
+//   * A record holds a resource solve's objective terms and water level,
 //     never its shares, which are a function of the level.
 #pragma once
 
@@ -48,6 +40,7 @@
 #include <vector>
 
 #include "core/subproblem.h"
+#include "core/waterfill.h"
 
 namespace femtocr::core {
 
@@ -154,9 +147,9 @@ struct AssignScratch {
   std::vector<unsigned char> fbs_usable;  ///< g R > 0 && S > 0 per user
 };
 
-/// The resource solves of one memo scope or one greedy call, keyed by the
-/// resource index (0 = MBS, i + 1 = FBS i), the bit pattern of g_i (FBSs
-/// only) and the member set as a 64-bit mask. A record is its key — the
+/// The resource solves of one memo scope, keyed by the resource index
+/// (0 = MBS, i + 1 = FBS i), the bit pattern of g_i (FBSs only) and the
+/// member set as a 64-bit mask. A record is its key — the
 /// member mask, the bits of g_i and the resource index in the high half of
 /// a word whose low half is the value count, each word's bits held in a
 /// double — followed by its values: the members' n objective terms in
@@ -223,10 +216,6 @@ struct SolveTable {
   /// for the caller to fill. The record must fit.
   double* insert(std::size_t s, std::uint32_t resource, std::uint64_t g_bits,
                  std::uint64_t mask, std::size_t count);
-  /// Writes a record's key words at `rec`.
-  static void put_key(double* rec, std::uint32_t resource,
-                      std::uint64_t g_bits, std::uint64_t mask,
-                      std::size_t count);
   /// splitmix64's finalizer over the mixed key fields.
   static std::uint64_t hash(std::uint32_t resource, std::uint64_t g_bits,
                             std::uint64_t mask) {
@@ -238,89 +227,50 @@ struct SolveTable {
   }
 };
 
-struct MemoTier;
-
 /// The water-fill memo: every resource solved in the current scope (see
-/// the file comment), in a SolveTable of 512 slots and a 6,144-double pool
-/// (52 KB per thread, taken on the first scope). When the table reaches
-/// 256 records or the pool is full, the next solve empties it first; on
-/// the city grid's large components the pool fills first, and a smaller
-/// memo re-solves more.
+/// the file comment), in a SolveTable of 1,024 slots and a 10,240-double
+/// pool (88 KB per thread, taken on the first scope). When the table
+/// reaches 512 records or the pool is full, the next solve empties it
+/// first. A greedy call keeps its solves across its rounds here; the city
+/// grid's large components fill the pool and empty it several times a
+/// call, and sizing it per component is the ROADMAP's Downtown item.
 struct WaterfillMemo {
-  static constexpr std::size_t kSlots = 512;    ///< power of two
-  static constexpr std::size_t kValues = 6144;  ///< doubles
+  static constexpr std::size_t kSlots = 1024;    ///< power of two
+  static constexpr std::size_t kValues = 10240;  ///< doubles
   SolveTable table{kSlots, kValues};
   bool scoped = false;  ///< a MemoScope is open on this thread
-  /// The greedy call's tier the scope's misses go to (null outside one),
-  /// and the slice they are staged in.
-  MemoTier* tier = nullptr;
-  std::size_t slice = 0;
 };
 
-/// The water-fill solves one greedy_allocate call shares across its rounds,
-/// in a SolveTable of 1,024 slots and a 4,096-double pool (40 KB per
-/// thread, taken on the first reset). The lifetime is one greedy call
-/// (table.reset()). Each round open()s one slice of the free pool per scan
-/// task; during the round the records are read-only and a task stages the
-/// records of the solves it performs in its own slice, as far as they fit.
-/// merge() then keeps, walking the slices in task order, every record
-/// whose key is absent, until the table holds kMaxRecords. A solve that
-/// finds no room at either step is refused (core.greedy.tier_refused). The
-/// size is a measured trade against peak memory, since every pool thread
-/// that runs a greedy call holds a tier: fig6a's and churn's calls fit,
-/// while the city grid's large components overflow it
-/// (docs/DEVELOPING.md).
-struct MemoTier {
-  static constexpr std::size_t kSlots = 1024;  ///< power of two
-  static constexpr std::size_t kMaxRecords = kSlots / 2;
-  static constexpr std::size_t kPool = 4096;  ///< doubles
-  /// One scan task's part of the free pool: [begin, end), filled to next.
-  struct Slice {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-    std::size_t next = 0;
-    std::size_t refused = 0;  ///< solves that did not fit
-  };
-  SolveTable table{kSlots, kPool};
-  std::vector<Slice> slices;
-
-  /// Splits the free pool into `tasks` equal slices, in task order; none
-  /// has room when the table is full.
-  void open(std::size_t tasks);
-  /// Appends a record of the `count` values to slice `s` if it fits, else
-  /// counts it refused.
-  void stage(std::size_t s, std::uint32_t resource, std::uint64_t g_bits,
-             std::uint64_t mask, const double* values, std::size_t count);
-  /// Merges the slices opened last, in task order; returns the number of
-  /// solves refused since then.
-  std::size_t merge();
-};
-
-/// greedy_allocate's working set: the candidate list, the scan-task
-/// bounds, the per-task best the parallel scan fills, the call's memo
-/// tier, and per-thread trial vectors, climb orders, assignments and
-/// prices.
+/// greedy_allocate's working set: the candidate list, one round's distinct
+/// candidates in climb order, the trial vector, the assignments and exit
+/// prices of the current climb, of the round's best and of each FBS's best,
+/// the prices carried from the previous winner, and a duality-bound table
+/// at each of the three price vectors a candidate is bounded at.
 struct GreedyScratch {
-  /// A scan task's best, the largest Q with ties to the lowest candidate
-  /// index, with its climb's assignment, and the candidates the task's
-  /// duality bound ruled out.
-  struct TaskBest {
-    double objective = 0.0;
+  /// A round's distinct candidate: its trial g_i and its bound D + m at
+  /// the carried prices.
+  struct Trial {
+    double g = 0.0;
+    double bound = 0.0;
     std::size_t candidate = 0;
-    std::vector<bool> use_mbs;
-    std::size_t pruned = 0;
   };
   std::vector<std::pair<std::size_t, std::size_t>> candidates;
-  std::vector<std::size_t> tasks;  ///< first candidate of each task, + end
-  std::vector<TaskBest> best;      ///< slot t = task t's best, fold serial
-  MemoTier tier;                   ///< the call's shared solves
-  std::vector<double> trial;       ///< per-thread trial G vector
-  /// Per-thread: one task's (trial g_i, candidate), in climb order.
-  std::vector<std::pair<double, std::size_t>> order;
-  std::vector<bool> use_mbs;       ///< per-thread climb assignment
-  std::vector<double> prices;      ///< per-thread climb's exit prices
-  std::vector<double> best_prices;  ///< per-thread: the task best's
+  std::vector<Trial> order;        ///< the round's climb order
   std::vector<double> gt;          ///< accumulated expected channel counts
+  std::vector<double> trial;       ///< a candidate's trial G vector
+  std::vector<bool> use_mbs;       ///< the current climb's assignment
+  std::vector<double> prices;      ///< the current climb's exit prices
+  /// The round's best climb's assignment and exit prices; after the last
+  /// round, the allocation's assignment.
+  std::vector<bool> best_use_mbs;
+  std::vector<double> best_prices;
+  std::vector<double> carried;     ///< the previous winner's exit prices
+  std::vector<double> fbs_best;    ///< per FBS: its best Q this round
+  std::vector<std::size_t> fbs_best_candidate;  ///< and that candidate
+  std::vector<double> fbs_prices;  ///< per FBS: that climb's exit prices
+  DualBoundTable at_carried;       ///< D at the carried prices
+  DualBoundTable at_best;          ///< D at the round's best's prices
+  DualBoundTable at_fbs;           ///< D at one FBS's best's prices
 };
 
 /// The per-thread arena. Field groups are owned per the file comment.
@@ -338,15 +288,12 @@ SlotScratch& slot_scratch();
 
 /// Opens a memo scope on the calling thread: clears the memo and keeps its
 /// records until the scope closes. A scope opened while another is open on
-/// the same thread is a no-op, so a climb inside a greedy scan task shares
-/// the task's memo while a climb on its own gets a fresh one. Every entry
-/// point that solves resources opens one. A scan task, or a greedy call's
-/// empty-channel solve, binds its scope to slice `slice` of the call's
-/// tier: the scope's memo misses look in the tier before they solve, and
-/// stage what they solve in the slice.
+/// the same thread is a no-op, so a climb inside a greedy call shares the
+/// call's memo while a climb on its own gets a fresh one. Every entry point
+/// that solves resources opens one.
 class MemoScope {
  public:
-  explicit MemoScope(MemoTier* tier = nullptr, std::size_t slice = 0);
+  MemoScope();
   ~MemoScope();
   MemoScope(const MemoScope&) = delete;
   MemoScope& operator=(const MemoScope&) = delete;

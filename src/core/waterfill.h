@@ -23,9 +23,11 @@
 // subgradient solver and brute-force assignment enumeration.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "core/types.h"
+#include "util/check.h"
 
 namespace femtocr::core {
 
@@ -60,8 +62,8 @@ SlotAllocation waterfill_solve(const SlotContext& ctx, const SlotCache& cache,
 /// compares Q values, so trial candidates (greedy's inner loop) skip
 /// building the K-sized share vectors, and waterfill_evaluate on the
 /// assignment materializes the allocation waterfill_solve would return.
-/// Inside an open MemoScope (a greedy scan task) it shares that scope's
-/// memo. `prices` receives the price each resource's shares were taken at
+/// Inside an open MemoScope (a greedy call) it shares that scope's memo.
+/// `prices` receives the price each resource's shares were taken at
 /// in that assignment (index 0 = MBS, i + 1 = FBS i): its water level, or
 /// 1e-12 where the level is 0.
 double waterfill_solve_objective(const SlotContext& ctx,
@@ -77,21 +79,44 @@ struct SlotDualBound {
   double margin = 0.0;
 };
 
-/// D at the expected channel counts `gt_per_fbs` and the nonnegative
-/// resource prices μ in `prices` (index 0 = MBS, i + 1 = FBS i), for any μ:
+/// Weak duality's D at one vector of nonnegative resource prices μ
+/// (index 0 = MBS, i + 1 = FBS i), for any μ:
 ///   D = Σ_r μ_r (1 + 1e-9 + κ) + Σ_j max(v_j^MBS(μ_0), v_j^FBS(μ_i)),
 /// where v_j is user j's Lagrangian maximum over its share on that resource
 /// and κ = 4 (K + 4) ε. No assignment whose resources' shares sum to at
 /// most 1 + 1e-9, as water-filling's exit guard keeps them, has a larger
-/// objective, so waterfill_solve_objective at gt_per_fbs never returns
-/// more than value + margin (docs/DEVELOPING.md, "The greedy scan's
-/// duality bound"). O(K + N), with at most 2K logs. The greedy scan takes
-/// it at the exit prices of a task's best climb to skip candidates that
-/// cannot beat it.
-SlotDualBound waterfill_dual_bound(const SlotContext& ctx,
-                                   const SlotCache& cache,
-                                   const std::vector<double>& gt_per_fbs,
-                                   const std::vector<double>& prices);
+/// objective, so waterfill_solve_objective at the same expected channel
+/// counts never returns more than value + margin (docs/DEVELOPING.md, "The
+/// greedy scan's duality bound"). reset() takes each user's two maxima at
+/// a base vector of counts, at most 2K logs; at() gives D for the base
+/// with one FBS's count replaced, re-taking only that FBS's users (one log
+/// each at most) and summing in user order, so its value and margin do not
+/// depend on the base. The greedy scan bounds a round's candidates with it.
+class DualBoundTable {
+ public:
+  void reset(const SlotContext& ctx, const SlotCache& cache,
+             const std::vector<double>& gt_per_fbs,
+             std::span<const double> prices);
+  /// D and its margin at the base counts with FBS `fbs`'s count set to g.
+  SlotDualBound at(const SlotContext& ctx, const SlotCache& cache,
+                   std::size_t fbs, double g) const;
+
+ private:
+  std::vector<double> prices_;
+  double priced_ = 0.0;          ///< Σ_r μ_r (1 + 1e-9 + κ)
+  std::vector<double> on_mbs_;   ///< v_j^MBS(μ_0)
+  std::vector<double> user_;     ///< max(v_j^MBS, v_j^FBS) at the base
+  std::vector<double> scale_;    ///< user j's summand of the margin's Λ
+};
+
+#if FEMTOCR_DCHECK_IS_ON()
+/// waterfill_solve_objective's value, climbed without moving a counter or
+/// adding a memo record: the greedy's DCHECK re-climb of a pruned
+/// candidate.
+double waterfill_check_objective(const SlotContext& ctx,
+                                 const SlotCache& cache,
+                                 const std::vector<double>& gt_per_fbs);
+#endif
 
 /// Water-fills every resource for a FIXED base-station assignment and
 /// returns the completed allocation (objective included). The optimum over

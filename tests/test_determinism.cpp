@@ -18,6 +18,7 @@
 #include "core/greedy.h"
 #include "core/objective.h"
 #include "core/scheme.h"
+#include "core/scratch.h"
 #include "core/shard.h"
 #include "core/slot_cache.h"
 #include "core/types.h"
@@ -221,22 +222,18 @@ TEST(Determinism, MetricCountersInvariantAcrossThreadCounts) {
 }
 
 TEST(Determinism, GreedyWaterfillCountersInvariantAcrossThreadCounts) {
-  // A top-level greedy_allocate fans its scan tasks out over the pool.
-  // (The test above runs the greedy inside replication workers, where its
-  // fan-out runs inline, so it cannot see this.) Each task water-fills
-  // under its own memo scope, which starts empty, over the call's memo
-  // tier, which is frozen for the round; it skips the candidates whose
-  // trial vector it already climbed, and keeps its own best. So every
-  // counter is a function of the work: identical at 1, 2 and 8 threads and
-  // across repeats, as is the allocation. The second context repeats its
-  // posteriors, so the skip and the per-task fold run under the fan-out.
-  // The third, 8 FBSs on a ring with 24 users, overflows the tier in its
-  // first rounds, where its scan tasks' slices run out of room, so the
-  // slice bounds, the merge order and core.greedy.tier_refused are pinned
-  // too. Every context's climbs prune moves by their duality bound, so
-  // core.waterfill.climb.pruned is pinned beside the solves it saves, and
-  // every context's scan tasks skip candidates by theirs, so
-  // core.greedy.candidates_pruned is pinned beside the climbs it saves.
+  // A top-level greedy_allocate runs on the calling thread under one memo
+  // scope, which starts empty; it skips the candidates whose trial vector
+  // a lower index has, and keeps one best. So every counter is a function
+  // of the work: identical at 1, 2 and 8 threads and across repeats, as is
+  // the allocation. (The test above runs the greedy inside replication
+  // workers.) The second context repeats its posteriors, so the skip runs.
+  // The third, 8 FBSs on a ring with 24 users, fills the memo, which then
+  // empties, so the reset points are pinned too. Every context's climbs
+  // prune moves by their duality bound, so core.waterfill.climb.pruned is
+  // pinned beside the solves it saves, and every context's scan skips
+  // candidates by theirs, so core.greedy.candidates_pruned is pinned
+  // beside the climbs it saves.
   ThreadDefaultGuard guard;
   const bool prev_enabled = util::metrics_enabled();
   util::set_metrics_enabled(true);
@@ -275,7 +272,6 @@ TEST(Determinism, GreedyWaterfillCountersInvariantAcrossThreadCounts) {
       util::metrics().counter("core.waterfill.breakpoint.events");
   util::Counter& solves = util::metrics().counter("core.waterfill.solves");
   util::Counter& evals = util::metrics().counter("core.greedy.candidate_evals");
-  util::Counter& refused = util::metrics().counter("core.greedy.tier_refused");
   util::Counter& pruned =
       util::metrics().counter("core.waterfill.climb.pruned");
   util::Counter& cand_pruned =
@@ -290,12 +286,17 @@ TEST(Determinism, GreedyWaterfillCountersInvariantAcrossThreadCounts) {
 
     std::vector<std::vector<std::pair<std::string, std::uint64_t>>> counters;
     std::vector<double> objectives;
+    std::vector<std::uint32_t> generations;
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       for (int repeat = 0; repeat < 2; ++repeat) {
         util::set_default_threads(threads);
         util::metrics().reset();
+        const std::uint32_t before =
+            core::slot_scratch().memo.table.generation;
         const core::GreedyResult g = core::greedy_allocate(ctx, cache);
+        generations.push_back(core::slot_scratch().memo.table.generation -
+                              before);
         counters.push_back(util::metrics().snapshot().counters);
         objectives.push_back(g.allocation.objective);
       }
@@ -313,13 +314,16 @@ TEST(Determinism, GreedyWaterfillCountersInvariantAcrossThreadCounts) {
     } else {
       EXPECT_EQ(solves.total() + cand_pruned.total(), 1 + evals.total());
     }
+    // One generation for the call's own scope; any more are clears forced
+    // by a full memo.
     if (overflow) {
-      EXPECT_GT(refused.total(), 0u) << "the ring context fits its tier";
+      EXPECT_GT(generations[0], 1u) << "the ring context never fills the memo";
     }
     for (std::size_t r = 1; r < counters.size(); ++r) {
       EXPECT_EQ(counters[r], counters[0]) << "run " << r << ", context "
                                           << variant;
       EXPECT_EQ(objectives[r], objectives[0]) << "run " << r;
+      EXPECT_EQ(generations[r], generations[0]) << "run " << r;
     }
   }
   util::set_metrics_enabled(prev_enabled);

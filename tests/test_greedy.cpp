@@ -202,16 +202,15 @@ TEST(Greedy, SkipsFbssWithoutUsers) {
 
 // ------------------------------------------------- differential tier ----
 //
-// greedy_allocate climbs each scan task's candidates in descending trial
-// value, skips a candidate whose trial vector its task already had, skips
-// one whose duality bound proves it cannot beat the task's best, keeps
-// each task's largest Q, ties to the lowest index, with its climb's
+// greedy_allocate skips a candidate whose FBS and trial g_i a lower index
+// already has, climbs the rest in descending duality bound at the previous
+// winner's prices, skips one whose bound proves it cannot beat the best so
+// far, keeps the largest Q, ties to the lowest index, with its climb's
 // assignment, and materializes only the last winner, from its assignment,
-// after the last round. The
-// reference below is Table III as written: every round climbs every
-// surviving candidate with waterfill_solve and takes the first strict
-// maximum in candidate order. Every output must agree bit for bit at 1, 2
-// and 8 threads.
+// after the last round, all under one memo scope. The reference below is
+// Table III as written: every round climbs every surviving candidate with
+// waterfill_solve and takes the first strict maximum in candidate order.
+// Every output must agree bit for bit at 1, 2 and 8 threads.
 
 struct ReferenceScan {
   GreedyResult result;
@@ -393,13 +392,12 @@ TEST(GreedyDifferential, ScanMatchesFullTableIIIBitwise) {
   ThreadDefaultGuard guard;
   const bool prev_enabled = util::metrics_enabled();
   util::set_metrics_enabled(true);
-  util::Counter& refused = util::metrics().counter("core.greedy.tier_refused");
   util::Counter& cand_pruned =
       util::metrics().counter("core.greedy.candidates_pruned");
   std::size_t repeats = 0;
   std::size_t fbs_ties = 0;
-  std::size_t tier_fits = 0;
-  std::size_t tier_overflows = 0;
+  std::size_t memo_kept = 0;
+  std::size_t memo_reset = 0;
   const std::uint64_t pruned_before = cand_pruned.total();
   for (int c = 0; c < kGreedyCases; ++c) {
     const test::ContextFixture f = greedy_case(c);
@@ -415,83 +413,29 @@ TEST(GreedyDifferential, ScanMatchesFullTableIIIBitwise) {
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
       util::set_default_threads(threads);
-      const std::uint64_t before = refused.total();
+      const std::uint32_t before = slot_scratch().memo.table.generation;
       expect_bitwise_equal(greedy_allocate(f.ctx, cache), ref.result,
                            "case " + std::to_string(c) + " at " +
                                std::to_string(threads) + " threads");
       if (threads != 1) continue;
-      if (refused.total() == before) {
-        ++tier_fits;
+      // One generation for the call's own scope; any more are clears
+      // forced by a full memo.
+      if (slot_scratch().memo.table.generation - before == 1) {
+        ++memo_kept;
       } else {
-        ++tier_overflows;
+        ++memo_reset;
       }
     }
   }
   const std::uint64_t pruned = cand_pruned.total() - pruned_before;
   util::set_metrics_enabled(prev_enabled);
   // The corpus must reach the paths the scan's shortcuts take, and calls
-  // whose memo tier holds every solve as well as calls that overflow it.
+  // whose memo keeps every solve as well as calls that fill it.
   EXPECT_GT(repeats, 0u) << "no candidate repeated a trial vector";
   EXPECT_GT(fbs_ties, 0u) << "no exact Q tie between FBSs";
   EXPECT_GT(pruned, 0u) << "the scan's duality bound pruned no candidate";
-  EXPECT_GT(tier_fits, 0u) << "no call's tier held every solve";
-  EXPECT_GT(tier_overflows, 0u) << "no call overflowed its tier";
-}
-
-TEST(GreedyMemoTier, MergesSlicesInTaskOrderUntilTheIndexIsFull) {
-  // The merge, not the schedule, decides what a greedy call's tier holds:
-  // slices merge in task order whichever task staged first, the first
-  // record of a key wins, a later slice's records move down to the end of
-  // the merged ones, and once the index holds kMaxRecords every absent
-  // key is refused, as is every record its slice had no room for.
-  MemoTier tier;
-  tier.table.reset();
-  tier.open(2);
-  const double task1_a = 1.0;
-  const double task1_c = 3.0;
-  const double task0_a = 2.0;
-  tier.stage(1, /*resource=*/0, /*g_bits=*/0, /*mask=*/1, &task1_a, 1);
-  tier.stage(1, 0, 0, /*mask=*/2, &task1_c, 1);
-  tier.stage(0, 0, 0, 1, &task0_a, 1);
-  EXPECT_EQ(tier.merge(), 0u);
-  EXPECT_EQ(tier.table.records, 2u);
-  ASSERT_NE(tier.table.find(0, 0, 1), nullptr);
-  EXPECT_EQ(*tier.table.find(0, 0, 1), task0_a);
-  ASSERT_NE(tier.table.find(0, 0, 2), nullptr);
-  EXPECT_EQ(*tier.table.find(0, 0, 2), task1_c);
-  EXPECT_EQ(tier.table.find(0, 1, 1), nullptr);  // g_i is part of the key
-
-  // Two tasks stage more one-member records than the pool and the index
-  // hold; task 1 stages first.
-  tier.open(2);
-  const std::size_t per_slice = tier.slices[0].end - tier.slices[0].begin;
-  const std::size_t fit = per_slice / (SolveTable::kKeyWords + 1);
-  const double term = 4.0;
-  for (const std::size_t t : {std::size_t{1}, std::size_t{0}}) {
-    for (std::uint64_t g = 1; g <= fit + 1; ++g) {
-      tier.stage(t, /*resource=*/static_cast<std::uint32_t>(t + 1), g, 1,
-                 &term, 1);
-    }
-  }
-  const std::size_t kept = MemoTier::kMaxRecords - 2;
-  ASSERT_LT(kept, fit);
-  // One record per slice had no room; task 1's records all find the index
-  // full, and task 0's beyond the first `kept` do too.
-  EXPECT_EQ(tier.merge(), 2 + (fit - kept) + fit);
-  EXPECT_EQ(tier.table.records, MemoTier::kMaxRecords);
-  EXPECT_NE(tier.table.find(1, kept, 1), nullptr);
-  EXPECT_EQ(tier.table.find(1, kept + 1, 1), nullptr);
-  EXPECT_EQ(tier.table.find(2, 1, 1), nullptr);
-  // Task 0's slice reused the pool past the first merge's records, so
-  // task 1's moved record must have been copied down.
-  ASSERT_NE(tier.table.find(0, 0, 2), nullptr);
-  EXPECT_EQ(*tier.table.find(0, 0, 2), task1_c);
-
-  // A full index opens slices with no room.
-  tier.open(3);
-  tier.stage(2, 0, 7, 1, &term, 1);
-  EXPECT_EQ(tier.merge(), 1u);
-  EXPECT_EQ(tier.table.find(0, 7, 1), nullptr);
+  EXPECT_GT(memo_kept, 0u) << "no call's memo kept every solve";
+  EXPECT_GT(memo_reset, 0u) << "no call filled its memo";
 }
 
 TEST(SolveTable, GenerationWrapRetagsEverySlot) {

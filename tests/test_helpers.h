@@ -3,12 +3,15 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
 #include "core/slot_cache.h"
 #include "core/subproblem.h"
 #include "core/types.h"
+#include "core/waterfill.h"
 #include "net/interference_graph.h"
 #include "util/mathx.h"
 #include "util/rng.h"
@@ -117,6 +120,62 @@ inline double waterfill_shares_reference(const std::vector<double>& psnr,
   }
   shares_at_level(psnr, rates, successes, hi, rho_out);
   return hi;
+}
+
+/// The reference duality bound, oracle of core::DualBoundTable: weak
+/// duality's D at the expected channel counts `gt` and the resource prices
+/// `prices` (index 0 = MBS, i + 1 = FBS i), and its rounding margin,
+///   D = Σ_r μ_r (1 + 1e-9 + κ) + Σ_j max(v_j^MBS(μ_0), v_j^FBS(μ_i)),
+///   m = 16 (K + N + 4) ε (Λ + P + 1),
+/// with κ = 4 (K + 4) ε, P the first sum, and Λ = Σ_j |log W_j| +
+/// max(S_0 R_0, S_i g_i R_i) / W_j. Every user is taken from scratch at
+/// `gt`, with the library's share, term and log expressions, and both sums
+/// run in user order (docs/DEVELOPING.md, "The greedy scan's duality
+/// bound").
+inline core::SlotDualBound waterfill_dual_bound_reference(
+    const core::SlotContext& ctx, const core::SlotCache& cache,
+    const std::vector<double>& gt, const std::vector<double>& prices) {
+  constexpr double eps = std::numeric_limits<double>::epsilon();
+  const std::size_t K = cache.num_users;
+  const double budget = 1.0 + 1e-9 + 4.0 * static_cast<double>(K + 4) * eps;
+  double priced = 0.0;
+  for (const double mu : prices) priced += mu * budget;
+  // User j's Lagrangian maximum on one resource at the price mu: its term
+  // at the Eq. 14 share, less mu times that share.
+  const auto lagrangian_max = [&](std::size_t j, bool mbs, double g,
+                                  double mu) {
+    const core::UserState& u = ctx.users[j];
+    double success = u.success_mbs;
+    double pr = cache.pr_mbs[j];
+    bool usable = cache.can_mbs[j] != 0;
+    if (!mbs) {
+      const double rate = u.rate_fbs * g;
+      usable = rate > 0.0 && u.success_fbs > 0.0;
+      success = u.success_fbs;
+      pr = usable ? u.psnr / rate : 0.0;
+    }
+    const double rho =
+        usable ? util::clamp(success / mu - pr, 0.0, core::kRhoCap) : 0.0;
+    const double rate = mbs ? u.rate_mbs : u.rate_fbs;
+    const double a =
+        rho <= 0.0 ? cache.log_psnr[j] : std::log(u.psnr + rho * g * rate);
+    const double term = mbs ? u.success_mbs * a + cache.loss_mbs[j]
+                            : u.success_fbs * a + cache.loss_fbs[j];
+    return term - mu * rho;
+  };
+  double users = 0.0;
+  double scale = 1.0;
+  for (std::size_t j = 0; j < K; ++j) {
+    const core::UserState& u = ctx.users[j];
+    const double g = gt[u.fbs];
+    users += std::max(lagrangian_max(j, true, 1.0, prices[0]),
+                      lagrangian_max(j, false, g, prices[u.fbs + 1]));
+    const double rate = u.rate_fbs * g;
+    const double top = rate > 0.0 ? u.success_fbs * rate / u.psnr : 0.0;
+    scale += std::fabs(cache.log_psnr[j]) + std::max(cache.hi_mbs[j], top);
+  }
+  const double unit = static_cast<double>(K + cache.num_fbs + 4) * eps;
+  return {priced + users, 16.0 * unit * (scale + priced)};
 }
 
 }  // namespace femtocr::test

@@ -40,8 +40,8 @@ TEST(Protocol, ReachesTheCentralizedOptimum) {
 TEST(Protocol, MatchesTheInProcessDualSolver) {
   // The protocol transports solve_dual's arithmetic: the same price step,
   // the same budget projection, the same recovery. Whenever both converge
-  // they must agree bit for bit. The K >= 192 instances at 4 threads take
-  // solve_dual's parallel best-response pass.
+  // they must agree bit for bit. The K >= 192 instances run at 4 threads:
+  // neither side may depend on the thread count.
   util::Rng rng(4242);
   std::size_t compared = 0;
   auto check = [&](std::size_t users, std::size_t fbs, std::size_t channels) {

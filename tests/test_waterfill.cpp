@@ -4,6 +4,7 @@
 // tier against a full-re-evaluation reference climb.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <stdexcept>
@@ -162,17 +163,23 @@ TEST(WaterfillSolve, RejectsMismatchedGtVector) {
 //
 // The library climb keeps per-user objective terms, re-solves only the
 // resources a trial touches, memoises resource solves within a scope and
-// skips the moves its weak-duality bound rules out. The reference below
-// re-evaluates every trial from scratch through the public
-// waterfill_evaluate, with the same initial assignment, the same
-// flip-then-swap order and the same acceptance rule. Objective and
-// assignment must agree bitwise, and every trial the reference evaluates
-// must be one the library either evaluates or prunes.
+// skips the moves its weak-duality bound rules out, and stops once a sweep
+// reaches the move it last accepted. The reference below re-evaluates
+// every trial from scratch through the public waterfill_evaluate, with the
+// same initial assignment, the same flip-then-swap order and the same
+// acceptance rule, and sweeps until a whole sweep gains nothing. Objective
+// and assignment must agree bitwise, and every trial the reference
+// evaluates up to its next sweep's return to its last accepted move must
+// be one the library either evaluates or prunes.
 
 struct ReferenceClimb {
   std::vector<bool> use_mbs;
   double objective = 0.0;
   std::uint64_t evaluations = 0;  ///< the start and every trial
+  /// The evaluations before the sweep after the last accepted move reaches
+  /// that move again (all of them when none is accepted, or the climb hits
+  /// the sweep cap).
+  std::uint64_t to_last_accepted = 0;
 };
 
 ReferenceClimb reference_climb(const SlotContext& ctx, const SlotCache& cache,
@@ -190,16 +197,25 @@ ReferenceClimb reference_climb(const SlotContext& ctx, const SlotCache& cache,
     return waterfill_evaluate(ctx, cache, gt, um).objective;
   };
   ref.objective = evaluate();
+  std::size_t last_j = K;  // the move last accepted, none yet
+  std::size_t last_k = K;
+  bool reached = false;
   for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     bool improved = false;
     // Flips j, and k too unless k == K; keeps the move iff it gains.
     const auto try_move = [&](std::size_t j, std::size_t k) {
+      if (!reached && j == last_j && k == last_k) {
+        reached = true;
+        ref.to_last_accepted = ref.evaluations;
+      }
       um[j] = !um[j];
       if (k < K) um[k] = !um[k];
       const double q = evaluate();
       if (q > ref.objective + kMinGain) {
         ref.objective = q;
         improved = true;
+        last_j = j;
+        last_k = k;
         return;
       }
       um[j] = !um[j];
@@ -213,6 +229,7 @@ ReferenceClimb reference_climb(const SlotContext& ctx, const SlotCache& cache,
     }
     if (!improved) break;
   }
+  if (!reached) ref.to_last_accepted = ref.evaluations;
   return ref;
 }
 
@@ -308,6 +325,7 @@ TEST(WaterfillDifferential, ClimbMatchesFullReevaluationBitwise) {
   util::Counter& fallback =
       util::metrics().counter("core.waterfill.breakpoint.bisect_fallback");
   bool keyed_case_pruned = false;
+  int stopped_early = 0;
   for (int c = 0; c < kDifferentialCases; ++c) {
     const DifferentialCase d = differential_case(c);
     SlotCache cache;
@@ -329,16 +347,19 @@ TEST(WaterfillDifferential, ClimbMatchesFullReevaluationBitwise) {
         ref.objective)
         << "case " << c;
     const std::uint64_t case_pruned = pruned.total() - pruned_before;
-    // A pruned move is one the reference evaluates and rejects.
+    // A pruned move is one the reference evaluates and rejects, and the
+    // climb stops where the reference returns to its last accepted move.
     EXPECT_EQ(evaluations.total() - evaluations_before + case_pruned,
-              ref.evaluations)
+              ref.to_last_accepted)
         << "case " << c;
+    if (ref.to_last_accepted < ref.evaluations) ++stopped_early;
     EXPECT_EQ(climbed, ref.use_mbs) << "case " << c;
     EXPECT_TRUE(a.feasible(d.f.ctx)) << "case " << c;
     // Weak duality at the climb's own exit prices bounds what it returned.
     ASSERT_EQ(prices.size(), d.gt.size() + 1) << "case " << c;
-    const SlotDualBound at_exit =
-        waterfill_dual_bound(d.f.ctx, cache, d.gt, prices);
+    DualBoundTable table;
+    table.reset(d.f.ctx, cache, d.gt, prices);
+    const SlotDualBound at_exit = table.at(d.f.ctx, cache, 0, d.gt[0]);
     EXPECT_LE(ref.objective, at_exit.value + at_exit.margin) << "case " << c;
     if (c == 2) {
       // One generation for the solve's own scope; any more are clears
@@ -358,6 +379,7 @@ TEST(WaterfillDifferential, ClimbMatchesFullReevaluationBitwise) {
   }
   util::set_metrics_enabled(prev_enabled);
   EXPECT_TRUE(keyed_case_pruned) << "no keyed case pruned";
+  EXPECT_GT(stopped_early, 0) << "no climb stopped at its last accepted move";
 }
 
 TEST(WaterfillDualBound, BoundsTheExhaustiveOptimumAtAnyPrices) {
@@ -378,8 +400,9 @@ TEST(WaterfillDualBound, BoundsTheExhaustiveOptimumAtAnyPrices) {
       for (std::size_t r = 0; r <= d.gt.size(); ++r) {
         prices.push_back(draw == 0 ? 0.0 : std::exp(rng.uniform(-12.0, 3.0)));
       }
-      const SlotDualBound bound =
-          waterfill_dual_bound(d.f.ctx, cache, d.gt, prices);
+      DualBoundTable table;
+      table.reset(d.f.ctx, cache, d.gt, prices);
+      const SlotDualBound bound = table.at(d.f.ctx, cache, 0, d.gt[0]);
       EXPECT_LE(optimum, bound.value + bound.margin)
           << "case " << c << ", draw " << draw;
       EXPECT_GT(bound.margin, 0.0) << "case " << c;
@@ -387,6 +410,58 @@ TEST(WaterfillDualBound, BoundsTheExhaustiveOptimumAtAnyPrices) {
     }
   }
   EXPECT_GT(checked, 100);
+}
+
+TEST(WaterfillDualBound, TableMatchesTheReferenceBoundBitwise) {
+  // The table takes each user's Lagrangian maxima once per price vector and
+  // re-takes only the users of the FBS whose count a trial changes, so its
+  // value and margin must be the reference's, which takes every user from
+  // scratch, bit for bit: on every seeded case, for every FBS, at zero
+  // prices, at 1e-12 (a level of 0), at random prices and at a climb's
+  // exit prices, and at several trial counts, zero and the base's included.
+  int checked = 0;
+  for (int c = 0; c < kDifferentialCases; ++c) {
+    const DifferentialCase d = differential_case(c);
+    SlotCache cache;
+    cache.build(d.f.ctx);
+    const std::size_t n = d.gt.size() + 1;
+    std::vector<std::vector<double>> price_sets = {
+        std::vector<double>(n, 0.0), std::vector<double>(n, 1e-12)};
+    util::Rng rng(9401 + static_cast<std::uint64_t>(c));
+    std::vector<double> drawn;
+    for (std::size_t r = 0; r < n; ++r) {
+      drawn.push_back(std::exp(rng.uniform(-12.0, 3.0)));
+    }
+    price_sets.push_back(drawn);
+    std::vector<bool> use_mbs;
+    std::vector<double> exit_prices;
+    (void)waterfill_solve_objective(d.f.ctx, cache, d.gt, use_mbs,
+                                    exit_prices);
+    price_sets.push_back(exit_prices);
+    DualBoundTable table;
+    for (const std::vector<double>& prices : price_sets) {
+      table.reset(d.f.ctx, cache, d.gt, prices);
+      for (std::size_t i = 0; i < d.gt.size(); ++i) {
+        for (const double g : {d.gt[i], 0.0, d.gt[i] + d.f.ctx.posterior[0],
+                               rng.uniform(0.0, 4.0)}) {
+          std::vector<double> trial = d.gt;
+          trial[i] = g;
+          const SlotDualBound want =
+              test::waterfill_dual_bound_reference(d.f.ctx, cache, trial,
+                                                   prices);
+          const SlotDualBound got = table.at(d.f.ctx, cache, i, g);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.value),
+                    std::bit_cast<std::uint64_t>(want.value))
+              << "case " << c << ", FBS " << i << ", g " << g;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.margin),
+                    std::bit_cast<std::uint64_t>(want.margin))
+              << "case " << c << ", FBS " << i << ", g " << g;
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000);
 }
 
 #if FEMTOCR_DCHECK_IS_ON()

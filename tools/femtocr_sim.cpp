@@ -54,7 +54,9 @@ Execution:
   --scheme=proposed|h1|h2|all     (default: all)
   --per-user                      also print the per-user quality table
   --sweep=eta|channels|b0|eps     sweep one knob over [--from, --to] in
-  --from=X --to=X --step=X        steps of --step (runs all schemes)
+  --from=X --to=X --step=X        steps of --step (runs all schemes), at
+                                  most 10000 points; a channels sweep ends
+                                  at --to <= 4096
   --metrics-out=FILE              dump the metrics registry (counters,
                                   histograms, timers) as JSON on exit;
                                   schema in docs/OBSERVABILITY.md. Disable
@@ -166,9 +168,22 @@ int run_sweep(const sim::Scenario& base, const util::Args& args,
     std::cerr << "--sweep needs --from <= --to and --step > 0\n";
     return 2;
   }
+  // A channel count is a size_t: the cast below is defined only up to the
+  // cap, which is checked before anything else reads --to.
+  constexpr double kMaxSweepChannels = 4096;
+  if (knob == "channels" && !(from >= 1.0)) {
+    std::cerr << "--sweep=channels needs --from >= 1 (a channel count)\n";
+    return 2;
+  }
+  if (knob == "channels" && !(to <= kMaxSweepChannels)) {
+    std::cerr << "--sweep=channels needs --to <= " << kMaxSweepChannels
+              << " channels\n";
+    return 2;
+  }
   // x runs over [from, to + 1e-9]. A step below the spacing of the doubles
   // at the largest |x| there can round away (x + step == x, as 0.3 + 1e-20
-  // does), and the point loop would never end.
+  // does), and the point loop would never end; a step that advances can
+  // still ask for far too many points, so their count is bounded too.
   const double m = std::max(std::fabs(from), std::fabs(to) + 1e-9);
   if (!(step >= std::nextafter(m, std::numeric_limits<double>::infinity()) -
                     m)) {
@@ -177,8 +192,10 @@ int run_sweep(const sim::Scenario& base, const util::Args& args,
               << ", so x would stop advancing\n";
     return 2;
   }
-  if (knob == "channels" && !(from >= 1.0)) {
-    std::cerr << "--sweep=channels needs --from >= 1 (a channel count)\n";
+  constexpr double kMaxSweepPoints = 10000;
+  if (!(std::floor((to + 1e-9 - from) / step) < kMaxSweepPoints)) {
+    std::cerr << "--step=" << step << " gives more than " << kMaxSweepPoints
+              << " sweep points\n";
     return 2;
   }
   std::vector<double> xs;
